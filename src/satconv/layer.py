@@ -6,21 +6,28 @@ integer strides preserve the fractional parts of the sample coordinates,
 the interpolation weights inside the taps are constant over the whole
 plane. Out-of-range lattice reads are resolved by edge-replicating the
 table, which reproduces zero-padding of the source exactly (the table is
-constant beyond its borders) and makes every tap a strided slice.
+constant beyond its borders) and makes every tap a strided slice. A
+channel whose table is not finite (NaN or inf in the input, or sums that
+overflow float64) is rejected: one bad pixel would spoil every output
+whose box reaches below and to the right of it.
 
 Backward produces three gradient families:
 
 * input: tap weights scattered into a table-shaped buffer, replication
   margins folded back onto the border, then one reverse prefix-sum pass
   (the adjoint of table construction) per channel;
-* box coordinates: each sample site's interpolation derivative, weighted
-  by the site's folded coefficient and the output cotangent, summed over
-  the plane; each normalized parameter moves exactly one site column or
-  row, with the window half-width as chain factor. Sites whose reads fall
-  in the replicated margin contribute zero automatically, matching the
+* box coordinates: every sample site's value and coordinate derivatives
+  are linear in four scalars, the inner products of the output cotangent
+  with the table read at each corner of the site's lattice cell. Backward
+  takes one inner product per distinct lattice offset of the plan (sites
+  sharing a corner share it) and blends them with the site's constant
+  interpolation fractions; the site derivative, weighted by its folded
+  coefficient, moves exactly one normalized parameter, with the window
+  half-width as chain factor. Sites whose reads fall in the replicated
+  margin see equal corner products and so contribute zero, matching the
   convention that clamped coordinates have zero gradient;
-* sub-box weights: the sub-box region sums themselves, re-evaluated from
-  the saved tables, contracted with the cotangent.
+* sub-box weights: the four-corner difference of the sub-box's site
+  values, each value being the bilinear blend of its corner products.
 """
 
 from __future__ import annotations
@@ -94,19 +101,6 @@ def _forward_plane(sat, plan, out_h, out_w, stride):
     return out
 
 
-def _site_planes(padded, top, left, x_cell, y_cell, out_h, out_w, stride):
-    """Value and coordinate-derivative planes of one sample site."""
-    (x0, a), (y0, b) = x_cell, y_cell
-    p00 = _tap_view(padded, top, left, y0, x0, out_h, out_w, stride)
-    p10 = _tap_view(padded, top, left, y0, x0 + 1, out_h, out_w, stride)
-    p01 = _tap_view(padded, top, left, y0 + 1, x0, out_h, out_w, stride)
-    p11 = _tap_view(padded, top, left, y0 + 1, x0 + 1, out_h, out_w, stride)
-    value = (1 - a) * (1 - b) * p00 + a * (1 - b) * p10 + (1 - a) * b * p01 + a * b * p11
-    d_dx = (1 - b) * (p10 - p00) + b * (p11 - p01)
-    d_dy = (1 - a) * (p01 - p00) + a * (p11 - p10)
-    return value, d_dx, d_dy
-
-
 class BoxConvLayer:
     """Depth-wise layer pairing each input channel with one learnable box."""
 
@@ -166,6 +160,13 @@ class BoxConvLayer:
         out_c, out_h, out_w = self.out_shape(x.shape)
         plans = list(self.plans)
         sats = self._map_channels(lambda c: build_sat(x[c]), out_c)
+        for c, sat in enumerate(sats):
+            # A running sum stays non-finite once it is, so the bottom row of a
+            # table is finite exactly when the whole table is.
+            if not np.isfinite(sat[-1]).all():
+                raise ValueError(
+                    f"channel {c}: input holds NaN or inf, or its sums overflow float64"
+                )
         out = np.empty((out_c, out_h, out_w), dtype=np.float64)
 
         def run(c):
@@ -226,28 +227,33 @@ class BoxConvLayer:
                 )
                 return
 
-            # parameter path
+            # parameter path: one inner product <gc, table view> per lattice
+            # offset; the taps hold all four cell corners of every site
+            q = {}
+            for dx, dy, _wt in plan.taps:
+                if (dx, dy) not in q:
+                    view = _tap_view(padded, top, left, dy, dx, out_h, out_w, stride)
+                    q[dx, dy] = float(np.einsum("ij,ij->", gc, view))
+
             nx, ny = len(plan.x_sites), len(plan.y_sites)
-            values = [[None] * ny for _ in range(nx)]
+            values = np.zeros((nx, ny))
             gx_sites = np.zeros(nx)
             gy_sites = np.zeros(ny)
-            for ix in range(nx):
-                for iy in range(ny):
-                    value, d_dx, d_dy = _site_planes(
-                        padded, top, left, plan.x_cells[ix], plan.y_cells[iy],
-                        out_h, out_w, stride,
-                    )
-                    values[ix][iy] = value
+            for ix, (x0, a) in enumerate(plan.x_cells):
+                for iy, (y0, b) in enumerate(plan.y_cells):
+                    q00, q10 = q[x0, y0], q[x0 + 1, y0]
+                    q01, q11 = q[x0, y0 + 1], q[x0 + 1, y0 + 1]
+                    values[ix, iy] = ((1 - a) * (1 - b) * q00 + a * (1 - b) * q10
+                                      + (1 - a) * b * q01 + a * b * q11)
                     coeff = plan.coeffs[ix][iy]
-                    if coeff != 0.0:
-                        gx_sites[ix] += coeff * float(np.sum(gc * d_dx))
-                        gy_sites[iy] += coeff * float(np.sum(gc * d_dy))
+                    gx_sites[ix] += coeff * ((1 - b) * (q10 - q00) + b * (q11 - q01))
+                    gy_sites[iy] += coeff * ((1 - a) * (q01 - q00) + a * (q11 - q10))
 
             r = (p.max_kernel - 1) / 2
-            gw = np.zeros(len(p.split_weights))
-            for bi, (ixl, ixh, iyl, iyh, _wgt) in enumerate(plan.sub_boxes):
-                region = values[ixh][iyh] - values[ixl][iyh] - values[ixh][iyl] + values[ixl][iyl]
-                gw[bi] = float(np.sum(gc * region))
+            gw = np.array([
+                values[ixh, iyh] - values[ixl, iyh] - values[ixh, iyl] + values[ixl, iyl]
+                for ixl, ixh, iyl, iyh, _wgt in plan.sub_boxes
+            ])
 
             theta = np.array([gx_sites[0], gx_sites[nx - 1], gy_sites[0], gy_sites[ny - 1]]) * r
             split = []

@@ -190,3 +190,125 @@ def test_threaded_forward_matches_serial(rng):
     assert np.array_equal(gs.grad_input, gt.grad_input)
     for a, b in zip(gs.grad_boxes, gt.grad_boxes):
         assert np.array_equal(a.theta, b.theta)
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [
+        ((3, 4), np.nan),   # interior NaN
+        ((0, 0), np.inf),   # first pixel: feeds every table entry but row/column 0
+        ((3, 4), -np.inf),  # interior inf
+    ],
+)
+def test_forward_rejects_non_finite_input(rng, where, bad):
+    x = rng.normal(size=(3, 7, 9))
+    x[1][where] = bad
+    layer = BoxConvLayer([init_params(9, rng=rng) for _ in range(3)])
+    with pytest.raises(ValueError, match="channel 1"):
+        layer.forward(x)
+
+
+def test_forward_rejects_overflowing_sums(rng):
+    layer = BoxConvLayer([init_params(9, rng=rng) for _ in range(2)])
+    x = rng.normal(size=(2, 6, 6))
+    x[0] = 1e308  # every pixel finite, every row sum overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="channel 0"):
+        layer.forward(x)
+    # rows sum to zero, so the total and the table's bottom-right entry stay
+    # finite, but the first column's running sum overflows
+    x = rng.normal(size=(2, 6, 6))
+    x[1, :, 0], x[1, :, 1] = 1e308, -1e308
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="channel 1"):
+        layer.forward(x)
+    x[1] *= 1e-300  # the same pattern at a finite scale is accepted
+    out, _ = layer.forward(x)
+    assert np.isfinite(out).all()
+
+
+# Boxes whose sample sites sit exactly on the lattice (k=9 maps theta to
+# 4 * theta px), and boxes whose every site reads the replicated margin
+# (k=41 on an 8x7 image: every site lies at least 3 px beyond the table for
+# every output pixel). Stepping any one site right by 0.25 px keeps the box
+# feasible.
+_LATTICE_SPLITS = {
+    BoxVariant.SINGLE: ((), (1.0,)),
+    BoxVariant.SPLIT_H: ((-0.25,), (0.8, 1.3)),
+    BoxVariant.SPLIT_V: ((0.0,), (1.2, 0.7)),
+    BoxVariant.SPLIT_4: ((0.0, -0.25), (0.7, 1.3, 0.9, 1.1)),
+}
+_MARGIN_SPLITS = {
+    BoxVariant.SINGLE: (),
+    BoxVariant.SPLIT_H: (-0.6,),
+    BoxVariant.SPLIT_V: (0.5,),
+    BoxVariant.SPLIT_4: (0.5, -0.6),
+}
+
+
+def _edge_case_box(kind, variant):
+    splits, weights = _LATTICE_SPLITS[variant]
+    if kind == "lattice":
+        return BoxParams(-0.5, 0.25, -0.75, 0.5, 9, variant, splits, weights), (12, 11)
+    return (BoxParams(-0.9, 0.85, -0.95, 0.8, 41, variant, _MARGIN_SPLITS[variant], weights),
+            (8, 7))
+
+
+def _with_coord(p, i, value):
+    """p with its i-th position parameter (4 edges, then splits) set to value."""
+    coords = list(p.thetas) + list(p.split_theta)
+    coords[i] = value
+    return BoxParams(*coords[:4], p.max_kernel, p.variant, tuple(coords[4:]), p.split_weights)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("variant", list(BoxVariant))
+@pytest.mark.parametrize("kind", ["lattice", "margin"])
+def test_position_gradients_on_lattice_and_in_margin(rng, kind, variant, stride):
+    """Edge and split gradients where gradcheck never looks: sites exactly on
+    the lattice, where the analytic gradient is the right-sided slope, and
+    sites in the replicated margin, where it is zero. The output is linear in
+    a site's position within its lattice cell, so a 0.25 px right step gives
+    the slope up to rounding."""
+    p, (h, w) = _edge_case_box(kind, variant)
+    x = rng.normal(size=(1, h, w))
+    layer = BoxConvLayer([p], stride=stride)
+    out, saved = layer.forward(x)
+    g = rng.normal(size=out.shape)
+    bg = layer.backward(saved, g).grad_boxes[0]
+    analytic = np.concatenate([bg.theta, bg.split_theta])
+    if kind == "margin":
+        assert not analytic.any()
+
+    def loss(q):
+        return float(np.sum(g * BoxConvLayer([q], stride=stride).forward(x)[0]))
+
+    step = 0.25 / ((p.max_kernel - 1) / 2)
+    coords = list(p.thetas) + list(p.split_theta)
+    base = loss(p)
+    for i, t in enumerate(coords):
+        fd = (loss(_with_coord(p, i, t + step)) - base) / step
+        assert abs(analytic[i] - fd) <= 1e-9 * max(1.0, abs(fd)), (i, analytic[i], fd)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("variant", [BoxVariant.SPLIT_H, BoxVariant.SPLIT_V, BoxVariant.SPLIT_4])
+@pytest.mark.parametrize("on_lattice", [True, False])
+def test_split_weight_gradient_is_sub_box_response(rng, variant, on_lattice, stride):
+    """Output is linear in the sub-box weights, so each weight's gradient is
+    <g, output of that sub-box alone with weight 1>, no finite difference."""
+    if on_lattice:
+        p = _edge_case_box("lattice", variant)[0]
+    else:
+        p = init_params(9, variant, rng)
+        p = BoxParams(*p.thetas, 9, variant, p.split_theta,
+                      tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights))))
+    x = rng.normal(size=(1, 11, 10))
+    layer = BoxConvLayer([p], stride=stride)
+    out, saved = layer.forward(x)
+    g = rng.normal(size=out.shape)
+    gw = layer.backward(saved, g).grad_boxes[0].split_weights
+    n = len(p.split_weights)
+    for bi in range(n):
+        alone = BoxParams(*p.thetas, 9, variant, p.split_theta, tuple(np.eye(n)[bi]))
+        response = naive_conv(x[0], effective_kernel(alone))[::stride, ::stride]
+        want = float(np.sum(g[0] * response))
+        assert abs(gw[bi] - want) <= 1e-10 * max(1.0, abs(want)), (bi, gw[bi], want)
