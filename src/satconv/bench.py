@@ -69,7 +69,7 @@ def dilation_for(k: int) -> int:
 
 
 def run_bench(k_list, height: int, width: int, channels: int = 1,
-              repeats: int = 5, threads: int = 1, seed: int = 0,
+              repeats: int = 5, seed: int = 0,
               dtype: str = "f64"):
     if dtype not in ("f64", "f32"):
         raise ValueError(f"dtype must be f64 or f32, got {dtype!r}")
@@ -85,7 +85,7 @@ def run_bench(k_list, height: int, width: int, channels: int = 1,
             raise ValueError(f"benchmark kernel sizes must be odd and >= 3, got {k}")
         box_rng = np.random.default_rng(seed + k)
         boxes = [init_params(k, rng=box_rng) for _ in range(channels)]
-        layer = BoxConvLayer(boxes, threads=threads)
+        layer = BoxConvLayer(boxes)
         kernels = [effective_kernel(p).weights for p in boxes]
         dil = dilation_for(k)
         dil_kernel = box_rng.normal(size=(4, 4))

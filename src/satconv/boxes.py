@@ -233,7 +233,9 @@ class CornerSamplePlan:
     x_cells/y_cells hold their resolved (floor, frac) pairs; coeffs[ix][iy] is
     the folded signed weight of each sample site (corner sign pattern times
     sub-box weights); taps is the flat (dx, dy, weight) list actually
-    evaluated per output pixel, dx/dy being integer lattice offsets.
+    evaluated per output pixel, dx/dy being integer lattice offsets. Taps
+    whose folded weight is exactly zero are left out; the cells still name
+    every lattice corner the sites read.
     """
 
     x_sites: tuple
@@ -245,7 +247,6 @@ class CornerSamplePlan:
     taps: tuple
     corners: tuple  # (x_lo, x_hi, y_lo, y_hi) continuous pixel-space offsets
     max_kernel: int
-    rounded: bool = False
 
     @property
     def n_samples(self) -> int:
@@ -260,17 +261,15 @@ class CornerSamplePlan:
         return total
 
 
-def compile_plan(p: BoxParams, rounded: bool = False) -> CornerSamplePlan:
+def compile_plan(p: BoxParams) -> CornerSamplePlan:
     """Fold a feasible box into its corner-sample plan.
 
-    With rounded=True the sample coordinates are snapped to the nearest
-    integers first; interpolation then collapses and zero-weight taps are
-    pruned, leaving one tap per sample site (4 for a single box).
+    A tap whose folded weight is exactly zero is dropped: a site on the
+    lattice (a zero interpolation fraction, as at a window edge of +-1) and
+    a site whose sub-box weights cancel (the split lines of an equal-weight
+    split box) add nothing to any output.
     """
     xs, ys, subs = box_geometry(p)
-    if rounded:
-        xs = tuple(float(math.floor(v + 0.5)) for v in xs)
-        ys = tuple(float(math.floor(v + 0.5)) for v in ys)
 
     coeffs = [[0.0] * len(ys) for _ in range(len(xs))]
     for ixl, ixh, iyl, iyh, w in subs:
@@ -293,9 +292,8 @@ def compile_plan(p: BoxParams, rounded: bool = False) -> CornerSamplePlan:
                 (x0 + 1, y0 + 1, a * b),
             ):
                 w = c * wt
-                if rounded and w == 0.0:
-                    continue
-                taps.append((dx, dy, w))
+                if w != 0.0:
+                    taps.append((dx, dy, w))
 
     r = (p.max_kernel - 1) / 2
     corners = (p.theta_xl * r, p.theta_xh * r, p.theta_yl * r, p.theta_yh * r)
@@ -309,7 +307,6 @@ def compile_plan(p: BoxParams, rounded: bool = False) -> CornerSamplePlan:
         taps=tuple(taps),
         corners=corners,
         max_kernel=p.max_kernel,
-        rounded=rounded,
     )
 
 

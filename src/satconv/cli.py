@@ -12,13 +12,6 @@ from .gradcheck import format_report, merge_reports, run_adjoint_check, run_grad
 from .train import ConfigError, parse_config, run_task, write_checkpoint, write_log_csv
 
 
-def _env_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SATCONV_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def render_boxes_svg(boxes, columns: int = 8, tile: float = 80.0, gap: float = 12.0) -> str:
     """One tile per box: the k x k window outline, the coverage rectangle,
     and split lines where present. Deterministic output."""
@@ -114,7 +107,6 @@ def cmd_bench(args) -> int:
         width=_parse_sizes(args.size)[0][1],
         channels=args.channels,
         repeats=args.repeats,
-        threads=args.threads,
         seed=args.seed,
         dtype=args.dtype,
     )
@@ -174,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--size", default="256x256")
     b.add_argument("--channels", type=int, default=1)
     b.add_argument("--repeats", type=int, default=5)
-    b.add_argument("--threads", type=int, default=_env_threads())
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--dtype", choices=("f64", "f32"), default="f64")
     b.set_defaults(fn=cmd_bench)

@@ -1,8 +1,10 @@
 """Feature maps and channel plumbing.
 
-A feature map is a float ndarray of shape (channels, height, width),
-C-contiguous. Everything spatial in this package assumes that one layout:
-channels-major, rows-major within a channel.
+A feature map is a C-contiguous float ndarray of shape (channels, height,
+width), or a batch of them, (samples, channels, height, width). Everything
+spatial in this package assumes that layout: the channel axis is -3, rows
+are major within a channel, and a leading sample axis, when present, is
+carried through unchanged. The binary file format holds one unbatched map.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ class DimensionError(ValueError):
 
 
 def as_feature_map(x, dtype=None) -> np.ndarray:
-    """Validate and normalize an array to (channels, height, width) float layout."""
+    """Validate and normalize an array to ([samples,] channels, height, width) float layout."""
     x = np.asarray(x, dtype=dtype)
-    if x.ndim != 3:
-        raise DimensionError(f"feature map must be rank 3, got shape {x.shape}")
+    if x.ndim not in (3, 4):
+        raise DimensionError(f"feature map must be rank 3 or 4, got shape {x.shape}")
     if min(x.shape) < 1:
         raise DimensionError(f"feature map axes must be >= 1, got shape {x.shape}")
     if x.dtype not in (np.float64, np.float32):
@@ -64,44 +66,46 @@ class PointwiseWeights:
 
 def pointwise_conv(x, w: PointwiseWeights) -> np.ndarray:
     x = as_feature_map(x)
-    if x.shape[0] != w.in_channels:
+    if x.shape[-3] != w.in_channels:
         raise DimensionError(
-            f"input has {x.shape[0]} channels, weights expect {w.in_channels}"
+            f"input has {x.shape[-3]} channels, weights expect {w.in_channels}"
         )
-    out = np.einsum("oc,chw->ohw", w.matrix, x) + w.bias[:, None, None]
+    out = np.einsum("oc,...chw->...ohw", w.matrix, x) + w.bias[:, None, None]
     return out.astype(x.dtype, copy=False)
 
 
 def channel_shuffle(x, groups: int) -> np.ndarray:
     """Interleave channel groups: position (g, i) moves to (i, g)."""
     x = as_feature_map(x)
-    c = x.shape[0]
+    *lead, c, h, w = x.shape
     if groups < 1 or c % groups != 0:
         raise DimensionError(f"{c} channels not divisible into {groups} groups")
     per = c // groups
     return np.ascontiguousarray(
-        x.reshape(groups, per, *x.shape[1:]).swapaxes(0, 1).reshape(x.shape)
+        x.reshape(*lead, groups, per, h, w).swapaxes(-4, -3).reshape(x.shape)
     )
 
 
 def channel_split(x, at: int):
     x = as_feature_map(x)
-    if not 0 < at < x.shape[0]:
-        raise DimensionError(f"split point {at} out of range for {x.shape[0]} channels")
-    return x[:at].copy(), x[at:].copy()
+    if not 0 < at < x.shape[-3]:
+        raise DimensionError(f"split point {at} out of range for {x.shape[-3]} channels")
+    return x[..., :at, :, :].copy(), x[..., at:, :, :].copy()
 
 
 def channel_concat(a, b) -> np.ndarray:
     a = as_feature_map(a)
     b = as_feature_map(b)
-    if a.shape[1:] != b.shape[1:]:
-        raise DimensionError(f"spatial shapes differ: {a.shape[1:]} vs {b.shape[1:]}")
-    return np.concatenate([a, b], axis=0)
+    if a.shape[:-3] != b.shape[:-3] or a.shape[-2:] != b.shape[-2:]:
+        raise DimensionError(f"sample or spatial shapes differ: {a.shape} vs {b.shape}")
+    return np.concatenate([a, b], axis=-3)
 
 
 def save_feature_map(path, x) -> None:
     """Flat binary format: magic, u32 channels/height/width, u8 dtype tag, raw LE scalars."""
     x = as_feature_map(x)
+    if x.ndim != 3:
+        raise DimensionError(f"a feature map file holds one (C, H, W) map, got shape {x.shape}")
     tag = _DTYPE_TO_TAG[x.dtype]
     with open(path, "wb") as f:
         f.write(FMAP_MAGIC)

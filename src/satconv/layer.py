@@ -1,52 +1,59 @@
 """Depth-wise box convolution: plan-driven forward, analytic backward.
 
-One box per channel. Forward builds a per-channel summed-area table and
-evaluates the channel's compiled tap list at every output pixel; because
-integer strides preserve the fractional parts of the sample coordinates,
-the interpolation weights inside the taps are constant over the whole
-plane. Out-of-range lattice reads are resolved by edge-replicating the
-table, which reproduces zero-padding of the source exactly (the table is
-constant beyond its borders) and makes every tap a strided slice. A
-channel whose table is not finite (NaN or inf in the input, or sums that
-overflow float64) is rejected: one bad pixel would spoil every output
-whose box reaches below and to the right of it.
+One box per channel. Inputs are (C, H, W) or a batch (N, C, H, W); every
+sample is computed exactly as it would be on its own. Forward builds each
+channel's summed-area tables for the whole batch in one call, pads them
+once and evaluates the channel's compiled tap list as strided slices over
+all samples; because integer strides preserve the fractional parts of
+the sample coordinates, the interpolation weights inside the taps are
+constant over the whole plane. Out-of-range lattice
+reads are resolved by edge-replicating the table, which reproduces
+zero-padding of the source exactly (the table is constant beyond its
+borders) and makes every tap a strided slice. A channel whose table is
+not finite (NaN or inf in the input, or sums that overflow float64) is
+rejected: one bad pixel would spoil every output whose box reaches below
+and to the right of it.
 
 Backward produces three gradient families:
 
 * input: tap weights scattered into a table-shaped buffer, replication
   margins folded back onto the border, then one reverse prefix-sum pass
-  (the adjoint of table construction) per channel;
+  (the adjoint of table construction) per channel over the batch;
 * box coordinates: every sample site's value and coordinate derivatives
   are linear in four scalars, the inner products of the output cotangent
   with the table read at each corner of the site's lattice cell. Backward
-  takes one inner product per distinct lattice offset of the plan (sites
-  sharing a corner share it) and blends them with the site's constant
-  interpolation fractions; the site derivative, weighted by its folded
-  coefficient, moves exactly one normalized parameter, with the window
-  half-width as chain factor. Sites whose reads fall in the replicated
-  margin see equal corner products and so contribute zero, matching the
-  convention that clamped coordinates have zero gradient;
+  takes one inner product per sample and distinct lattice corner of the
+  plan's cells (sites sharing a corner share it) and blends them with the
+  site's constant interpolation fractions; the site derivative, weighted
+  by its folded coefficient, moves exactly one normalized parameter, with
+  the window half-width as chain factor. Sites whose reads fall in the
+  replicated margin see equal corner products and so contribute zero,
+  matching the convention that clamped coordinates have zero gradient;
 * sub-box weights: the four-corner difference of the sub-box's site
   values, each value being the bilinear blend of its corner products.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoxParams, BoxVariant, CornerSamplePlan, N_SPLITS, N_WEIGHTS, compile_plan
+from .boxes import BoxVariant, compile_plan
 from .fmap import DimensionError, as_feature_map
 from .sat import build_sat, sat_backward
 
 
 @dataclass
 class BoxGrads:
-    """Per-box parameter gradients, shapes mirroring BoxParams fields."""
+    """Per-box parameter gradients, one row per sample for a batched input.
 
-    theta: np.ndarray  # (4,) d/d(theta_xl, theta_xh, theta_yl, theta_yh)
+    Shapes are (..., 4) for the edges (theta_xl, theta_xh, theta_yl,
+    theta_yh), (..., n_splits) and (..., n_weights), with the input's batch
+    axis leading when it has one.
+    """
+
+    theta: np.ndarray
     split_theta: np.ndarray
     split_weights: np.ndarray
 
@@ -64,47 +71,118 @@ class BoxConvSaved:
     in_shape: tuple
     out_shape: tuple
     stride: int
-    sats: list
+    sats: list  # per channel, the (..., H+1, W+1) tables of every sample
     plans: list
     dtype: np.dtype
 
 
-def _pad_amounts(plan: CornerSamplePlan, out_h, out_w, stride, h, w):
-    dxs = [t[0] for t in plan.taps] or [0]
-    dys = [t[1] for t in plan.taps] or [0]
-    left = max(0, -min(dxs))
-    right = max(0, max(dxs) + (out_w - 1) * stride - w)
-    top = max(0, -min(dys))
-    bottom = max(0, max(dys) + (out_h - 1) * stride - h)
-    return top, bottom, left, right
-
-
 def _padded_sat(sat, plan, out_h, out_w, stride):
-    h, w = sat.shape[0] - 1, sat.shape[1] - 1
-    top, bottom, left, right = _pad_amounts(plan, out_h, out_w, stride, h, w)
-    padded = np.pad(sat, ((top, bottom), (left, right)), mode="edge")
+    """Edge-replicate (..., H+1, W+1) tables so every cell corner is a slice."""
+    h, w = sat.shape[-2] - 1, sat.shape[-1] - 1
+    dxs = [x0 for x0, _ in plan.x_cells]
+    dys = [y0 for y0, _ in plan.y_cells]
+    left = max(0, -min(dxs))
+    right = max(0, max(dxs) + 1 + (out_w - 1) * stride - w)
+    top = max(0, -min(dys))
+    bottom = max(0, max(dys) + 1 + (out_h - 1) * stride - h)
+    # np.pad(mode="edge") makes the same array at several times the cost
+    padded = np.empty(sat.shape[:-2] + (top + h + 1 + bottom, left + w + 1 + right))
+    rows = slice(top, top + h + 1)
+    padded[..., rows, left : left + w + 1] = sat
+    padded[..., rows, :left] = sat[..., :, :1]
+    padded[..., rows, left + w + 1 :] = sat[..., :, -1:]
+    padded[..., :top, :] = padded[..., top : top + 1, :]
+    padded[..., top + h + 1 :, :] = padded[..., top + h : top + h + 1, :]
     return padded, top, left
 
 
-def _tap_view(padded, top, left, dy, dx, out_h, out_w, stride):
+def _tap_slices(top, left, dy, dx, out_h, out_w, stride):
     y0 = top + dy
     x0 = left + dx
-    return padded[y0 : y0 + (out_h - 1) * stride + 1 : stride,
-                  x0 : x0 + (out_w - 1) * stride + 1 : stride]
+    return (Ellipsis,
+            slice(y0, y0 + (out_h - 1) * stride + 1, stride),
+            slice(x0, x0 + (out_w - 1) * stride + 1, stride))
+
+
+def _scatter_taps(gc, taps, padded_shape, top, left, stride):
+    """Adjoint of the tap evaluation: sum of wt * gc placed at each tap's slice.
+
+    Each tap is one flat, contiguous multiply-add over whole padded planes:
+    gc sits, stride-spaced, in a zero plane of the padded width with margins
+    wide enough for every tap's shift, so a tap reads it at one flat offset.
+    Cells outside the tap's slice (including reads that wrap into the next
+    row) receive wt * 0, which leaves their sums unchanged.
+    """
+    hp, wp = padded_shape[-2:]
+    lead = gc.shape[:-2]
+    out_h, out_w = gc.shape[-2:]
+    gpad = np.zeros(padded_shape)
+    if not taps:
+        return gpad
+    ys = [top + dy for _, dy, _ in taps]
+    xs = [left + dx for dx, _, _ in taps]
+    y_hi, x_hi = max(ys), max(xs)
+    spread = np.zeros(lead + (y_hi - min(ys) + hp + 1, wp))
+    spread[..., y_hi : y_hi + (out_h - 1) * stride + 1 : stride,
+           x_hi : x_hi + (out_w - 1) * stride + 1 : stride] = gc
+    spread = spread.reshape(lead + (-1,))
+    flat = gpad.reshape(lead + (-1,))
+    for (dx, dy, wt), y0, x0 in zip(taps, ys, xs):
+        start = (y_hi - y0) * wp + x_hi - x0
+        flat += wt * spread[..., start : start + hp * wp]
+    return gpad
+
+
+def _corner_products(gc, padded, top, left, plan, stride):
+    """Inner products of gc with the table read at every site's cell corners.
+
+    Returns q of shape (nx, 2, ny, 2, ...): q[ix, i, iy, j] pairs x cell ix
+    and y cell iy with their corner (x0 + i, y0 + j), one product per sample.
+    Sites that share a corner share its product.
+    """
+    out_h, out_w = gc.shape[-2:]
+    products = {}
+
+    def product(dx, dy):
+        if (dx, dy) not in products:
+            view = padded[_tap_slices(top, left, dy, dx, out_h, out_w, stride)]
+            products[dx, dy] = np.einsum("...ij,...ij->...", gc, view)
+        return products[dx, dy]
+
+    return np.array([[[[product(x0 + i, y0 + j) for j in (0, 1)] for y0, _ in plan.y_cells]
+                      for i in (0, 1)] for x0, _ in plan.x_cells])
+
+
+def _site_terms(q, plan):
+    """Site values and coordinate derivatives, blended from corner products.
+
+    q is _corner_products' output. Returns every site's value (nx, ny, ...)
+    and the coefficient-weighted derivative sums per x site (nx, ...) and
+    per y site (ny, ...), each summed in site order.
+    """
+    extra = (1,) * (q.ndim - 4)
+    a = np.array([f for _, f in plan.x_cells]).reshape((-1, 1) + extra)
+    b = np.array([f for _, f in plan.y_cells]).reshape((1, -1) + extra)
+    coeff = np.array(plan.coeffs).reshape(a.shape[:1] + b.shape[1:2] + extra)
+    q00, q10, q01, q11 = q[:, 0, :, 0], q[:, 1, :, 0], q[:, 0, :, 1], q[:, 1, :, 1]
+    values = (1 - a) * (1 - b) * q00 + a * (1 - b) * q10 + (1 - a) * b * q01 + a * b * q11
+    dx = coeff * ((1 - b) * (q10 - q00) + b * (q11 - q01))
+    dy = coeff * ((1 - a) * (q01 - q00) + a * (q11 - q10))
+    return values, sum(dx[:, j] for j in range(b.shape[1])), sum(dy[i] for i in range(a.shape[0]))
 
 
 def _forward_plane(sat, plan, out_h, out_w, stride):
     padded, top, left = _padded_sat(sat, plan, out_h, out_w, stride)
-    out = np.zeros((out_h, out_w), dtype=np.float64)
+    out = np.zeros(sat.shape[:-2] + (out_h, out_w), dtype=np.float64)
     for dx, dy, wt in plan.taps:
-        out += wt * _tap_view(padded, top, left, dy, dx, out_h, out_w, stride)
+        out += wt * padded[_tap_slices(top, left, dy, dx, out_h, out_w, stride)]
     return out
 
 
 class BoxConvLayer:
     """Depth-wise layer pairing each input channel with one learnable box."""
 
-    def __init__(self, boxes, stride: int = 1, rounded: bool = False, threads: int = 1):
+    def __init__(self, boxes, stride: int = 1):
         boxes = list(boxes)
         if not boxes:
             raise DimensionError("layer needs at least one box")
@@ -115,8 +193,6 @@ class BoxConvLayer:
             raise ValueError(f"stride must be a positive integer, got {stride}")
         self.boxes = boxes
         self.stride = int(stride)
-        self.rounded = rounded
-        self.threads = max(1, int(threads))
         self.plans = None
         self.recompile()
 
@@ -129,7 +205,7 @@ class BoxConvLayer:
         return self.boxes[0].max_kernel
 
     def recompile(self) -> None:
-        self.plans = [compile_plan(p, rounded=self.rounded) for p in self.boxes]
+        self.plans = [compile_plan(p) for p in self.boxes]
 
     def set_boxes(self, boxes) -> None:
         if len(boxes) != self.channels:
@@ -138,44 +214,38 @@ class BoxConvLayer:
         self.recompile()
 
     def out_shape(self, in_shape):
-        c, h, w = in_shape
-        return c, -(-h // self.stride), -(-w // self.stride)
+        """Output shape for a (C, H, W) or (N, C, H, W) input shape."""
+        *lead, c, h, w = in_shape
+        return (*lead, c, -(-h // self.stride), -(-w // self.stride))
 
     def multadd_count(self, in_shape) -> int:
         """Forward multiply-adds in the tap evaluation, excluding table builds."""
-        _, out_h, out_w = self.out_shape(in_shape)
-        return out_h * out_w * sum(len(p.taps) for p in self.plans)
-
-    def _map_channels(self, fn, n):
-        if self.threads == 1:
-            return [fn(c) for c in range(n)]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, range(n)))
+        *lead, _, out_h, out_w = self.out_shape(in_shape)
+        return int(np.prod(lead, dtype=np.int64)) * out_h * out_w * sum(
+            len(p.taps) for p in self.plans)
 
     def forward(self, x):
         x = as_feature_map(x)
-        if x.shape[0] != self.channels:
-            raise DimensionError(f"input has {x.shape[0]} channels, layer has {self.channels}")
-        _, h, w = x.shape
-        out_c, out_h, out_w = self.out_shape(x.shape)
+        if x.shape[-3] != self.channels:
+            raise DimensionError(f"input has {x.shape[-3]} channels, layer has {self.channels}")
+        out_shape = self.out_shape(x.shape)
         plans = list(self.plans)
-        sats = self._map_channels(lambda c: build_sat(x[c]), out_c)
+        # One table block per channel, each covering the whole batch: one
+        # (N, C, H+1, W+1) block raised peak memory at 4x1024^2 by 7 MB.
+        sats = [build_sat(x[..., c, :, :]) for c in range(self.channels)]
         for c, sat in enumerate(sats):
             # A running sum stays non-finite once it is, so the bottom row of a
             # table is finite exactly when the whole table is.
-            if not np.isfinite(sat[-1]).all():
+            if not np.isfinite(sat[..., -1, :]).all():
                 raise ValueError(
                     f"channel {c}: input holds NaN or inf, or its sums overflow float64"
                 )
-        out = np.empty((out_c, out_h, out_w), dtype=np.float64)
-
-        def run(c):
-            out[c] = _forward_plane(sats[c], plans[c], out_h, out_w, self.stride)
-
-        self._map_channels(run, out_c)
+        out = np.empty(out_shape, dtype=np.float64)
+        for c, (sat, plan) in enumerate(zip(sats, plans)):
+            out[..., c, :, :] = _forward_plane(sat, plan, *out_shape[-2:], self.stride)
         saved = BoxConvSaved(
             in_shape=x.shape,
-            out_shape=(out_c, out_h, out_w),
+            out_shape=out_shape,
             stride=self.stride,
             sats=sats,
             plans=plans,
@@ -187,86 +257,55 @@ class BoxConvLayer:
         g = np.asarray(grad_output, dtype=np.float64)
         if g.shape != saved.out_shape:
             raise DimensionError(f"grad_output shape {g.shape} != forward output {saved.out_shape}")
-        _, h, w = saved.in_shape
-        _, out_h, out_w = saved.out_shape
+        h, w = saved.in_shape[-2:]
+        out_h, out_w = saved.out_shape[-2:]
         stride = saved.stride
         grad_input = np.empty(saved.in_shape, dtype=np.float64)
-        grad_boxes = [None] * self.channels
-
-        def run(c):
-            plan = saved.plans[c]
-            sat = saved.sats[c]
-            gc = g[c]
-            padded, top, left = _padded_sat(sat, plan, out_h, out_w, stride)
+        grad_boxes = []
+        for c, (plan, p) in enumerate(zip(saved.plans, self.boxes)):
+            gc = g[..., c, :, :]
+            padded, top, left = _padded_sat(saved.sats[c], plan, out_h, out_w, stride)
 
             # input path: scatter tap weights, fold replication margins, adjoint pass
-            gpad = np.zeros_like(padded)
-            for dx, dy, wt in plan.taps:
-                y0, x0 = top + dy, left + dx
-                gpad[y0 : y0 + (out_h - 1) * stride + 1 : stride,
-                     x0 : x0 + (out_w - 1) * stride + 1 : stride] += wt * gc
+            gpad = _scatter_taps(gc, plan.taps, padded.shape, top, left, stride)
             if top:
-                gpad[top] += gpad[:top].sum(axis=0)
+                gpad[..., top, :] += gpad[..., :top, :].sum(axis=-2)
             bot = top + h
-            if gpad.shape[0] - 1 > bot:
-                gpad[bot] += gpad[bot + 1 :].sum(axis=0)
+            if gpad.shape[-2] - 1 > bot:
+                gpad[..., bot, :] += gpad[..., bot + 1 :, :].sum(axis=-2)
             if left:
-                gpad[:, left] += gpad[:, :left].sum(axis=1)
+                gpad[..., left] += gpad[..., :left].sum(axis=-1)
             rgt = left + w
-            if gpad.shape[1] - 1 > rgt:
-                gpad[:, rgt] += gpad[:, rgt + 1 :].sum(axis=1)
-            grad_input[c] = sat_backward(gpad[top : top + h + 1, left : left + w + 1])
+            if gpad.shape[-1] - 1 > rgt:
+                gpad[..., rgt] += gpad[..., rgt + 1 :].sum(axis=-1)
+            grad_input[..., c, :, :] = sat_backward(
+                gpad[..., top : top + h + 1, left : left + w + 1])
 
-            p = self.boxes[c]
-            if self.rounded:
-                # frozen-corner mode: box parameters are not trained
-                grad_boxes[c] = BoxGrads(
-                    theta=np.zeros(4),
-                    split_theta=np.zeros(N_SPLITS[p.variant]),
-                    split_weights=np.zeros(N_WEIGHTS[p.variant]),
-                )
-                return
-
-            # parameter path: one inner product <gc, table view> per lattice
-            # offset; the taps hold all four cell corners of every site
-            q = {}
-            for dx, dy, _wt in plan.taps:
-                if (dx, dy) not in q:
-                    view = _tap_view(padded, top, left, dy, dx, out_h, out_w, stride)
-                    q[dx, dy] = float(np.einsum("ij,ij->", gc, view))
-
-            nx, ny = len(plan.x_sites), len(plan.y_sites)
-            values = np.zeros((nx, ny))
-            gx_sites = np.zeros(nx)
-            gy_sites = np.zeros(ny)
-            for ix, (x0, a) in enumerate(plan.x_cells):
-                for iy, (y0, b) in enumerate(plan.y_cells):
-                    q00, q10 = q[x0, y0], q[x0 + 1, y0]
-                    q01, q11 = q[x0, y0 + 1], q[x0 + 1, y0 + 1]
-                    values[ix, iy] = ((1 - a) * (1 - b) * q00 + a * (1 - b) * q10
-                                      + (1 - a) * b * q01 + a * b * q11)
-                    coeff = plan.coeffs[ix][iy]
-                    gx_sites[ix] += coeff * ((1 - b) * (q10 - q00) + b * (q11 - q01))
-                    gy_sites[iy] += coeff * ((1 - a) * (q01 - q00) + a * (q11 - q10))
+            # parameter path: one inner product <gc, table view> per sample and
+            # lattice corner of the plan's cells
+            q = _corner_products(gc, padded, top, left, plan, stride)
+            values, gx_sites, gy_sites = _site_terms(q, plan)
 
             r = (p.max_kernel - 1) / 2
-            gw = np.array([
-                values[ixh, iyh] - values[ixl, iyh] - values[ixh, iyl] + values[ixl, iyl]
-                for ixl, ixh, iyl, iyh, _wgt in plan.sub_boxes
-            ])
-
-            theta = np.array([gx_sites[0], gx_sites[nx - 1], gy_sites[0], gy_sites[ny - 1]]) * r
+            lead = gc.shape[:-2]
+            theta = np.stack([gx_sites[0], gx_sites[-1], gy_sites[0], gy_sites[-1]], axis=-1) * r
             split = []
             if p.variant in (BoxVariant.SPLIT_V, BoxVariant.SPLIT_4):
                 split.append(gx_sites[1] * r)
             if p.variant in (BoxVariant.SPLIT_H, BoxVariant.SPLIT_4):
                 split.append(gy_sites[1] * r)
-            sw = gw if p.variant != BoxVariant.SINGLE else np.zeros(1)
-            grad_boxes[c] = BoxGrads(
-                theta=theta, split_theta=np.array(split), split_weights=sw
-            )
-
-        self._map_channels(run, self.channels)
+            if p.variant == BoxVariant.SINGLE:
+                sw = np.zeros(lead + (1,))
+            else:
+                sw = np.stack([
+                    values[ixh, iyh] - values[ixl, iyh] - values[ixh, iyl] + values[ixl, iyl]
+                    for ixl, ixh, iyl, iyh, _wgt in plan.sub_boxes
+                ], axis=-1)
+            grad_boxes.append(BoxGrads(
+                theta=theta,
+                split_theta=np.stack(split, axis=-1) if split else np.zeros(lead + (0,)),
+                split_weights=sw,
+            ))
         return LayerGradients(
             grad_input=grad_input.astype(saved.dtype, copy=False),
             grad_boxes=grad_boxes,

@@ -3,6 +3,11 @@
 No autograd graph: every module implements forward(x) -> (y, ctx) and
 backward(ctx, grad_y) -> (grad_x, grads), where grads is keyed like
 params(). Composite modules namespace child parameters as "child.name".
+Feature maps are (C, H, W) or a batch (N, C, H, W); a batched backward
+returns each parameter's per-sample gradients summed in sample order, so
+the sum equals that of N unbatched passes bit for bit. A ctx serves one
+backward pass: Sequential releases each child's ctx as soon as it is used,
+so activations are freed while the pass runs.
 Parameter arrays are updated in place by the optimizer; modules that cache
 derived state (the box layers recompile their tap plans) refresh it in
 post_step().
@@ -23,6 +28,16 @@ from .fmap import (
     pointwise_conv,
 )
 from .layer import BoxConvLayer
+
+
+def sum_samples(grad, batched: bool):
+    """Per-sample gradients (N, ...) summed left to right, or grad as it is."""
+    if not batched:
+        return grad
+    total = grad[0].copy()
+    for g in grad[1:]:
+        total += g
+    return total
 
 
 class Module:
@@ -58,10 +73,13 @@ class Pointwise(Module):
 
     def backward(self, ctx, g):
         x = ctx
-        gx = np.einsum("oc,ohw->chw", self.matrix, g)
-        grads = {"matrix": np.einsum("ohw,chw->oc", g, x)}
+        batched = x.ndim == 4
+        # same sums as einsum("oc,...ohw->...chw", matrix, g); the contiguous
+        # transpose lets einsum run them about 2.5x faster
+        gx = np.einsum("co,...ohw->...chw", np.ascontiguousarray(self.matrix.T), g)
+        grads = {"matrix": sum_samples(np.einsum("...ohw,...chw->...oc", g, x), batched)}
         if self.use_bias:
-            grads["bias"] = g.sum(axis=(1, 2))
+            grads["bias"] = sum_samples(g.sum(axis=(-2, -1)), batched)
         return gx, grads
 
 
@@ -85,16 +103,13 @@ class DenseDepthwise(Module):
         return {"kernels": self.kernels}
 
     def forward(self, x):
-        y = np.stack([conv2d(x[c], self.kernels[c]) for c in range(x.shape[0])])
-        return y, x
+        return conv2d(x, self.kernels), x
 
     def backward(self, ctx, g):
         x = ctx
-        gx = np.stack([conv2d_input_grad(self.kernels[c], g[c]) for c in range(x.shape[0])])
-        gk = np.stack(
-            [conv2d_kernel_grad(x[c], g[c], self.kernels[c].shape) for c in range(x.shape[0])]
-        )
-        return gx, {"kernels": gk}
+        gx = conv2d_input_grad(self.kernels, g)
+        gk = conv2d_kernel_grad(x, g, self.kernels.shape[-2:])
+        return gx, {"kernels": sum_samples(gk, x.ndim == 4)}
 
 
 class BoxDepthwise(Module):
@@ -134,11 +149,17 @@ class BoxDepthwise(Module):
 
     def backward(self, ctx, g):
         lg = self.conv.backward(ctx, g)
-        grads = {"theta": np.stack([b.theta for b in lg.grad_boxes])}
+        batched = len(ctx.in_shape) == 4
+
+        def stacked(field):
+            return sum_samples(np.stack([getattr(b, field) for b in lg.grad_boxes], axis=-2),
+                               batched)
+
+        grads = {"theta": stacked("theta")}
         if N_SPLITS[self.variant]:
-            grads["split"] = np.stack([b.split_theta for b in lg.grad_boxes])
+            grads["split"] = stacked("split_theta")
         if self.variant != BoxVariant.SINGLE:
-            grads["weight"] = np.stack([b.split_weights for b in lg.grad_boxes])
+            grads["weight"] = stacked("split_weights")
         return lg.grad_input, grads
 
     def post_step(self):
@@ -165,12 +186,12 @@ class Broadcast(Module):
         self.n = n
 
     def forward(self, x):
-        if x.shape[0] != 1:
-            raise DimensionError(f"broadcast expects 1 channel, got {x.shape[0]}")
-        return np.repeat(x, self.n, axis=0), None
+        if x.shape[-3] != 1:
+            raise DimensionError(f"broadcast expects 1 channel, got {x.shape[-3]}")
+        return np.repeat(x, self.n, axis=-3), None
 
     def backward(self, ctx, g):
-        return g.sum(axis=0, keepdims=True), {}
+        return g.sum(axis=-3, keepdims=True), {}
 
 
 class Sequential(Module):
@@ -193,8 +214,10 @@ class Sequential(Module):
 
     def backward(self, ctxs, g):
         grads = {}
-        for (name, child), ctx in zip(reversed(self.children), reversed(ctxs)):
-            g, child_grads = child.backward(ctx, g)
+        for i in reversed(range(len(self.children))):
+            name, child = self.children[i]
+            g, child_grads = child.backward(ctxs[i], g)
+            ctxs[i] = None  # frees this child's activations before the next child runs
             for k, v in child_grads.items():
                 grads[f"{name}.{k}"] = v
         return g, grads
@@ -228,8 +251,7 @@ class ShuffleHalfBlock(Module):
 
     def backward(self, ictx, g):
         half = self.channels // 2
-        g = channel_shuffle(g, half)  # inverse of interleaving 2 groups
-        g_keep, g_work = channel_split(g, half)
+        g_keep, g_work = channel_split(channel_shuffle(g, half), half)  # un-interleave
         g_work, inner_grads = self.inner.backward(ictx, g_work)
         grads = {f"inner.{k}": v for k, v in inner_grads.items()}
         return channel_concat(g_keep, g_work), grads
@@ -258,12 +280,11 @@ class ChannelChangeBlock(Module):
     def forward(self, x):
         a, actx = self.inner.forward(x)
         b, bctx = self.proj.forward(x)
-        return channel_shuffle(channel_concat(a, b), 2), (actx, bctx, a.shape[0])
+        return channel_shuffle(channel_concat(a, b), 2), (actx, bctx, a.shape[-3])
 
     def backward(self, ctx, g):
         actx, bctx, half = ctx
-        g = channel_shuffle(g, g.shape[0] // 2)
-        ga, gb = channel_split(g, half)
+        ga, gb = channel_split(channel_shuffle(g, g.shape[-3] // 2), half)
         ga, inner_grads = self.inner.backward(actx, ga)
         gb, proj_grads = self.proj.backward(bctx, gb)
         grads = {f"inner.{k}": v for k, v in inner_grads.items()}

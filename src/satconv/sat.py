@@ -22,19 +22,21 @@ from .fmap import DimensionError
 
 
 def build_sat(plane) -> np.ndarray:
-    """Prefix-sum a single plane into its (H+1) x (W+1) table.
+    """Prefix-sum planes (..., H, W) into their (..., H+1, W+1) tables.
 
-    Two passes, rows then columns, always accumulating in float64: the
-    four-corner difference subtracts large near-equal numbers, so the table
-    itself must not lose precision even for float32 sources.
+    Leading axes (samples, channels) are independent planes, each built
+    exactly as on its own. Two passes, rows then columns, always
+    accumulating in float64: the four-corner difference subtracts large
+    near-equal numbers, so the table itself must not lose precision even
+    for float32 sources.
     """
     plane = np.asarray(plane)
-    if plane.ndim != 2 or min(plane.shape) < 1:
-        raise DimensionError(f"expected a non-empty 2-D plane, got shape {plane.shape}")
-    h, w = plane.shape
-    sat = np.zeros((h + 1, w + 1), dtype=np.float64)
-    np.cumsum(plane, axis=1, dtype=np.float64, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=0, out=sat[1:, 1:])
+    if plane.ndim < 2 or min(plane.shape[-2:]) < 1:
+        raise DimensionError(f"expected non-empty (..., H, W) planes, got shape {plane.shape}")
+    h, w = plane.shape[-2:]
+    sat = np.zeros(plane.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
+    np.cumsum(plane, axis=-1, dtype=np.float64, out=sat[..., 1:, 1:])
+    np.cumsum(sat[..., 1:, 1:], axis=-2, out=sat[..., 1:, 1:])
     return sat
 
 
@@ -105,13 +107,18 @@ def sample_bilinear_grad(sat, x: float, y: float):
 def sat_backward(grad_sat) -> np.ndarray:
     """Adjoint of build_sat: scatter table cotangents back onto source pixels.
 
-    Entry (i, j) of the table sums source pixels with p < i and q < j, so
-    grad_source[p, q] is the suffix sum of grad_sat over i > p, j > q.
+    Entry (i, j) of a table sums source pixels with p < i and q < j, so
+    grad_source[p, q] is the suffix sum of grad_sat over i > p, j > q: the
+    table's row 0 and column 0 reach no pixel. Leading axes are independent
+    tables; the suffix sums run in place on one copy of the (..., H, W) block.
     """
-    grad_sat = np.asarray(grad_sat, dtype=np.float64)
-    if grad_sat.ndim != 2 or min(grad_sat.shape) < 2:
+    grad_sat = np.asarray(grad_sat)
+    if grad_sat.ndim < 2 or min(grad_sat.shape[-2:]) < 2:
         raise DimensionError(
-            f"expected an (H+1) x (W+1) table gradient, got shape {grad_sat.shape}"
+            f"expected (..., H+1, W+1) table gradients, got shape {grad_sat.shape}"
         )
-    suffix = np.cumsum(np.cumsum(grad_sat[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-    return suffix[1:, 1:].copy()
+    grad = np.array(grad_sat[..., 1:, 1:], dtype=np.float64)
+    rev = grad[..., ::-1, ::-1]
+    np.cumsum(rev, axis=-2, out=rev)
+    np.cumsum(rev, axis=-1, out=rev)
+    return grad

@@ -301,13 +301,16 @@ def box_invariants_ok(box_layers) -> bool:
     return True
 
 
-def evaluate_keypoints(model, samples, radius: float = 2.0) -> float:
+def evaluate_keypoints(model, samples, batch: int, radius: float = 2.0) -> float:
+    """Fraction of samples decoded within radius pixels, forwarded batch at a time."""
     hits = 0
-    for x, (cx, cy) in samples:
-        pred, _ = model.forward(x)
-        dx, dy = decode_keypoint(pred[0])
-        if (dx - cx) ** 2 + (dy - cy) ** 2 <= radius * radius:
-            hits += 1
+    for start in range(0, len(samples), batch):
+        chunk = samples[start : start + batch]
+        pred, _ = model.forward(np.stack([x for x, _ in chunk]))
+        for p, (_, (cx, cy)) in zip(pred, chunk):
+            dx, dy = decode_keypoint(p[0])
+            if (dx - cx) ** 2 + (dy - cy) ** 2 <= radius * radius:
+                hits += 1
     return hits / len(samples)
 
 
@@ -330,36 +333,32 @@ def train_toy_keypoints(cfg: TrainConfig, check_invariants: bool = False) -> Key
 
     adam = Adam(model.params(), lr=cfg.lr)
     violations = 0
-    acc = evaluate_keypoints(model, held_out[: cfg.eval_samples])
+    acc = evaluate_keypoints(model, held_out[: cfg.eval_samples], cfg.batch)
     rows = []
     drop_at = max(1, int(0.75 * cfg.steps))
+    shape = (cfg.image_size, cfg.image_size)
     for step in range(1, cfg.steps + 1):
-        grads_sum = None
+        samples = [synth_keypoint_sample(data_rng, cfg.image_size, cfg.noise)
+                   for _ in range(cfg.batch)]
+        pred, ctx = model.forward(np.stack([x for x, _ in samples]))
+        gpred = np.empty_like(pred)
         loss_sum = 0.0
-        for _ in range(cfg.batch):
-            x, peak = synth_keypoint_sample(data_rng, cfg.image_size, cfg.noise)
-            target = gaussian_target(peak, (cfg.image_size, cfg.image_size), cfg.sigma)[None]
-            pred, ctx = model.forward(x)
-            loss, gpred = mse_loss(pred, target)
-            _, grads = model.backward(ctx, gpred)
+        for i, (_, peak) in enumerate(samples):
+            loss, gpred[i] = mse_loss(pred[i], gaussian_target(peak, shape, cfg.sigma)[None])
             loss_sum += loss
-            if grads_sum is None:
-                grads_sum = grads
-            else:
-                for key in grads_sum:
-                    grads_sum[key] = grads_sum[key] + grads[key]
-        for key in grads_sum:
-            grads_sum[key] = grads_sum[key] / cfg.batch
+        _, grads = model.backward(ctx, gpred)
+        for key in grads:
+            grads[key] = grads[key] / cfg.batch
         if step == drop_at:
             adam.lr *= 0.1
-        adam.step(grads_sum)
+        adam.step(grads)
         model.post_step()
         if check_invariants and not box_invariants_ok(box_layers):
             violations += 1
         if step % cfg.eval_every == 0:
-            acc = evaluate_keypoints(model, held_out[: cfg.eval_samples])
+            acc = evaluate_keypoints(model, held_out[: cfg.eval_samples], cfg.batch)
         rows.append((step, loss_sum / cfg.batch, acc))
-    final_accuracy = evaluate_keypoints(model, held_out)
+    final_accuracy = evaluate_keypoints(model, held_out, cfg.batch)
     return KeypointResult(model, box_layers, final_accuracy, rows, violations)
 
 

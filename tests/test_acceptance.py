@@ -118,7 +118,7 @@ def test_c05_cost_claims():
         layer = BoxConvLayer([init_params(k, rng=rng)])
         per_pixel = layer.multadd_count((1, 32, 32)) / (32 * 32)
         assert per_pixel == 16, k
-    results = run_bench([7, 21], 256, 256, channels=1, repeats=5, threads=1, seed=55)
+    results = run_bench([7, 21], 256, 256, channels=1, repeats=5, seed=55)
     box_ratio = wall_ratio(results, "box_sat", 21, 7)
     dense_ratio = wall_ratio(results, "naive_dense", 21, 7)
     elapsed = time.monotonic() - start

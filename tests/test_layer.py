@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from satconv.boxes import BoxParams, BoxVariant, init_params
+from satconv.boxes import BoxParams, BoxVariant, compile_plan, init_params
 from satconv.fmap import DimensionError
 from satconv.layer import BoxConvLayer
 from satconv.oracle import DenseKernel, effective_kernel, naive_conv
@@ -91,7 +93,10 @@ def test_exact_adjoint_identity(rng):
 def test_multadd_counts(rng):
     layer = BoxConvLayer([init_params(13, BoxVariant.SINGLE, rng)])
     assert layer.multadd_count((1, 64, 64)) == 64 * 64 * 16  # 16 per output pixel
-    layer4 = BoxConvLayer([init_params(9, BoxVariant.SPLIT_4, rng)])
+    p4 = init_params(9, BoxVariant.SPLIT_4, rng)
+    # unequal sub-box weights: with equal ones the split-line sites cancel
+    p4 = BoxParams(*p4.thetas, 9, BoxVariant.SPLIT_4, p4.split_theta, (0.5, 1.0, 1.5, 2.5))
+    layer4 = BoxConvLayer([p4])
     assert layer4.multadd_count((1, 10, 10)) == 100 * 36
     # independent of declared window size
     for k in (7, 21):
@@ -118,19 +123,6 @@ def test_zero_padding_consistency(rng):
     canvas[:, m : m + 8, m : m + 8] = x
     embedded, _ = BoxConvLayer([p]).forward(canvas)
     assert np.max(np.abs(embedded[:, m : m + 8, m : m + 8] - direct)) < 1e-9
-
-
-def test_rounded_mode_snaps_and_freezes(rng):
-    p = BoxParams(-0.28, 0.27, -0.22, 0.30, 9)  # offsets -1.12, 1.08, -0.88, 1.2
-    layer = BoxConvLayer([p], rounded=True)
-    assert layer.plans[0].n_samples == 4
-    x = rng.normal(size=(1, 10, 10))
-    out, saved = layer.forward(x)
-    want = naive_conv(x[0], DenseKernel(np.ones((3, 3))))  # snapped to -1..1 both axes
-    assert np.max(np.abs(out[0] - want)) < 1e-9
-    grads = layer.backward(saved, np.ones_like(out))
-    assert not grads.grad_boxes[0].theta.any()
-    assert grads.grad_input.any()  # input path still flows
 
 
 def test_gradient_continuous_across_crossing_on_flat_source():
@@ -174,22 +166,6 @@ def test_set_boxes_recompiles(rng):
     assert not np.allclose(out1, out2)
     with pytest.raises(DimensionError):
         layer.set_boxes([BoxParams(0, 0, 0, 0, 9)] * 2)
-
-
-def test_threaded_forward_matches_serial(rng):
-    boxes = [init_params(9, v, rng) for v in BoxVariant]
-    x = rng.normal(size=(4, 12, 12))
-    serial = BoxConvLayer(boxes, threads=1)
-    threaded = BoxConvLayer(boxes, threads=3)
-    out_s, saved_s = serial.forward(x)
-    out_t, saved_t = threaded.forward(x)
-    assert np.array_equal(out_s, out_t)
-    g = rng.normal(size=out_s.shape)
-    gs = serial.backward(saved_s, g)
-    gt = threaded.backward(saved_t, g)
-    assert np.array_equal(gs.grad_input, gt.grad_input)
-    for a, b in zip(gs.grad_boxes, gt.grad_boxes):
-        assert np.array_equal(a.theta, b.theta)
 
 
 @pytest.mark.parametrize(
@@ -312,3 +288,37 @@ def test_split_weight_gradient_is_sub_box_response(rng, variant, on_lattice, str
         response = naive_conv(x[0], effective_kernel(alone))[::stride, ::stride]
         want = float(np.sum(g[0] * response))
         assert abs(gw[bi] - want) <= 1e-10 * max(1.0, abs(want)), (bi, gw[bi], want)
+
+
+def _unpruned(plan):
+    """The plan with every cell corner of every site as a tap, zero weights included."""
+    taps = []
+    for ix, (x0, a) in enumerate(plan.x_cells):
+        for iy, (y0, b) in enumerate(plan.y_cells):
+            c = plan.coeffs[ix][iy]
+            taps += [(x0, y0, c * ((1 - a) * (1 - b))), (x0 + 1, y0, c * (a * (1 - b))),
+                     (x0, y0 + 1, c * ((1 - a) * b)), (x0 + 1, y0 + 1, c * (a * b))]
+    return replace(plan, taps=tuple(taps))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_zero_weight_taps_pruned_without_changing_results(rng, stride):
+    equal_split = init_params(9, BoxVariant.SPLIT_4, rng)  # equal sub-box weights
+    clipped = BoxParams(-1.0, 0.3, -0.2, 1.0, 9)  # two edges on the window border
+    assert compile_plan(equal_split).n_samples == 16
+    assert _unpruned(compile_plan(equal_split)).n_samples == 36
+    assert compile_plan(clipped).n_samples == 9
+    for p in (equal_split, clipped):
+        pruned = BoxConvLayer([p], stride=stride)
+        full = BoxConvLayer([p], stride=stride)
+        full.plans = [_unpruned(full.plans[0])]
+        x = rng.normal(size=(2, 1, 12, 11))
+        y, saved = pruned.forward(x)
+        y_full, saved_full = full.forward(x)
+        assert np.array_equal(y, y_full)
+        g = rng.normal(size=y.shape)
+        got, want = pruned.backward(saved, g), full.backward(saved_full, g)
+        assert np.array_equal(got.grad_input, want.grad_input)
+        for field in ("theta", "split_theta", "split_weights"):
+            assert np.array_equal(getattr(got.grad_boxes[0], field),
+                                  getattr(want.grad_boxes[0], field))

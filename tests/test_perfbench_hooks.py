@@ -1,6 +1,9 @@
 """The benchmark's tracer looks satconv functions up by name; keep them there."""
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import satconv.layer
@@ -14,3 +17,18 @@ def test_tracer_finds_every_traced_name(monkeypatch):
     hooked = {(owner, attr) for owner, attr, _orig, _wrapper in tracer._patches}
     for name in ("build_sat", "sat_backward", "compile_plan"):
         assert (satconv.layer, name) in hooked
+
+
+def test_traced_keypoint_benchmark_runs_clean():
+    # A short traced keypoints_32 run exercises every traced name and the
+    # benchmark's own rank-3 checks against the program as it is now.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "keypoints_32", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
