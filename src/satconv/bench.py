@@ -69,14 +69,9 @@ def dilation_for(k: int) -> int:
 
 
 def run_bench(k_list, height: int, width: int, channels: int = 1,
-              repeats: int = 5, seed: int = 0,
-              dtype: str = "f64"):
-    if dtype not in ("f64", "f32"):
-        raise ValueError(f"dtype must be f64 or f32, got {dtype!r}")
+              repeats: int = 5, seed: int = 0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(channels, height, width))
-    if dtype == "f32":
-        x = x.astype(np.float32)
     out_pixels = height * width
     results = []
 

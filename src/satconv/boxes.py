@@ -245,7 +245,6 @@ class CornerSamplePlan:
     coeffs: tuple
     sub_boxes: tuple
     taps: tuple
-    corners: tuple  # (x_lo, x_hi, y_lo, y_hi) continuous pixel-space offsets
     max_kernel: int
 
     @property
@@ -295,8 +294,6 @@ def compile_plan(p: BoxParams) -> CornerSamplePlan:
                 if w != 0.0:
                     taps.append((dx, dy, w))
 
-    r = (p.max_kernel - 1) / 2
-    corners = (p.theta_xl * r, p.theta_xh * r, p.theta_yl * r, p.theta_yh * r)
     return CornerSamplePlan(
         x_sites=xs,
         y_sites=ys,
@@ -305,7 +302,6 @@ def compile_plan(p: BoxParams) -> CornerSamplePlan:
         coeffs=tuple(tuple(row) for row in coeffs),
         sub_boxes=subs,
         taps=tuple(taps),
-        corners=corners,
         max_kernel=p.max_kernel,
     )
 

@@ -108,7 +108,6 @@ def cmd_bench(args) -> int:
         channels=args.channels,
         repeats=args.repeats,
         seed=args.seed,
-        dtype=args.dtype,
     )
     sys.stdout.write(to_csv(results))
     return 0
@@ -167,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--channels", type=int, default=1)
     b.add_argument("--repeats", type=int, default=5)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--dtype", choices=("f64", "f32"), default="f64")
     b.set_defaults(fn=cmd_bench)
 
     e = sub.add_parser("export-boxes", help="render a box checkpoint as SVG")

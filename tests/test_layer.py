@@ -3,10 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import satconv.layer
 from satconv.boxes import BoxParams, BoxVariant, compile_plan, init_params
+from satconv.dense import conv2d
 from satconv.fmap import DimensionError
 from satconv.layer import BoxConvLayer
 from satconv.oracle import DenseKernel, effective_kernel, naive_conv
+from satconv.sat import build_sat
 
 
 def test_point_box_is_identity(rng):
@@ -322,3 +325,54 @@ def test_zero_weight_taps_pruned_without_changing_results(rng, stride):
         for field in ("theta", "split_theta", "split_weights"):
             assert np.array_equal(getattr(got.grad_boxes[0], field),
                                   getattr(want.grad_boxes[0], field))
+
+
+def _whole_plane_taps(x, plan, stride):
+    """Reference forward: one pass per tap over the whole edge-padded table."""
+    sat = build_sat(x)
+    m = plan.max_kernel // 2 + 2  # at least every lattice offset a plan reads
+    padded = np.pad(sat, [(0, 0)] * (sat.ndim - 2) + [(m, m), (m, m)], mode="edge")
+    out_h, out_w = -(-x.shape[-2] // stride), -(-x.shape[-1] // stride)
+    out = np.zeros(x.shape[:-2] + (out_h, out_w))
+    for dx, dy, wt in plan.taps:
+        out += wt * padded[..., m + dy :: stride, m + dx :: stride][..., :out_h, :out_w]
+    return out
+
+
+_EDGE_SPLITS = {
+    BoxVariant.SINGLE: (),
+    BoxVariant.SPLIT_H: (-0.2,),
+    BoxVariant.SPLIT_V: (0.3,),
+    BoxVariant.SPLIT_4: (0.3, -0.2),
+}
+
+
+# Planes of several strips, a batch among them, and a k=129 window whose
+# margin is wider than its 20x20 plane.
+@pytest.mark.parametrize("shape, k", [((1, 2, 300, 300), 13), ((3, 2, 200, 301), 13),
+                                      ((1, 2, 20, 20), 129)])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, variant):
+    inner = init_params(k, variant, rng)
+    if variant != BoxVariant.SINGLE:
+        inner = replace(inner, split_weights=tuple(rng.uniform(0.5, 1.5, len(inner.split_weights))))
+    # every edge at the window border, so reads fall in all four margins
+    edge = BoxParams(-1.0, 1.0, -1.0, 1.0, k, variant, _EDGE_SPLITS[variant],
+                     inner.split_weights)
+    layer = BoxConvLayer([inner, edge], stride=stride)
+    x = rng.normal(size=shape)
+    n, out_w = shape[0], layer.out_shape(shape)[-1]
+    want = [_whole_plane_taps(x[:, c], plan, stride) for c, plan in enumerate(layer.plans)]
+    for c, p in enumerate(layer.boxes):
+        dense = conv2d(x[:, c], effective_kernel(p).weights)[..., ::stride, ::stride]
+        scale = max(1e-12, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(want[c] - dense)) / scale < 1e-12
+    # the module's strip budget, then strips of 7 rows (most output heights
+    # are no multiple of it) and of 1 row
+    for rows in (None, 7, 1):
+        if rows is not None:
+            monkeypatch.setattr(satconv.layer, "STRIP_BYTES", 8 * n * out_w * rows)
+        out, _ = layer.forward(x)
+        for c in range(2):
+            assert out[:, c].tobytes() == want[c].tobytes()

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import satconv.layer
+from satconv.boxes import init_params
 
 
 def test_tracer_finds_every_traced_name(monkeypatch):
@@ -17,6 +20,21 @@ def test_tracer_finds_every_traced_name(monkeypatch):
     hooked = {(owner, attr) for owner, attr, _orig, _wrapper in tracer._patches}
     for name in ("build_sat", "sat_backward", "compile_plan"):
         assert (satconv.layer, name) in hooked
+
+
+def test_forward_builds_one_table_block_per_channel(monkeypatch):
+    # sat.build_sat_calls_per_step counts calls through satconv.layer.build_sat:
+    # one per channel, each covering the whole batch.
+    calls = []
+    build_sat = satconv.layer.build_sat
+    monkeypatch.setattr(satconv.layer, "build_sat",
+                        lambda plane: calls.append(np.shape(plane)) or build_sat(plane))
+    rng = np.random.default_rng(0)
+    layer = satconv.layer.BoxConvLayer([init_params(13, rng=rng) for _ in range(3)])
+    for shape in ((3, 40, 50), (2, 3, 40, 50)):
+        calls.clear()
+        layer.forward(rng.normal(size=shape))
+        assert calls == [shape[:-3] + shape[-2:]] * 3
 
 
 def test_traced_keypoint_benchmark_runs_clean():
