@@ -251,14 +251,6 @@ class CornerSamplePlan:
     def n_samples(self) -> int:
         return len(self.taps)
 
-    def weighted_area(self) -> float:
-        """Continuous area the plan integrates on a constant-1 source."""
-        xs, ys = self.x_sites, self.y_sites
-        total = 0.0
-        for ixl, ixh, iyl, iyh, w in self.sub_boxes:
-            total += w * (xs[ixh] - xs[ixl]) * (ys[iyh] - ys[iyl])
-        return total
-
 
 def compile_plan(p: BoxParams) -> CornerSamplePlan:
     """Fold a feasible box into its corner-sample plan.

@@ -1,38 +1,46 @@
 """Depth-wise box convolution: plan-driven forward, analytic backward.
 
 One box per channel. Inputs are (C, H, W) or a batch (N, C, H, W); every
-sample is computed exactly as it would be on its own. Forward builds each
-channel's summed-area tables for the whole batch in one call and evaluates
-the channel's compiled tap list as strided slices over all samples;
-because integer strides preserve the fractional parts of the sample
-coordinates, the interpolation weights inside the taps are constant over
-the whole plane. Out-of-range lattice reads are resolved by
+sample is computed exactly as it would be on its own. Forward builds one
+channel's summed-area tables at a time, for the whole batch in one call,
+evaluates the channel's compiled tap list over all samples and drops the
+tables; because integer strides preserve the fractional parts of the
+sample coordinates, the interpolation weights inside the taps are constant
+over the whole plane. Out-of-range lattice reads are resolved by
 edge-replicating the table, which reproduces zero-padding of the source
-exactly (the table is constant beyond its borders) and makes every tap a
-strided slice. Forward runs in strips of output rows: each strip copies
-the table rows it reads into a small edge-padded buffer and runs every
-tap on it before the next strip starts, so the 16 or more passes per
-channel read from cache rather than memory on large planes; every output
-pixel gets the same sums in the same order as one pass per tap over the
-whole plane. A channel whose table is not finite (NaN or inf in the
-input, or sums that overflow float64) is rejected: one bad pixel would
-spoil every output whose box reaches below and to the right of it.
+exactly (the table is constant beyond its borders). Forward runs in strips
+of output rows: each strip copies the table rows it reads into a small
+edge-padded buffer and runs every tap on it before the next strip starts,
+so the 16 or more passes per channel read from cache rather than memory on
+large planes. A tap is one multiply-add over a contiguous, stride-stepped
+slice of the flattened buffer; every output pixel gets the same sums in
+the same order as one pass per tap over the whole plane. A channel whose
+table is not finite (NaN or inf in the input, or sums that overflow
+float64) is rejected: one bad pixel would spoil every output whose box
+reaches below and to the right of it.
 
-Backward produces three gradient families:
+Backward is box forward run on the cotangent, read through flipped views.
+Placed on the input grid (stride-spaced, zeros between) and flipped along
+both axes, each channel's cotangent gets one summed-area table T, built
+like forward's. The mirrored box filter of the cotangent, which is the
+input gradient, is then the same plan evaluated on T by the same strip
+routine at stride 1, written into a flipped view of the channel's input
+gradient. No table of the input is kept from forward to backward, only
+the input itself. Three gradient families come out:
 
-* input: tap weights scattered into a table-shaped buffer, replication
-  margins folded back onto the border, then one reverse prefix-sum pass
-  (the adjoint of table construction) per channel over the batch;
+* input: the strip routine on T, as above;
 * box coordinates: every sample site's value and coordinate derivatives
   are linear in four scalars, the inner products of the output cotangent
-  with the table read at each corner of the site's lattice cell. Backward
-  takes one inner product per sample and distinct lattice corner of the
-  plan's cells (sites sharing a corner share it) and blends them with the
-  site's constant interpolation fractions; the site derivative, weighted
-  by its folded coefficient, moves exactly one normalized parameter, with
-  the window half-width as chain factor. Sites whose reads fall in the
-  replicated margin see equal corner products and so contribute zero,
-  matching the convention that clamped coordinates have zero gradient;
+  with the input's table read at each corner of the site's lattice cell.
+  Each such product equals the inner product of the flipped input with T
+  read at the same corner, so backward takes one product per sample and
+  distinct lattice corner of the plan's cells (sites sharing a corner
+  share it) and blends them with the site's constant interpolation
+  fractions; the site derivative, weighted by its folded coefficient,
+  moves exactly one normalized parameter, with the window half-width as
+  chain factor. Sites whose reads fall in the replicated margin see equal
+  corner products and so contribute zero, matching the convention that
+  clamped coordinates have zero gradient;
 * sub-box weights: the four-corner difference of the sub-box's site
   values, each value being the bilinear blend of its corner products.
 """
@@ -46,7 +54,7 @@ import numpy as np
 
 from .boxes import BoxVariant, compile_plan
 from .fmap import DimensionError, as_feature_map
-from .sat import build_sat, sat_backward
+from .sat import build_sat, sat_backward  # sat_backward: only perfbench's tracer reads it here
 
 # Bytes of output rows, over all samples, that forward evaluates per strip.
 # With the table rows those rows read (about one box height more), a strip's
@@ -78,12 +86,10 @@ class LayerGradients:
 class BoxConvSaved:
     """Forward state retained for the backward pass."""
 
-    in_shape: tuple
+    x: np.ndarray  # the input, (C, H, W) or (N, C, H, W)
     out_shape: tuple
     stride: int
-    sats: list  # per channel, the (..., H+1, W+1) tables of every sample
     plans: list
-    dtype: np.dtype
 
 
 def _margins(cells, n_out, n, stride):
@@ -96,11 +102,11 @@ def _margins(cells, n_out, n, stride):
     return max(0, -min(lo)), max(0, max(lo) + 1 + (n_out - 1) * stride - n)
 
 
-def _padded_sat(sat, plan, out_h, out_w, stride):
-    """Edge-replicate (..., H+1, W+1) tables so every cell corner is a slice."""
+def _padded_sat(sat, plan):
+    """Edge-replicate (..., H+1, W+1) tables so every stride-1 cell corner is a slice."""
     h, w = sat.shape[-2] - 1, sat.shape[-1] - 1
-    left, right = _margins(plan.x_cells, out_w, w, stride)
-    top, bottom = _margins(plan.y_cells, out_h, h, stride)
+    left, right = _margins(plan.x_cells, w, w, 1)
+    top, bottom = _margins(plan.y_cells, h, h, 1)
     # np.pad(mode="edge") makes the same array at several times the cost
     padded = np.empty(sat.shape[:-2] + (top + h + 1 + bottom, left + w + 1 + right))
     rows = slice(top, top + h + 1)
@@ -112,57 +118,22 @@ def _padded_sat(sat, plan, out_h, out_w, stride):
     return padded, top, left
 
 
-def _tap_slices(top, left, dy, dx, out_h, out_w, stride):
-    y0 = top + dy
-    x0 = left + dx
-    return (Ellipsis,
-            slice(y0, y0 + (out_h - 1) * stride + 1, stride),
-            slice(x0, x0 + (out_w - 1) * stride + 1, stride))
+def _corner_products(v, padded, top, left, plan):
+    """Inner products of v with the table read at every site's cell corners.
 
-
-def _scatter_taps(gc, taps, padded_shape, top, left, stride):
-    """Adjoint of the tap evaluation: sum of wt * gc placed at each tap's slice.
-
-    Each tap is one flat, contiguous multiply-add over whole padded planes:
-    gc sits, stride-spaced, in a zero plane of the padded width with margins
-    wide enough for every tap's shift, so a tap reads it at one flat offset.
-    Cells outside the tap's slice (including reads that wrap into the next
-    row) receive wt * 0, which leaves their sums unchanged.
+    v is (..., H, W) and padded its (..., H+1, W+1) table edge-replicated by
+    _padded_sat; corner (dx, dy) is read at stride 1. Returns q of shape
+    (nx, 2, ny, 2, ...): q[ix, i, iy, j] pairs x cell ix and y cell iy with
+    their corner (x0 + i, y0 + j), one product per sample. Sites that share
+    a corner share its product.
     """
-    hp, wp = padded_shape[-2:]
-    lead = gc.shape[:-2]
-    out_h, out_w = gc.shape[-2:]
-    gpad = np.zeros(padded_shape)
-    if not taps:
-        return gpad
-    ys = [top + dy for _, dy, _ in taps]
-    xs = [left + dx for dx, _, _ in taps]
-    y_hi, x_hi = max(ys), max(xs)
-    spread = np.zeros(lead + (y_hi - min(ys) + hp + 1, wp))
-    spread[..., y_hi : y_hi + (out_h - 1) * stride + 1 : stride,
-           x_hi : x_hi + (out_w - 1) * stride + 1 : stride] = gc
-    spread = spread.reshape(lead + (-1,))
-    flat = gpad.reshape(lead + (-1,))
-    for (dx, dy, wt), y0, x0 in zip(taps, ys, xs):
-        start = (y_hi - y0) * wp + x_hi - x0
-        flat += wt * spread[..., start : start + hp * wp]
-    return gpad
-
-
-def _corner_products(gc, padded, top, left, plan, stride):
-    """Inner products of gc with the table read at every site's cell corners.
-
-    Returns q of shape (nx, 2, ny, 2, ...): q[ix, i, iy, j] pairs x cell ix
-    and y cell iy with their corner (x0 + i, y0 + j), one product per sample.
-    Sites that share a corner share its product.
-    """
-    out_h, out_w = gc.shape[-2:]
+    h, w = v.shape[-2:]
     products = {}
 
     def product(dx, dy):
         if (dx, dy) not in products:
-            view = padded[_tap_slices(top, left, dy, dx, out_h, out_w, stride)]
-            products[dx, dy] = np.einsum("...ij,...ij->...", gc, view)
+            view = padded[..., top + dy : top + dy + h, left + dx : left + dx + w]
+            products[dx, dy] = np.einsum("...ij,...ij->...", v, view)
         return products[dx, dy]
 
     return np.array([[[[product(x0 + i, y0 + j) for j in (0, 1)] for y0, _ in plan.y_cells]
@@ -190,22 +161,29 @@ def _site_terms(q, plan):
 def _forward_channel(sat, plan, out, stride):
     """Evaluate one channel's taps from its (..., H+1, W+1) tables into out.
 
-    out is the channel's (..., out_h, out_w) output. Strips of output rows
-    are taken so that one strip of every sample fills STRIP_BYTES. A strip
-    copies the table rows its taps read into a buffer, clamped to the
-    table's first row (all zero) above it and its last row below it, with
-    the zero left margin and the edge-replicated right margin that
-    _padded_sat would add, then accumulates the taps in plan order.
+    out is the channel's (..., out_h, out_w) output, or any view of it.
+    Strips of output rows are taken so that one strip of every sample fills
+    STRIP_BYTES. A strip copies the table rows its taps read into a buffer,
+    clamped to the table's first row (all zero) above it and its last row
+    below it, with the zero left margin and the edge-replicated right
+    margin that _padded_sat would add, then accumulates the taps in plan
+    order. Each tap is one stride-stepped slice of the flattened buffer
+    into a contiguous accumulator of rows of buffer width, of which the
+    first out_w columns are kept; the rest read across a row end, and the
+    last row's into up to stride spare buffer rows below the strip.
     """
     h, w = sat.shape[-2] - 1, sat.shape[-1] - 1
     lead = out.shape[:-2]
     out_h, out_w = out.shape[-2:]
     left, right = _margins(plan.x_cells, out_w, w, stride)
+    width = left + w + 1 + right
     dys = [y0 for y0, _ in plan.y_cells]
     y_lo, span = min(dys), max(dys) + 2 - min(dys)  # table rows one output row reads
-    rows = max(1, min(out_h, STRIP_BYTES // (8 * out_w * math.prod(lead))))
-    buf = np.zeros(lead + ((rows - 1) * stride + span, left + w + 1 + right))
-    acc = np.empty(lead + (rows, out_w))
+    samples = math.prod(lead)
+    rows = max(1, min(out_h, STRIP_BYTES // (8 * out_w * samples)))
+    buf = np.zeros(lead + (rows * stride + span, width))
+    flat = buf.reshape(lead + (-1,))
+    acc = np.empty(samples * rows * width)
     cols = slice(left, left + w + 1)
     for r0 in range(0, out_h, rows):
         n = min(rows, out_h - r0)
@@ -217,11 +195,14 @@ def _forward_channel(sat, plan, out, stride):
         strip[..., top:bottom, cols] = sat[..., y0 + top : y0 + bottom, :]
         strip[..., bottom:, cols] = sat[..., h:, :]
         strip[..., left + w + 1 :] = strip[..., left + w : left + w + 1]
-        a = acc[..., :n, :]
+        size = n * width
+        # contiguous, also for a batch: in-place adds into a strided view cost 3x
+        a = acc[: samples * size].reshape(lead + (size,))
         a[...] = 0.0
         for dx, dy, wt in plan.taps:
-            a += wt * strip[_tap_slices(-y_lo, left, dy, dx, n, out_w, stride)]
-        out[..., r0 : r0 + n, :] = a
+            start = (dy - y_lo) * width + left + dx
+            a += wt * flat[..., start : start + size * stride : stride]
+        out[..., r0 : r0 + n, :] = a.reshape(lead + (n, width))[..., :out_w]
 
 
 class BoxConvLayer:
@@ -275,60 +256,43 @@ class BoxConvLayer:
             raise DimensionError(f"input has {x.shape[-3]} channels, layer has {self.channels}")
         out_shape = self.out_shape(x.shape)
         plans = list(self.plans)
-        # One table block per channel, each covering the whole batch: one
-        # (N, C, H+1, W+1) block raised peak memory at 4x1024^2 by 7 MB.
-        sats = [build_sat(x[..., c, :, :]) for c in range(self.channels)]
-        for c, sat in enumerate(sats):
+        out = np.empty(out_shape, dtype=np.float64)
+        for c, plan in enumerate(plans):
+            # One table block per channel, covering the whole batch, alive only
+            # while its channel is evaluated.
+            sat = build_sat(x[..., c, :, :])
             # A running sum stays non-finite once it is, so the bottom row of a
             # table is finite exactly when the whole table is.
             if not np.isfinite(sat[..., -1, :]).all():
                 raise ValueError(
                     f"channel {c}: input holds NaN or inf, or its sums overflow float64"
                 )
-        out = np.empty(out_shape, dtype=np.float64)
-        for c, (sat, plan) in enumerate(zip(sats, plans)):
             _forward_channel(sat, plan, out[..., c, :, :], self.stride)
-        saved = BoxConvSaved(
-            in_shape=x.shape,
-            out_shape=out_shape,
-            stride=self.stride,
-            sats=sats,
-            plans=plans,
-            dtype=x.dtype,
-        )
+        saved = BoxConvSaved(x=x, out_shape=out_shape, stride=self.stride, plans=plans)
         return out.astype(x.dtype, copy=False), saved
 
     def backward(self, saved: BoxConvSaved, grad_output) -> LayerGradients:
         g = np.asarray(grad_output, dtype=np.float64)
         if g.shape != saved.out_shape:
             raise DimensionError(f"grad_output shape {g.shape} != forward output {saved.out_shape}")
-        h, w = saved.in_shape[-2:]
-        out_h, out_w = saved.out_shape[-2:]
-        stride = saved.stride
-        grad_input = np.empty(saved.in_shape, dtype=np.float64)
+        x, s = saved.x, saved.stride
+        grad_input = np.empty(x.shape, dtype=np.float64)
         grad_boxes = []
+        gs = np.zeros(x.shape[:-3] + x.shape[-2:])  # zero off the stride grid for every channel
         for c, (plan, p) in enumerate(zip(saved.plans, self.boxes)):
             gc = g[..., c, :, :]
-            padded, top, left = _padded_sat(saved.sats[c], plan, out_h, out_w, stride)
+            # the cotangent placed on the input grid, and the table of its flip
+            gs[..., ::s, ::s] = gc
+            sat = build_sat(gs[..., ::-1, ::-1])
 
-            # input path: scatter tap weights, fold replication margins, adjoint pass
-            gpad = _scatter_taps(gc, plan.taps, padded.shape, top, left, stride)
-            if top:
-                gpad[..., top, :] += gpad[..., :top, :].sum(axis=-2)
-            bot = top + h
-            if gpad.shape[-2] - 1 > bot:
-                gpad[..., bot, :] += gpad[..., bot + 1 :, :].sum(axis=-2)
-            if left:
-                gpad[..., left] += gpad[..., :left].sum(axis=-1)
-            rgt = left + w
-            if gpad.shape[-1] - 1 > rgt:
-                gpad[..., rgt] += gpad[..., rgt + 1 :].sum(axis=-1)
-            grad_input[..., c, :, :] = sat_backward(
-                gpad[..., top : top + h + 1, left : left + w + 1])
+            # input path: the box filter of the flipped cotangent, flipped back
+            _forward_channel(sat, plan, grad_input[..., c, ::-1, ::-1], 1)
 
-            # parameter path: one inner product <gc, table view> per sample and
-            # lattice corner of the plan's cells
-            q = _corner_products(gc, padded, top, left, plan, stride)
+            # parameter path: one inner product <flip(x), table view> per sample
+            # and lattice corner of the plan's cells
+            padded, top, left = _padded_sat(sat, plan)
+            q = _corner_products(np.ascontiguousarray(x[..., c, ::-1, ::-1]), padded, top, left,
+                                 plan)
             values, gx_sites, gy_sites = _site_terms(q, plan)
 
             r = (p.max_kernel - 1) / 2
@@ -352,6 +316,6 @@ class BoxConvLayer:
                 split_weights=sw,
             ))
         return LayerGradients(
-            grad_input=grad_input.astype(saved.dtype, copy=False),
+            grad_input=grad_input.astype(x.dtype, copy=False),
             grad_boxes=grad_boxes,
         )

@@ -149,7 +149,7 @@ class BoxDepthwise(Module):
 
     def backward(self, ctx, g):
         lg = self.conv.backward(ctx, g)
-        batched = len(ctx.in_shape) == 4
+        batched = ctx.x.ndim == 4
 
         def stacked(field):
             return sum_samples(np.stack([getattr(b, field) for b in lg.grad_boxes], axis=-2),

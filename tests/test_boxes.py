@@ -204,7 +204,10 @@ def test_plan_area_on_constant_source(data):
     x = np.ones((1, n, n))
     out, _ = BoxConvLayer([p]).forward(x)
     center = out[0, n // 2, n // 2]
-    assert abs(center - plan.weighted_area()) < 1e-9
+    xs, ys = plan.x_sites, plan.y_sites
+    area = sum(w * (xs[ixh] - xs[ixl]) * (ys[iyh] - ys[iyl])
+               for ixl, ixh, iyl, iyh, w in plan.sub_boxes)
+    assert abs(center - area) < 1e-9
 
 
 def test_plan_continuity_under_tiny_perturbation(rng):

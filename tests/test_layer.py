@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -376,3 +377,40 @@ def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, varia
         out, _ = layer.forward(x)
         for c in range(2):
             assert out[:, c].tobytes() == want[c].tobytes()
+
+
+def _jacobian(layer, shape):
+    """Forward's Jacobian, one column per input pixel, from basis planes."""
+    n = math.prod(shape)
+    cols = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        cols.append(layer.forward(e.reshape(shape))[0].ravel())
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_grad_input_is_exact_transposed_jacobian(rng, variant, stride):
+    """grad_input equals J^T g, with J assembled from forward on basis planes:
+    boxes with every edge on the window border, a k=41 box wider than the
+    plane whose reads all fall in the replicated margins, and boxes from
+    init_params, on rank-3 and rank-4 inputs of 3-9 px planes."""
+    def inner(k):
+        p = init_params(k, variant, rng)
+        return replace(p, split_weights=tuple(rng.uniform(0.5, 1.5, len(p.split_weights))))
+
+    edge = BoxParams(-1.0, 1.0, -1.0, 1.0, 9, variant, _EDGE_SPLITS[variant],
+                     inner(9).split_weights)
+    margin = _edge_case_box("margin", variant)[0]
+    for boxes in ([edge, inner(9)], [margin, inner(41)]):
+        layer = BoxConvLayer(boxes, stride=stride)
+        h, w = (int(v) for v in rng.integers(3, 10, size=2))
+        for shape in ((2, h, w), (2, 2, h, w)):
+            jac = _jacobian(layer, shape)
+            y, saved = layer.forward(rng.normal(size=shape))
+            g = rng.normal(size=y.shape)
+            got = layer.backward(saved, g).grad_input.ravel()
+            want = jac.T @ g.ravel()
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (boxes, shape)

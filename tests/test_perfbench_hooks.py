@@ -24,17 +24,25 @@ def test_tracer_finds_every_traced_name(monkeypatch):
 
 def test_forward_builds_one_table_block_per_channel(monkeypatch):
     # sat.build_sat_calls_per_step counts calls through satconv.layer.build_sat:
-    # one per channel, each covering the whole batch.
+    # one per channel, each covering the whole batch, in forward and again in
+    # backward, where each builds the table of the cotangent placed on the
+    # input grid.
     calls = []
     build_sat = satconv.layer.build_sat
     monkeypatch.setattr(satconv.layer, "build_sat",
                         lambda plane: calls.append(np.shape(plane)) or build_sat(plane))
     rng = np.random.default_rng(0)
-    layer = satconv.layer.BoxConvLayer([init_params(13, rng=rng) for _ in range(3)])
-    for shape in ((3, 40, 50), (2, 3, 40, 50)):
-        calls.clear()
-        layer.forward(rng.normal(size=shape))
-        assert calls == [shape[:-3] + shape[-2:]] * 3
+    for stride in (1, 2):
+        layer = satconv.layer.BoxConvLayer([init_params(13, rng=rng) for _ in range(3)],
+                                           stride=stride)
+        for shape in ((3, 40, 50), (2, 3, 40, 50)):
+            planes = [shape[:-3] + shape[-2:]] * 3
+            calls.clear()
+            y, saved = layer.forward(rng.normal(size=shape))
+            assert calls == planes
+            calls.clear()
+            layer.backward(saved, rng.normal(size=y.shape))
+            assert calls == planes
 
 
 def test_traced_keypoint_benchmark_runs_clean():
