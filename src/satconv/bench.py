@@ -2,8 +2,11 @@
 
 Compares three routes to the same depth-wise filtering job on one input:
 
-* box_sat      - table build plus tap evaluation (cost independent of k)
-* box_sat_build- the table construction alone, reported separately
+* box_sat      - the layer's forward: the box taps applied as x taps on
+                 row prefix sums, then y taps on running column sums (cost
+                 independent of k); multadds counts the 16 lattice taps
+* box_sat_build- summed-area table construction alone, which backward
+                 still runs on the cotangent
 * naive_dense  - dense convolution with each box's effective kernel, the
                  honest O(k^2) baseline producing identical output
 * dilated      - 4x4 dense kernel spaced to a matching receptive field

@@ -14,13 +14,15 @@ needs 6 distinct sample sites and a 4-way split needs 9 (versus 4 for a
 single box). Compiling a plan folds the per-site bilinear interpolation
 weights, corner signs, and sub-box weights into flat lattice taps, so the
 forward pass is a fixed list of multiply-adds per output pixel regardless
-of k.
+of k. The same taps also come factored: every sub-box is an x difference
+times a y difference, so the taps split exactly into a few terms of x taps
+times y taps, which the layer's forward applies one axis at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -232,10 +234,12 @@ class CornerSamplePlan:
     x_sites/y_sites are the continuous sample coordinates (centered offsets);
     x_cells/y_cells hold their resolved (floor, frac) pairs; coeffs[ix][iy] is
     the folded signed weight of each sample site (corner sign pattern times
-    sub-box weights); taps is the flat (dx, dy, weight) list actually
-    evaluated per output pixel, dx/dy being integer lattice offsets. Taps
-    whose folded weight is exactly zero are left out; the cells still name
-    every lattice corner the sites read.
+    sub-box weights); taps is the flat (dx, dy, weight) list of the paper's
+    16-tap cost model, dx/dy being integer lattice offsets. terms is the
+    same sum factored: a tuple of (x_taps, y_taps) pairs, each a tuple of
+    (offset, weight) pairs in offset order, whose outer products add up to
+    taps. Taps whose folded weight is exactly zero are left out of both;
+    the cells still name every lattice corner the sites read.
     """
 
     x_sites: tuple
@@ -245,11 +249,54 @@ class CornerSamplePlan:
     coeffs: tuple
     sub_boxes: tuple
     taps: tuple
+    terms: tuple
     max_kernel: int
 
     @property
     def n_samples(self) -> int:
         return len(self.taps)
+
+
+def _axis_taps(cells, coefs):
+    """One axis's lattice taps of sum_i coefs[i] * (site i's interpolated
+    value), summed by offset, in offset order, exact zeros dropped."""
+    merged = {}
+    for (c0, f), c in zip(cells, coefs):
+        for off, wt in ((c0, c * (1 - f)), (c0 + 1, c * f)):
+            merged[off] = merged.get(off, 0.0) + wt
+    return tuple((off, wt) for off, wt in sorted(merged.items()) if wt != 0.0)
+
+
+def _factor(x_cells, y_cells, subs):
+    """Taps as a sum of (x taps) x (y taps) terms, one per distinct interval.
+
+    Each sub-box contributes weight * (x difference) x (y difference).
+    Sub-boxes sharing an interval on the axis with fewer distinct intervals
+    share one term, whose other factor folds their weights per site, and
+    intervals whose folded factors are equal share one term too. So equal
+    weights on both sides of a split line cancel exactly, as in the folded
+    taps: 1 term for single, split_h and split_v boxes, 2 for split_4 (1
+    when its four weights are equal). A term that folds to no taps is left
+    out.
+    """
+    x_ivs = {(ixl, ixh) for ixl, ixh, _, _, _ in subs}
+    y_ivs = {(iyl, iyh) for _, _, iyl, iyh, _ in subs}
+    if len(x_ivs) < len(y_ivs):
+        swapped = _factor(y_cells, x_cells, tuple((iyl, iyh, ixl, ixh, w)
+                                                  for ixl, ixh, iyl, iyh, w in subs))
+        return tuple((xs, ys) for ys, xs in swapped)
+    y_coefs = {}  # per distinct x factor, the folded y coefficients of its intervals
+    for iyl, iyh in sorted(y_ivs):
+        x_coefs = [0.0] * len(x_cells)
+        for ixl, ixh, jl, jh, w in subs:
+            if (jl, jh) == (iyl, iyh):
+                x_coefs[ixh] += w
+                x_coefs[ixl] -= w
+        yc = y_coefs.setdefault(tuple(x_coefs), [0.0] * len(y_cells))
+        yc[iyh] += 1.0
+        yc[iyl] -= 1.0
+    terms = ((_axis_taps(x_cells, xc), _axis_taps(y_cells, yc)) for xc, yc in y_coefs.items())
+    return tuple((xs, ys) for xs, ys in terms if xs and ys)
 
 
 def compile_plan(p: BoxParams) -> CornerSamplePlan:
@@ -294,6 +341,7 @@ def compile_plan(p: BoxParams) -> CornerSamplePlan:
         coeffs=tuple(tuple(row) for row in coeffs),
         sub_boxes=subs,
         taps=tuple(taps),
+        terms=_factor(x_cells, y_cells, subs),
         max_kernel=p.max_kernel,
     )
 

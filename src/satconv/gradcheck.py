@@ -44,9 +44,14 @@ def rel_err(a: float, b: float) -> float:
 
 @dataclass
 class GradCheckReport:
+    """Per category: the largest floored relative error (max_errors, which
+    the pass rule reads) and the largest absolute analytic-vs-FD difference
+    (max_abs_diffs, which shows agreement below the floor too)."""
+
     tolerance: float
     n_configs: int
     max_errors: dict = field(default_factory=dict)
+    max_abs_diffs: dict = field(default_factory=dict)
     n_checks: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
@@ -54,8 +59,11 @@ class GradCheckReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, category: str, err: float, where: str) -> None:
+    def record(self, category: str, analytic: float, fd: float, where: str) -> None:
+        err = rel_err(analytic, fd)
         self.max_errors[category] = max(self.max_errors.get(category, 0.0), err)
+        self.max_abs_diffs[category] = max(self.max_abs_diffs.get(category, 0.0),
+                                           abs(analytic - fd))
         self.n_checks[category] = self.n_checks.get(category, 0) + 1
         if err >= self.tolerance:
             self.failures.append(f"{category} at {where}: rel err {err:.3e}")
@@ -160,7 +168,7 @@ def run_gradcheck(
                 loss_for(replace(p, **{name: getattr(p, name) + h}))
                 - loss_for(replace(p, **{name: getattr(p, name) - h}))
             ) / (2 * h)
-            report.record(name, rel_err(skew(name, bg.theta[i]), fd), where)
+            report.record(name, skew(name, bg.theta[i]), fd, where)
 
         for i, cat in enumerate(_split_categories(p.variant)):
             st = list(p.split_theta)
@@ -169,7 +177,7 @@ def run_gradcheck(
             st[i] -= 2 * h
             lo_val = loss_for(replace(p, split_theta=tuple(st)))
             fd = (hi_val - lo_val) / (2 * h)
-            report.record(cat, rel_err(skew(cat, bg.split_theta[i]), fd), where)
+            report.record(cat, skew(cat, bg.split_theta[i]), fd, where)
 
         if p.variant != BoxVariant.SINGLE:
             for i in range(len(p.split_weights)):
@@ -179,7 +187,7 @@ def run_gradcheck(
                 sw[i] -= 2 * h
                 lo_val = loss_for(replace(p, split_weights=tuple(sw)))
                 fd = (hi_val - lo_val) / (2 * h)
-                report.record("weight", rel_err(skew("weight", bg.split_weights[i]), fd), where)
+                report.record("weight", skew("weight", bg.split_weights[i]), fd, where)
 
         gin = grads.grad_input
         for _ in range(input_pixels):
@@ -192,7 +200,7 @@ def run_gradcheck(
             op, _ = layer.forward(xp)
             om, _ = layer.forward(xm)
             fd = float(np.sum((op - om) * g)) / (2 * h)
-            report.record("input", rel_err(skew("input", gin[0, iy, ix]), fd), where)
+            report.record("input", skew("input", gin[0, iy, ix]), fd, where)
 
     return report
 
@@ -215,7 +223,7 @@ def run_adjoint_check(seed: int = 0, trials: int = 50, h: float = 1e-5,
         om, _ = layer.forward(x - h * v)
         fd = float(np.sum((op - om) * g)) / (2 * h)
         lhs = float(np.sum(gin * v))
-        report.record("input_adjoint", rel_err(lhs, fd), f"trial {ti}")
+        report.record("input_adjoint", lhs, fd, f"trial {ti}")
     return report
 
 
@@ -227,6 +235,8 @@ def merge_reports(*reports) -> GradCheckReport:
     for r in reports:
         for cat, err in r.max_errors.items():
             merged.max_errors[cat] = max(merged.max_errors.get(cat, 0.0), err)
+            merged.max_abs_diffs[cat] = max(merged.max_abs_diffs.get(cat, 0.0),
+                                            r.max_abs_diffs[cat])
             merged.n_checks[cat] = merged.n_checks.get(cat, 0) + r.n_checks[cat]
         merged.failures.extend(r.failures)
     return merged
@@ -240,6 +250,7 @@ def format_report(report: GradCheckReport, seed: int) -> str:
         if cat in report.max_errors:
             lines.append(
                 f"  {cat:<14} checks={report.n_checks[cat]:<5d} max_rel_err={report.max_errors[cat]:.3e}"
+                f" max_abs_diff={report.max_abs_diffs[cat]:.3e}"
             )
     for fail in report.failures:
         lines.append(f"  FAIL {fail}")

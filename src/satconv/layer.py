@@ -1,32 +1,33 @@
-"""Depth-wise box convolution: plan-driven forward, analytic backward.
+"""Depth-wise box convolution: separable forward, analytic backward.
 
 One box per channel. Inputs are (C, H, W) or a batch (N, C, H, W); every
-sample is computed exactly as it would be on its own. Forward builds one
-channel's summed-area tables at a time, for the whole batch in one call,
-evaluates the channel's compiled tap list over all samples and drops the
-tables; because integer strides preserve the fractional parts of the
-sample coordinates, the interpolation weights inside the taps are constant
-over the whole plane. Out-of-range lattice reads are resolved by
-edge-replicating the table, which reproduces zero-padding of the source
-exactly (the table is constant beyond its borders). Forward runs in strips
-of output rows: each strip copies the table rows it reads into a small
-edge-padded buffer and runs every tap on it before the next strip starts,
-so the 16 or more passes per channel read from cache rather than memory on
-large planes. A tap is one multiply-add over a contiguous, stride-stepped
-slice of the flattened buffer; every output pixel gets the same sums in
-the same order as one pass per tap over the whole plane. A channel whose
-table is not finite (NaN or inf in the input, or sums that overflow
-float64) is rejected: one bad pixel would spoil every output whose box
-reaches below and to the right of it.
+sample is computed exactly as it would be on its own. A box's compiled
+lattice taps read a summed-area table, and they factor exactly into a few
+terms of x taps times y taps (boxes.compile_plan). Forward applies them one
+axis at a time and never builds the table: in strips of input rows, it
+takes each row's prefix sums along x, applies each term's x taps at the
+kept output columns only, runs the column sums of those values down the
+strip (carrying the last row over from the strip before), and adds each
+y tap into the output rows it reaches. Because integer strides preserve the
+fractional parts of the sample coordinates, the tap weights are constant
+over the whole plane. Out-of-range reads are resolved by edge replication:
+a zero left margin and the row total right of the prefix sums, no rows
+above the first and the final column sums below the last, which reproduces
+zero-padding of the source exactly. The y taps reach every output pixel in
+one fixed (offset, term) order, so the output does not depend on the strip
+height. The column sums grow with a box's width, not with the whole
+plane's, so the four-corner differences lose far less precision than on a
+table. A channel whose row prefix sums or column sums are not finite (NaN
+or inf in the input, or sums that overflow float64) is rejected: one bad
+pixel would spoil every output below it whose box reaches its column.
 
 Backward is box forward run on the cotangent, read through flipped views.
 Placed on the input grid (stride-spaced, zeros between) and flipped along
-both axes, each channel's cotangent gets one summed-area table T, built
-like forward's. The mirrored box filter of the cotangent, which is the
-input gradient, is then the same plan evaluated on T by the same strip
-routine at stride 1, written into a flipped view of the channel's input
-gradient. No table of the input is kept from forward to backward, only
-the input itself. Three gradient families come out:
+both axes, each channel's cotangent gets one summed-area table T. The
+mirrored box filter of the cotangent, which is the input gradient, is then
+the plan's lattice taps evaluated on T at stride 1 by a strip routine,
+written into a flipped view of the channel's input gradient. Forward keeps
+only its input for backward. Three gradient families come out:
 
 * input: the strip routine on T, as above;
 * box coordinates: every sample site's value and coordinate derivatives
@@ -56,10 +57,16 @@ from .boxes import BoxVariant, compile_plan
 from .fmap import DimensionError, as_feature_map
 from .sat import build_sat, sat_backward  # sat_backward: only perfbench's tracer reads it here
 
-# Bytes of output rows, over all samples, that forward evaluates per strip.
-# With the table rows those rows read (about one box height more), a strip's
-# working set stays inside a 2 MB L2 cache on 1024-wide planes.
+# Bytes of rows, over all samples, per strip: input rows in forward, output
+# rows in backward's tap routine. With the rows of column sums and the
+# output rows a forward strip's y taps reach (about one box height more),
+# its working set stays inside a 2 MB L2 cache on 1024-wide planes.
 STRIP_BYTES = 256 * 1024
+
+# Strip rows of fewer values than this (over samples and terms) get their
+# column sums from one np.cumsum; longer ones from one add per row, which
+# runs at about a third of np.cumsum's cost per value.
+_ROW_ADD_MIN = 256
 
 
 @dataclass
@@ -158,8 +165,90 @@ def _site_terms(q, plan):
     return values, sum(dx[:, j] for j in range(b.shape[1])), sum(dy[i] for i in range(a.shape[0]))
 
 
+def _rows_outer(shape):
+    """Zeros of shape (..., rows, cols) with the rows axis outermost in memory.
+
+    Returns the array and the view of it with the rows axis moved to -2.
+    """
+    a = np.zeros(shape[-2:-1] + shape[:-2] + shape[-1:])
+    return a, a.transpose(*range(1, a.ndim - 1), 0, a.ndim - 1)
+
+
+def _separable_channel(x, plan, out, stride) -> bool:
+    """Box-filter one channel's (..., H, W) planes x into out, by strips.
+
+    out is the channel's (..., out_h, out_w) output, or any view of it. A
+    strip holds the input rows that fill STRIP_BYTES over all samples.
+    Their prefix sums along x go into a buffer with the zero left margin
+    and the edge-replicated right margin of a table row. Each term's x taps
+    read it at the kept columns and write one row per input row into that
+    term's buffer, whose row 0 carries the column sums of the table row
+    above the strip; the running sums then turn row j into the column sums
+    of table row p0 + j. Each y tap (offset dy) adds those rows to output
+    rows i with i * stride + dy inside the strip; rows above the table are
+    zero and are skipped, and rows below it, reached only from the last
+    strip, repeat its final row. The y taps run in (offset, term) order in
+    every strip, so each pixel gets the same sums in the same order at any
+    strip height. The buffers keep a strip row's values adjacent over
+    samples and terms, so each row-wise add is one contiguous pass.
+
+    Returns False, before any y tap reads them, as soon as a strip's row
+    totals (its last prefix sums) or its last column sums are not finite. A
+    running sum stays non-finite once it is, so those values are finite
+    exactly when every prefix and column sum so far is.
+    """
+    h, w = x.shape[-2:]
+    lead = out.shape[:-2]
+    out_h, out_w = out.shape[-2:]
+    left, right = _margins(plan.x_cells, out_w, w, stride)
+    below = _margins(plan.y_cells, out_h, h, stride)[1]  # table rows past the last
+    samples = math.prod(lead)
+    rows = max(1, min(h, STRIP_BYTES // (8 * w * samples)))
+    terms = plan.terms
+    ytaps = sorted((dy, t, wt) for t, (_, ys) in enumerate(terms) for dy, wt in ys)
+    _, rsum = _rows_outer(lead + (rows, left + w + 1 + right))
+    # crow[j] is the strip's row j over all terms and samples; csum views it per term
+    crow, csum = _rows_outer((len(terms),) + lead + (rows + 1 + below, out_w))
+    row_adds = samples * out_w * len(terms) >= _ROW_ADD_MIN
+    cols = (out_w - 1) * stride + 1
+    out[...] = 0.0
+    for p0 in range(0, h, rows):
+        n = min(rows, h - p0)
+        r = rsum[..., :n, :]
+        np.cumsum(x[..., p0 : p0 + n, :], axis=-1, dtype=np.float64,
+                  out=r[..., left + 1 : left + w + 1])
+        if not np.isfinite(r[..., left + w]).all():
+            return False
+        r[..., left + w + 1 :] = r[..., left + w : left + w + 1]
+        for t, (xs, _) in enumerate(terms):
+            u = csum[t, ..., 1 : n + 1, :]
+            (dx, wt), *rest = xs
+            np.multiply(r[..., left + dx : left + dx + cols : stride], wt, out=u)
+            for dx, wt in rest:
+                u += wt * r[..., left + dx : left + dx + cols : stride]
+        if row_adds:
+            for j in range(n):
+                crow[j + 1] += crow[j]
+        else:
+            np.cumsum(crow[: n + 1], axis=0, out=crow[: n + 1])
+        if not np.isfinite(crow[n]).all():
+            return False
+        end = p0 + n + 1  # table rows p0 + 1 .. end - 1 are new in this strip
+        if end > h:
+            crow[n + 1 :] = crow[n]
+            end += below
+        for dy, t, wt in ytaps:
+            i0, i1 = max(0, -((dy - p0 - 1) // stride)), min(out_h, -((dy - end) // stride))
+            if i0 < i1:
+                j0 = i0 * stride + dy - p0  # the strip row output row i0 reads
+                v = csum[t, ..., j0 : j0 + (i1 - i0 - 1) * stride + 1 : stride, :]
+                out[..., i0:i1, :] += wt * v
+        crow[0] = crow[n]
+    return True
+
+
 def _forward_channel(sat, plan, out, stride):
-    """Evaluate one channel's taps from its (..., H+1, W+1) tables into out.
+    """Evaluate one channel's lattice taps from its (..., H+1, W+1) tables into out.
 
     out is the channel's (..., out_h, out_w) output, or any view of it.
     Strips of output rows are taken so that one strip of every sample fills
@@ -245,7 +334,12 @@ class BoxConvLayer:
         return (*lead, c, -(-h // self.stride), -(-w // self.stride))
 
     def multadd_count(self, in_shape) -> int:
-        """Forward multiply-adds in the tap evaluation, excluding table builds."""
+        """The paper's lattice-tap count: multiply-adds of the folded taps.
+
+        This is the 16-per-pixel cost model of a single box, excluding the
+        prefix sums. Forward applies the same taps factored, as x taps then
+        y taps (CornerSamplePlan.terms).
+        """
         *lead, _, out_h, out_w = self.out_shape(in_shape)
         return int(np.prod(lead, dtype=np.int64)) * out_h * out_w * sum(
             len(p.taps) for p in self.plans)
@@ -258,16 +352,10 @@ class BoxConvLayer:
         plans = list(self.plans)
         out = np.empty(out_shape, dtype=np.float64)
         for c, plan in enumerate(plans):
-            # One table block per channel, covering the whole batch, alive only
-            # while its channel is evaluated.
-            sat = build_sat(x[..., c, :, :])
-            # A running sum stays non-finite once it is, so the bottom row of a
-            # table is finite exactly when the whole table is.
-            if not np.isfinite(sat[..., -1, :]).all():
+            if not _separable_channel(x[..., c, :, :], plan, out[..., c, :, :], self.stride):
                 raise ValueError(
                     f"channel {c}: input holds NaN or inf, or its sums overflow float64"
                 )
-            _forward_channel(sat, plan, out[..., c, :, :], self.stride)
         saved = BoxConvSaved(x=x, out_shape=out_shape, stride=self.stride, plans=plans)
         return out.astype(x.dtype, copy=False), saved
 

@@ -108,6 +108,32 @@ def test_plan_integer_corners_collapse():
     assert {(t[0], t[1]) for t in nonzero} == {(-2, -1), (2, -1), (-2, 3), (2, 3)}
 
 
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_plan_terms_multiply_out_to_taps(rng, variant):
+    """The factored terms are the folded taps: their outer products add up
+    to the same weight at every lattice offset, with one term per box
+    (two for a split_4 box with unequal weights)."""
+    for _ in range(20):
+        p = init_params(int(rng.choice([5, 9, 13, 129])), variant, rng)
+        unequal = BoxParams(*p.thetas, p.max_kernel, variant, p.split_theta,
+                            tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights))))
+        for q, n_terms in ((p, 1), (unequal, 2 if variant == BoxVariant.SPLIT_4 else 1)):
+            plan = compile_plan(q)
+            assert len(plan.terms) == n_terms
+            product = {}
+            for xs, ys in plan.terms:
+                assert [o for o, _ in xs] == sorted({o for o, _ in xs})
+                assert all(wt != 0.0 for _, wt in xs + ys)
+                for dx, wx in xs:
+                    for dy, wy in ys:
+                        product[dx, dy] = product.get((dx, dy), 0.0) + wx * wy
+            taps = {}  # sites of a narrow box can share a lattice offset
+            for dx, dy, wt in plan.taps:
+                taps[dx, dy] = taps.get((dx, dy), 0.0) + wt
+            for key in set(product) | set(taps):
+                assert abs(product.get(key, 0.0) - taps.get(key, 0.0)) < 1e-14, (q, key)
+
+
 def test_plan_sample_counts():
     rng = np.random.default_rng(1)
     want = {

@@ -365,18 +365,39 @@ def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, varia
     x = rng.normal(size=shape)
     n, out_w = shape[0], layer.out_shape(shape)[-1]
     want = [_whole_plane_taps(x[:, c], plan, stride) for c, plan in enumerate(layer.plans)]
+    dense, scale = [], []
     for c, p in enumerate(layer.boxes):
-        dense = conv2d(x[:, c], effective_kernel(p).weights)[..., ::stride, ::stride]
-        scale = max(1e-12, float(np.max(np.abs(dense))))
-        assert np.max(np.abs(want[c] - dense)) / scale < 1e-12
-    # the module's strip budget, then strips of 7 rows (most output heights
-    # are no multiple of it) and of 1 row
+        dense.append(conv2d(x[:, c], effective_kernel(p).weights)[..., ::stride, ::stride])
+        scale.append(max(1e-12, float(np.max(np.abs(dense[c])))))
+        assert np.max(np.abs(want[c] - dense[c])) / scale[c] < 1e-12
+    # the module's strip budget, then budgets of 7 output rows (7 input rows
+    # at stride 1; most heights are no multiple of it) and of 1 row
+    outs = []
     for rows in (None, 7, 1):
         if rows is not None:
             monkeypatch.setattr(satconv.layer, "STRIP_BYTES", 8 * n * out_w * rows)
         out, _ = layer.forward(x)
-        for c in range(2):
-            assert out[:, c].tobytes() == want[c].tobytes()
+        outs.append(out.tobytes())
+        for c, plan in enumerate(layer.plans):
+            assert np.max(np.abs(out[:, c] - dense[c])) / scale[c] < 1e-12
+            # the table's tap routine, which backward runs on the cotangent
+            taps = np.empty_like(want[c])
+            satconv.layer._forward_channel(build_sat(x[:, c]), plan, taps, stride)
+            assert taps.tobytes() == want[c].tobytes()
+    # the carried column sums keep each pixel's sums in one order at any strip height
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_forward_precision_on_large_offset_plane(rng):
+    """Sums of a large plane with its mean far from zero lose digits in
+    four-corner differences. Forward's column sums grow with the box's
+    width rather than the whole plane's: a whole-plane table reads about
+    6e-7 here."""
+    p = BoxParams(-0.8, 0.7, -0.6, 0.9, 5)  # every edge off the lattice
+    x = rng.normal(loc=1e3, size=(1, 1024, 1024))
+    out, _ = BoxConvLayer([p]).forward(x)
+    want = conv2d(x[0], effective_kernel(p).weights)
+    assert np.max(np.abs(out[0] - want)) < 1e-8
 
 
 def _jacobian(layer, shape):

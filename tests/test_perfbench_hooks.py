@@ -23,10 +23,9 @@ def test_tracer_finds_every_traced_name(monkeypatch):
 
 
 def test_forward_builds_one_table_block_per_channel(monkeypatch):
-    # sat.build_sat_calls_per_step counts calls through satconv.layer.build_sat:
-    # one per channel, each covering the whole batch, in forward and again in
-    # backward, where each builds the table of the cotangent placed on the
-    # input grid.
+    # sat.build_sat_calls_per_step counts calls through satconv.layer.build_sat.
+    # Forward builds no table; backward builds one per channel, covering the
+    # whole batch: the table of the cotangent placed on the input grid.
     calls = []
     build_sat = satconv.layer.build_sat
     monkeypatch.setattr(satconv.layer, "build_sat",
@@ -39,8 +38,7 @@ def test_forward_builds_one_table_block_per_channel(monkeypatch):
             planes = [shape[:-3] + shape[-2:]] * 3
             calls.clear()
             y, saved = layer.forward(rng.normal(size=shape))
-            assert calls == planes
-            calls.clear()
+            assert calls == []
             layer.backward(saved, rng.normal(size=y.shape))
             assert calls == planes
 
