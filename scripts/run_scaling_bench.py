@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Kernel-size scaling experiment: prints the bench CSV plus ratio summary.
 
-The interesting numbers are within-method ratios across k: the table-based
-route should be flat while dense convolution grows roughly with k^2.
+The interesting numbers are within-method ratios across k: the box layer's
+forward and backward should be flat while dense convolution grows roughly
+with k^2.
 """
 
 import argparse
@@ -25,6 +26,8 @@ def main():
     k_lo, k_hi = min(ks), max(ks)
     print(f"# box_sat      t({k_hi})/t({k_lo}) = "
           f"{wall_ratio(results, 'box_sat', k_hi, k_lo):.3f}")
+    print(f"# box_bwd      t({k_hi})/t({k_lo}) = "
+          f"{wall_ratio(results, 'box_bwd', k_hi, k_lo):.3f}")
     print(f"# naive_dense  t({k_hi})/t({k_lo}) = "
           f"{wall_ratio(results, 'naive_dense', k_hi, k_lo):.3f}")
 

@@ -1,18 +1,22 @@
 """Kernel-size scaling benchmark.
 
-Compares three routes to the same depth-wise filtering job on one input:
+Times the box layer's forward and backward on one input, and compares its
+forward with other routes to the same depth-wise filtering job:
 
 * box_sat      - the layer's forward: the box taps applied as x taps on
                  row prefix sums, then y taps on running column sums (cost
                  independent of k); multadds counts the 16 lattice taps
+* box_bwd      - the layer's backward on a fixed random cotangent (input
+                 and box gradients; cost independent of k); multadds 0,
+                 checksum the sum of the input gradient
 * box_sat_build- summed-area table construction alone, which backward
-                 still runs on the cotangent
+                 runs on the cotangent
 * naive_dense  - dense convolution with each box's effective kernel, the
                  honest O(k^2) baseline producing identical output
 * dilated      - 4x4 dense kernel spaced to a matching receptive field
 
 Wall times are the median of `repeats` runs after two warm-ups; checksums
-(sum of the output) keep the work observable. Assertions about speed belong
+(sums of the outputs) keep the work observable. Assertions about speed belong
 to the callers and are phrased as ratios between k values, never absolute
 times.
 """
@@ -75,6 +79,7 @@ def run_bench(k_list, height: int, width: int, channels: int = 1,
               repeats: int = 5, seed: int = 0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(channels, height, width))
+    cotangent = rng.normal(size=x.shape)
     out_pixels = height * width
     results = []
 
@@ -92,6 +97,12 @@ def run_bench(k_list, height: int, width: int, channels: int = 1,
         results.append(BenchResult(
             "box_sat", k, channels, height, width, ms,
             layer.multadd_count(x.shape), float(out.sum()),
+        ))
+
+        _, saved = layer.forward(x)
+        ms, grads = _median_ms(lambda: layer.backward(saved, cotangent), repeats)
+        results.append(BenchResult(
+            "box_bwd", k, channels, height, width, ms, 0, float(grads.grad_input.sum()),
         ))
 
         ms, sats = _median_ms(lambda: [build_sat(x[c]) for c in range(channels)], repeats)

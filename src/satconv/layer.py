@@ -1,14 +1,15 @@
 """Depth-wise box convolution: separable forward, analytic backward.
 
-One box per channel. Inputs are (C, H, W) or a batch (N, C, H, W); every
-sample is computed exactly as it would be on its own. A box's compiled
-lattice taps read a summed-area table, and they factor exactly into a few
-terms of x taps times y taps (boxes.compile_plan). Forward applies them one
-axis at a time and never builds the table: in strips of input rows, it
-takes each row's prefix sums along x, applies each term's x taps at the
-kept output columns only, runs the column sums of those values down the
-strip (carrying the last row over from the strip before), and adds each
-y tap into the output rows it reaches. Because integer strides preserve the
+One box per channel, all of one variant and window size. Inputs are
+(C, H, W) or a batch (N, C, H, W); every sample is computed exactly as it
+would be on its own. A box's compiled lattice taps read a summed-area
+table, and they factor exactly into a few terms of x taps times y taps
+(boxes.compile_plan). Forward applies them one axis at a time and never
+builds the table: in strips of input rows, it takes each row's prefix sums
+along x, applies each term's x taps at the kept output columns only, runs
+the column sums of those values down the strip (carrying the last row over
+from the strip before), and adds each y tap into the output rows it
+reaches. Because integer strides preserve the
 fractional parts of the sample coordinates, the tap weights are constant
 over the whole plane. Out-of-range reads are resolved by edge replication:
 a zero left margin and the row total right of the prefix sums, no rows
@@ -23,25 +24,29 @@ pixel would spoil every output below it whose box reaches its column.
 
 Backward is box forward run on the cotangent, read through flipped views.
 Placed on the input grid (stride-spaced, zeros between) and flipped along
-both axes, each channel's cotangent gets one summed-area table T. The
+both axes, each channel's cotangent gets one summed-area table T, built
+into an edge-replicated buffer shared by all channels of the call. The
 mirrored box filter of the cotangent, which is the input gradient, is then
-the plan's lattice taps evaluated on T at stride 1 by a strip routine,
-written into a flipped view of the channel's input gradient. Forward keeps
-only its input for backward. Three gradient families come out:
+the plan's terms applied to T at stride 1: each term's x taps on a strip
+of T's rows, whose entries already are column sums, then the same y-tap
+pass as forward's, into one plane that is copied once into a flipped view
+of the channel's input gradient. Forward keeps only its input for
+backward. Three gradient families come out:
 
-* input: the strip routine on T, as above;
+* input: the x then y taps on T, as above;
 * box coordinates: every sample site's value and coordinate derivatives
   are linear in four scalars, the inner products of the output cotangent
   with the input's table read at each corner of the site's lattice cell.
   Each such product equals the inner product of the flipped input with T
   read at the same corner, so backward takes one product per sample and
   distinct lattice corner of the plan's cells (sites sharing a corner
-  share it) and blends them with the site's constant interpolation
-  fractions; the site derivative, weighted by its folded coefficient,
-  moves exactly one normalized parameter, with the window half-width as
-  chain factor. Sites whose reads fall in the replicated margin see equal
-  corner products and so contribute zero, matching the convention that
-  clamped coordinates have zero gradient;
+  share it), as one dot product per row. It then blends them, for all
+  channels at once, with each site's constant interpolation fractions;
+  the site derivative, weighted by its folded coefficient, moves exactly
+  one normalized parameter, with the window half-width as chain factor.
+  Sites whose reads fall in the replicated margin see equal corner
+  products and so contribute zero, matching the convention that clamped
+  coordinates have zero gradient;
 * sub-box weights: the four-corner difference of the sub-box's site
   values, each value being the bilinear blend of its corner products.
 """
@@ -53,14 +58,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoxVariant, compile_plan
+from .boxes import compile_plan
 from .fmap import DimensionError, as_feature_map
 from .sat import build_sat, sat_backward  # sat_backward: only perfbench's tracer reads it here
 
-# Bytes of rows, over all samples, per strip: input rows in forward, output
-# rows in backward's tap routine. With the rows of column sums and the
-# output rows a forward strip's y taps reach (about one box height more),
-# its working set stays inside a 2 MB L2 cache on 1024-wide planes.
+# Bytes of rows, over all samples, per strip: input rows in forward, rows of
+# the cotangent's table in backward. With each term's buffer rows and the
+# output rows a strip's y taps reach (about one box height more), its
+# working set stays inside a 2 MB L2 cache on 1024-wide planes.
 STRIP_BYTES = 256 * 1024
 
 # Strip rows of fewer values than this (over samples and terms) get their
@@ -71,11 +76,12 @@ _ROW_ADD_MIN = 256
 
 @dataclass
 class BoxGrads:
-    """Per-box parameter gradients, one row per sample for a batched input.
+    """Box parameter gradients, one row per sample for a batched input.
 
     Shapes are (..., 4) for the edges (theta_xl, theta_xh, theta_yl,
     theta_yh), (..., n_splits) and (..., n_weights), with the input's batch
-    axis leading when it has one.
+    axis leading when it has one (and a channel axis before the last when
+    they hold a whole layer's boxes).
     """
 
     theta: np.ndarray
@@ -85,8 +91,18 @@ class BoxGrads:
 
 @dataclass
 class LayerGradients:
+    """The input gradient, and every box's parameter gradients stacked on a
+    channel axis: boxes.theta is (..., C, 4), and so on."""
+
     grad_input: np.ndarray
-    grad_boxes: list
+    boxes: BoxGrads
+
+    @property
+    def grad_boxes(self) -> list:
+        """One BoxGrads per channel, views of the stacked arrays."""
+        b = self.boxes
+        return [BoxGrads(b.theta[..., c, :], b.split_theta[..., c, :], b.split_weights[..., c, :])
+                for c in range(b.theta.shape[-2])]
 
 
 @dataclass
@@ -109,56 +125,31 @@ def _margins(cells, n_out, n, stride):
     return max(0, -min(lo)), max(0, max(lo) + 1 + (n_out - 1) * stride - n)
 
 
-def _padded_sat(sat, plan):
-    """Edge-replicate (..., H+1, W+1) tables so every stride-1 cell corner is a slice."""
-    h, w = sat.shape[-2] - 1, sat.shape[-1] - 1
-    left, right = _margins(plan.x_cells, w, w, 1)
-    top, bottom = _margins(plan.y_cells, h, h, 1)
-    # np.pad(mode="edge") makes the same array at several times the cost
-    padded = np.empty(sat.shape[:-2] + (top + h + 1 + bottom, left + w + 1 + right))
+def _edge_pad(padded, top, left, h, w):
+    """Edge-replicate the (..., h+1, w+1) tables at (top, left) of padded into its margins."""
     rows = slice(top, top + h + 1)
-    padded[..., rows, left : left + w + 1] = sat
-    padded[..., rows, :left] = sat[..., :, :1]
-    padded[..., rows, left + w + 1 :] = sat[..., :, -1:]
+    # np.pad(mode="edge") makes the same array at several times the cost
+    padded[..., rows, :left] = padded[..., rows, left : left + 1]
+    padded[..., rows, left + w + 1 :] = padded[..., rows, left + w : left + w + 1]
     padded[..., :top, :] = padded[..., top : top + 1, :]
     padded[..., top + h + 1 :, :] = padded[..., top + h : top + h + 1, :]
-    return padded, top, left
 
 
-def _corner_products(v, padded, top, left, plan):
-    """Inner products of v with the table read at every site's cell corners.
-
-    v is (..., H, W) and padded its (..., H+1, W+1) table edge-replicated by
-    _padded_sat; corner (dx, dy) is read at stride 1. Returns q of shape
-    (nx, 2, ny, 2, ...): q[ix, i, iy, j] pairs x cell ix and y cell iy with
-    their corner (x0 + i, y0 + j), one product per sample. Sites that share
-    a corner share its product.
-    """
-    h, w = v.shape[-2:]
-    products = {}
-
-    def product(dx, dy):
-        if (dx, dy) not in products:
-            view = padded[..., top + dy : top + dy + h, left + dx : left + dx + w]
-            products[dx, dy] = np.einsum("...ij,...ij->...", v, view)
-        return products[dx, dy]
-
-    return np.array([[[[product(x0 + i, y0 + j) for j in (0, 1)] for y0, _ in plan.y_cells]
-                      for i in (0, 1)] for x0, _ in plan.x_cells])
-
-
-def _site_terms(q, plan):
+def _site_terms(q, plans):
     """Site values and coordinate derivatives, blended from corner products.
 
-    q is _corner_products' output. Returns every site's value (nx, ny, ...)
-    and the coefficient-weighted derivative sums per x site (nx, ...) and
-    per y site (ny, ...), each summed in site order.
+    q is (2 nx, 2 ny, ..., C): q[2 ix + i, 2 iy + j] is the product at the
+    corner (x0 + i, y0 + j) of x cell ix and y cell iy, one per sample and
+    channel. Returns every site's value (nx, ny, ..., C) and the
+    coefficient-weighted derivative sums per x site (nx, ..., C) and per y
+    site (ny, ..., C), each summed in site order.
     """
-    extra = (1,) * (q.ndim - 4)
-    a = np.array([f for _, f in plan.x_cells]).reshape((-1, 1) + extra)
-    b = np.array([f for _, f in plan.y_cells]).reshape((1, -1) + extra)
-    coeff = np.array(plan.coeffs).reshape(a.shape[:1] + b.shape[1:2] + extra)
-    q00, q10, q01, q11 = q[:, 0, :, 0], q[:, 1, :, 0], q[:, 0, :, 1], q[:, 1, :, 1]
+    extra = (1,) * (q.ndim - 3) + (len(plans),)
+    a = np.array([[f for _, f in p.x_cells] for p in plans]).T.reshape((-1, 1) + extra)
+    b = np.array([[f for _, f in p.y_cells] for p in plans]).T.reshape((1, -1) + extra)
+    coeff = np.moveaxis(np.array([p.coeffs for p in plans]), 0, -1)
+    coeff = coeff.reshape(a.shape[:1] + b.shape[1:2] + extra)
+    q00, q10, q01, q11 = q[::2, ::2], q[1::2, ::2], q[::2, 1::2], q[1::2, 1::2]
     values = (1 - a) * (1 - b) * q00 + a * (1 - b) * q10 + (1 - a) * b * q01 + a * b * q11
     dx = coeff * ((1 - b) * (q10 - q00) + b * (q11 - q01))
     dy = coeff * ((1 - a) * (q01 - q00) + a * (q11 - q10))
@@ -174,6 +165,40 @@ def _rows_outer(shape):
     return a, a.transpose(*range(1, a.ndim - 1), 0, a.ndim - 1)
 
 
+class _YTaps:
+    """One plan's y taps, from per-term buffers of x-tapped table rows into out.
+
+    The table has h + 1 rows, row 0 all zero. out is (..., out_h, out_w), or
+    any view of it, and is zeroed here; output row i reads the table rows
+    around i * stride. A strip's buffer csum[t] holds term t's x taps of
+    table rows p0 .. p0 + n in its rows 0..n, with room for `below` more.
+    add() adds each y tap (offset dy) of the rows new in the strip to the
+    output rows i with i * stride + dy in p0 + 1 .. p0 + n; rows above the
+    table are zero and are skipped, and rows below it, reached only from the
+    last strip, repeat its final row. The taps run in (offset, term) order
+    in every strip, so each pixel gets the same sums in the same order at
+    any strip height.
+    """
+
+    def __init__(self, plan, h, out, stride):
+        self.h, self.out, self.stride = h, out, stride
+        self.below = _margins(plan.y_cells, out.shape[-2], h, stride)[1]  # table rows past the last
+        self.taps = sorted((dy, t, wt) for t, (_, ys) in enumerate(plan.terms) for dy, wt in ys)
+        out[...] = 0.0
+
+    def add(self, csum, p0, n):
+        out, s = self.out, self.stride
+        end = p0 + n + 1  # table rows p0 + 1 .. end - 1 are new in this strip
+        if end > self.h:
+            csum[..., n + 1 :, :] = csum[..., n : n + 1, :]
+            end += self.below
+        for dy, t, wt in self.taps:
+            i0, i1 = max(0, -((dy - p0 - 1) // s)), min(out.shape[-2], -((dy - end) // s))
+            if i0 < i1:
+                j0 = i0 * s + dy - p0  # the strip row output row i0 reads
+                out[..., i0:i1, :] += wt * csum[t, ..., j0 : j0 + (i1 - i0 - 1) * s + 1 : s, :]
+
+
 def _separable_channel(x, plan, out, stride) -> bool:
     """Box-filter one channel's (..., H, W) planes x into out, by strips.
 
@@ -184,13 +209,9 @@ def _separable_channel(x, plan, out, stride) -> bool:
     read it at the kept columns and write one row per input row into that
     term's buffer, whose row 0 carries the column sums of the table row
     above the strip; the running sums then turn row j into the column sums
-    of table row p0 + j. Each y tap (offset dy) adds those rows to output
-    rows i with i * stride + dy inside the strip; rows above the table are
-    zero and are skipped, and rows below it, reached only from the last
-    strip, repeat its final row. The y taps run in (offset, term) order in
-    every strip, so each pixel gets the same sums in the same order at any
-    strip height. The buffers keep a strip row's values adjacent over
-    samples and terms, so each row-wise add is one contiguous pass.
+    of table row p0 + j, and _YTaps adds them into the output. The buffers
+    keep a strip row's values adjacent over samples and terms, so each
+    row-wise add is one contiguous pass.
 
     Returns False, before any y tap reads them, as soon as a strip's row
     totals (its last prefix sums) or its last column sums are not finite. A
@@ -198,20 +219,15 @@ def _separable_channel(x, plan, out, stride) -> bool:
     exactly when every prefix and column sum so far is.
     """
     h, w = x.shape[-2:]
-    lead = out.shape[:-2]
-    out_h, out_w = out.shape[-2:]
+    lead, out_w = out.shape[:-2], out.shape[-1]
     left, right = _margins(plan.x_cells, out_w, w, stride)
-    below = _margins(plan.y_cells, out_h, h, stride)[1]  # table rows past the last
-    samples = math.prod(lead)
-    rows = max(1, min(h, STRIP_BYTES // (8 * w * samples)))
-    terms = plan.terms
-    ytaps = sorted((dy, t, wt) for t, (_, ys) in enumerate(terms) for dy, wt in ys)
+    ytaps = _YTaps(plan, h, out, stride)
+    rows = max(1, min(h, STRIP_BYTES // (8 * w * math.prod(lead))))
     _, rsum = _rows_outer(lead + (rows, left + w + 1 + right))
     # crow[j] is the strip's row j over all terms and samples; csum views it per term
-    crow, csum = _rows_outer((len(terms),) + lead + (rows + 1 + below, out_w))
-    row_adds = samples * out_w * len(terms) >= _ROW_ADD_MIN
+    crow, csum = _rows_outer((len(plan.terms),) + lead + (rows + 1 + ytaps.below, out_w))
+    row_adds = crow[0].size >= _ROW_ADD_MIN
     cols = (out_w - 1) * stride + 1
-    out[...] = 0.0
     for p0 in range(0, h, rows):
         n = min(rows, h - p0)
         r = rsum[..., :n, :]
@@ -220,7 +236,7 @@ def _separable_channel(x, plan, out, stride) -> bool:
         if not np.isfinite(r[..., left + w]).all():
             return False
         r[..., left + w + 1 :] = r[..., left + w : left + w + 1]
-        for t, (xs, _) in enumerate(terms):
+        for t, (xs, _) in enumerate(plan.terms):
             u = csum[t, ..., 1 : n + 1, :]
             (dx, wt), *rest = xs
             np.multiply(r[..., left + dx : left + dx + cols : stride], wt, out=u)
@@ -233,65 +249,38 @@ def _separable_channel(x, plan, out, stride) -> bool:
             np.cumsum(crow[: n + 1], axis=0, out=crow[: n + 1])
         if not np.isfinite(crow[n]).all():
             return False
-        end = p0 + n + 1  # table rows p0 + 1 .. end - 1 are new in this strip
-        if end > h:
-            crow[n + 1 :] = crow[n]
-            end += below
-        for dy, t, wt in ytaps:
-            i0, i1 = max(0, -((dy - p0 - 1) // stride)), min(out_h, -((dy - end) // stride))
-            if i0 < i1:
-                j0 = i0 * stride + dy - p0  # the strip row output row i0 reads
-                v = csum[t, ..., j0 : j0 + (i1 - i0 - 1) * stride + 1 : stride, :]
-                out[..., i0:i1, :] += wt * v
+        ytaps.add(csum, p0, n)
         crow[0] = crow[n]
     return True
 
 
-def _forward_channel(sat, plan, out, stride):
-    """Evaluate one channel's lattice taps from its (..., H+1, W+1) tables into out.
+def _table_channel(padded, top, left, plan, out):
+    """One plan's terms on (..., H+1, W+1) tables at stride 1, by strips, into out.
 
-    out is the channel's (..., out_h, out_w) output, or any view of it.
-    Strips of output rows are taken so that one strip of every sample fills
-    STRIP_BYTES. A strip copies the table rows its taps read into a buffer,
-    clamped to the table's first row (all zero) above it and its last row
-    below it, with the zero left margin and the edge-replicated right
-    margin that _padded_sat would add, then accumulates the taps in plan
-    order. Each tap is one stride-stepped slice of the flattened buffer
-    into a contiguous accumulator of rows of buffer width, of which the
-    first out_w columns are kept; the rest read across a row end, and the
-    last row's into up to stride spare buffer rows below the strip.
+    padded holds the tables edge-replicated, entry (0, 0) at (top, left),
+    with every column the x taps read and a row to spare below the last.
+    out is (..., H, width), width being padded's: its first W columns get
+    the result. A strip's x taps read table rows p0 + 1 .. p0 + n, which
+    already hold the column sums forward runs down its strips. At stride 1
+    each x tap is one flat pass over whole rows of padded width into the
+    term's buffer, and each y tap one pass over whole rows of it: a row
+    runs on into the margin and the next row, read only by cut-off columns.
     """
-    h, w = sat.shape[-2] - 1, sat.shape[-1] - 1
-    lead = out.shape[:-2]
-    out_h, out_w = out.shape[-2:]
-    left, right = _margins(plan.x_cells, out_w, w, stride)
-    width = left + w + 1 + right
-    dys = [y0 for y0, _ in plan.y_cells]
-    y_lo, span = min(dys), max(dys) + 2 - min(dys)  # table rows one output row reads
-    samples = math.prod(lead)
-    rows = max(1, min(out_h, STRIP_BYTES // (8 * out_w * samples)))
-    buf = np.zeros(lead + (rows * stride + span, width))
-    flat = buf.reshape(lead + (-1,))
-    acc = np.empty(samples * rows * width)
-    cols = slice(left, left + w + 1)
-    for r0 in range(0, out_h, rows):
-        n = min(rows, out_h - r0)
-        y0 = y_lo + r0 * stride  # table row read by the strip's first buffer row
-        strip = buf[..., : (n - 1) * stride + span, :]
-        top = min(max(-y0, 0), strip.shape[-2])
-        bottom = min(max(h + 1 - y0, 0), strip.shape[-2])
-        strip[..., :top, :] = 0.0
-        strip[..., top:bottom, cols] = sat[..., y0 + top : y0 + bottom, :]
-        strip[..., bottom:, cols] = sat[..., h:, :]
-        strip[..., left + w + 1 :] = strip[..., left + w : left + w + 1]
-        size = n * width
-        # contiguous, also for a batch: in-place adds into a strided view cost 3x
-        a = acc[: samples * size].reshape(lead + (size,))
-        a[...] = 0.0
-        for dx, dy, wt in plan.taps:
-            start = (dy - y_lo) * width + left + dx
-            a += wt * flat[..., start : start + size * stride : stride]
-        out[..., r0 : r0 + n, :] = a.reshape(lead + (n, width))[..., :out_w]
+    lead, (h, width) = out.shape[:-2], out.shape[-2:]
+    ytaps = _YTaps(plan, h, out, 1)
+    rows = max(1, min(h, STRIP_BYTES // (8 * width * math.prod(lead))))
+    csum = np.zeros((len(plan.terms),) + lead + (rows + 1 + ytaps.below, width))
+    flat = padded.reshape(lead + (-1,))
+    for p0 in range(0, h, rows):
+        n = min(rows, h - p0)
+        start, size = (top + p0 + 1) * width + left, n * width
+        for t, (xs, _) in enumerate(plan.terms):
+            u = csum[t, ..., 1 : n + 1, :].reshape(lead + (size,))
+            (dx, wt), *rest = xs
+            np.multiply(flat[..., start + dx : start + dx + size], wt, out=u)
+            for dx, wt in rest:
+                u += wt * flat[..., start + dx : start + dx + size]
+        ytaps.add(csum, p0, n)
 
 
 class BoxConvLayer:
@@ -301,15 +290,11 @@ class BoxConvLayer:
         boxes = list(boxes)
         if not boxes:
             raise DimensionError("layer needs at least one box")
-        ks = {p.max_kernel for p in boxes}
-        if len(ks) != 1:
-            raise DimensionError(f"all boxes in a layer must share max_kernel, got {sorted(ks)}")
         if int(stride) != stride or stride < 1:
             raise ValueError(f"stride must be a positive integer, got {stride}")
-        self.boxes = boxes
+        self.boxes = None
         self.stride = int(stride)
-        self.plans = None
-        self.recompile()
+        self.set_boxes(boxes)
 
     @property
     def channels(self) -> int:
@@ -323,9 +308,14 @@ class BoxConvLayer:
         self.plans = [compile_plan(p) for p in self.boxes]
 
     def set_boxes(self, boxes) -> None:
-        if len(boxes) != self.channels:
+        boxes = list(boxes)
+        if self.boxes is not None and len(boxes) != self.channels:
             raise DimensionError("channel count cannot change")
-        self.boxes = list(boxes)
+        for field in ("max_kernel", "variant"):
+            values = {getattr(p, field) for p in boxes}
+            if len(values) != 1:
+                raise DimensionError(f"all boxes in a layer must share {field}, got {values}")
+        self.boxes = boxes
         self.recompile()
 
     def out_shape(self, in_shape):
@@ -363,47 +353,56 @@ class BoxConvLayer:
         g = np.asarray(grad_output, dtype=np.float64)
         if g.shape != saved.out_shape:
             raise DimensionError(f"grad_output shape {g.shape} != forward output {saved.out_shape}")
-        x, s = saved.x, saved.stride
-        grad_input = np.empty(x.shape, dtype=np.float64)
-        grad_boxes = []
-        gs = np.zeros(x.shape[:-3] + x.shape[-2:])  # zero off the stride grid for every channel
-        for c, (plan, p) in enumerate(zip(saved.plans, self.boxes)):
-            gc = g[..., c, :, :]
+        x, s, plans = saved.x, saved.stride, saved.plans
+        lead, (h, w) = x.shape[:-3], x.shape[-2:]
+        # before the buffers below: allocated after them, it let the peak RSS
+        # of boxconv_train_256 grow by 8 MB in 5 of 10 runs (heap layout)
+        grad_input = np.empty(x.shape)
+        # margins for every plan's stride-1 corner reads, and a spare row below
+        left, right = (max(m) for m in zip(*(_margins(p.x_cells, w, w, 1) for p in plans)))
+        top, bottom = (max(m) for m in zip(*(_margins(p.y_cells, h, h, 1) for p in plans)))
+        width = left + w + 1 + right
+        padded = np.empty(lead + (top + h + 2 + bottom, width))
+        plane = np.empty(lead + (h, width))
+        xf = np.empty(lead + (h, 1, w))  # the flipped input, one row per dot product
+        gs = np.zeros(lead + (h, w)) if s > 1 else None  # zero off the stride grid
+        q = np.empty((2 * len(plans[0].x_cells), 2 * len(plans[0].y_cells)) + lead + (len(plans),))
+        for c, plan in enumerate(plans):
             # the cotangent placed on the input grid, and the table of its flip
-            gs[..., ::s, ::s] = gc
-            sat = build_sat(gs[..., ::-1, ::-1])
+            gc = g[..., c, :, :]
+            if gs is not None:
+                gs[..., ::s, ::s] = gc
+                gc = gs
+            build_sat(gc[..., ::-1, ::-1], out=padded[..., top : top + h + 1, left : left + w + 1])
+            _edge_pad(padded, top, left, h, w)
 
-            # input path: the box filter of the flipped cotangent, flipped back
-            _forward_channel(sat, plan, grad_input[..., c, ::-1, ::-1], 1)
+            # input path: the plan's terms on the table at stride 1, flipped back
+            _table_channel(padded, top, left, plan, plane)
+            grad_input[..., c, ::-1, ::-1] = plane[..., :w]
 
-            # parameter path: one inner product <flip(x), table view> per sample
-            # and lattice corner of the plan's cells
-            padded, top, left = _padded_sat(sat, plan)
-            q = _corner_products(np.ascontiguousarray(x[..., c, ::-1, ::-1]), padded, top, left,
-                                 plan)
-            values, gx_sites, gy_sites = _site_terms(q, plan)
+            # parameter path: <flip(x), table read at (dx, dy)> per sample and
+            # distinct corner of the plan's cells, one BLAS dot per row: that
+            # skips the margins, and keeps each dot below the 10000 values past
+            # which OpenBLAS splits it over threads (its sums then depend on the
+            # thread count; on a 2-core host an idle pool took 6 ms to wake)
+            xf[..., 0, :] = x[..., c, ::-1, ::-1]
+            xc = [x0 + i for x0, _ in plan.x_cells for i in (0, 1)]
+            yc = [y0 + j for y0, _ in plan.y_cells for j in (0, 1)]
+            prods = {(dx, dy): np.matmul(
+                xf, padded[..., top + dy : top + dy + h, left + dx : left + dx + w, None]
+            )[..., 0, 0].sum(axis=-1) for dx in set(xc) for dy in set(yc)}
+            q[..., c] = [[prods[dx, dy] for dy in yc] for dx in xc]
 
-            r = (p.max_kernel - 1) / 2
-            lead = gc.shape[:-2]
-            theta = np.stack([gx_sites[0], gx_sites[-1], gy_sites[0], gy_sites[-1]], axis=-1) * r
-            split = []
-            if p.variant in (BoxVariant.SPLIT_V, BoxVariant.SPLIT_4):
-                split.append(gx_sites[1] * r)
-            if p.variant in (BoxVariant.SPLIT_H, BoxVariant.SPLIT_4):
-                split.append(gy_sites[1] * r)
-            if p.variant == BoxVariant.SINGLE:
-                sw = np.zeros(lead + (1,))
-            else:
-                sw = np.stack([
-                    values[ixh, iyh] - values[ixl, iyh] - values[ixh, iyl] + values[ixl, iyl]
-                    for ixl, ixh, iyl, iyh, _wgt in plan.sub_boxes
-                ], axis=-1)
-            grad_boxes.append(BoxGrads(
-                theta=theta,
-                split_theta=np.stack(split, axis=-1) if split else np.zeros(lead + (0,)),
-                split_weights=sw,
-            ))
-        return LayerGradients(
-            grad_input=grad_input.astype(x.dtype, copy=False),
-            grad_boxes=grad_boxes,
-        )
+        values, gx_sites, gy_sites = _site_terms(q, plans)
+        r = (plans[0].max_kernel - 1) / 2
+        theta = np.stack([gx_sites[0], gx_sites[-1], gy_sites[0], gy_sites[-1]], axis=-1) * r
+        # a split line is the middle site on its axis
+        split = [sites[1] * r for sites in (gx_sites, gy_sites) if len(sites) == 3]
+        subs = plans[0].sub_boxes
+        if len(subs) == 1:  # a single box's weight is fixed
+            sw = np.zeros(theta.shape[:-1] + (1,))
+        else:
+            sw = np.stack([values[ixh, iyh] - values[ixl, iyh] - values[ixh, iyl] + values[ixl, iyl]
+                           for ixl, ixh, iyl, iyh, _wgt in subs], axis=-1)
+        split = np.stack(split, axis=-1) if split else np.zeros(theta.shape[:-1] + (0,))
+        return LayerGradients(grad_input.astype(x.dtype, copy=False), BoxGrads(theta, split, sw))

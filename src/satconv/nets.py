@@ -150,16 +150,11 @@ class BoxDepthwise(Module):
     def backward(self, ctx, g):
         lg = self.conv.backward(ctx, g)
         batched = ctx.x.ndim == 4
-
-        def stacked(field):
-            return sum_samples(np.stack([getattr(b, field) for b in lg.grad_boxes], axis=-2),
-                               batched)
-
-        grads = {"theta": stacked("theta")}
+        grads = {"theta": sum_samples(lg.boxes.theta, batched)}
         if N_SPLITS[self.variant]:
-            grads["split"] = stacked("split_theta")
+            grads["split"] = sum_samples(lg.boxes.split_theta, batched)
         if self.variant != BoxVariant.SINGLE:
-            grads["weight"] = stacked("split_weights")
+            grads["weight"] = sum_samples(lg.boxes.split_weights, batched)
         return lg.grad_input, grads
 
     def post_step(self):

@@ -21,20 +21,26 @@ import numpy as np
 from .fmap import DimensionError
 
 
-def build_sat(plane) -> np.ndarray:
+def build_sat(plane, out=None) -> np.ndarray:
     """Prefix-sum planes (..., H, W) into their (..., H+1, W+1) tables.
 
     Leading axes (samples, channels) are independent planes, each built
     exactly as on its own. Two passes, rows then columns, always
     accumulating in float64: the four-corner difference subtracts large
     near-equal numbers, so the table itself must not lose precision even
-    for float32 sources.
+    for float32 sources. out, if given, is a float64 (..., H+1, W+1) array
+    or view to build the tables in, and is returned.
     """
     plane = np.asarray(plane)
     if plane.ndim < 2 or min(plane.shape[-2:]) < 1:
         raise DimensionError(f"expected non-empty (..., H, W) planes, got shape {plane.shape}")
     h, w = plane.shape[-2:]
-    sat = np.zeros(plane.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
+    if out is None:
+        sat = np.zeros(plane.shape[:-2] + (h + 1, w + 1), dtype=np.float64)
+    else:
+        sat = out
+        sat[..., 0, :] = 0.0
+        sat[..., 1:, 0] = 0.0
     np.cumsum(plane, axis=-1, dtype=np.float64, out=sat[..., 1:, 1:])
     np.cumsum(sat[..., 1:, 1:], axis=-2, out=sat[..., 1:, 1:])
     return sat

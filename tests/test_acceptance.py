@@ -128,6 +128,32 @@ def test_c05_cost_claims():
                f"dense t21/t7={dense_ratio:.2f}, {elapsed:.1f}s")
 
 
+def test_c05_backward_cost_independence_of_k():
+    """Backward is flat in k too: wide boxes, whose reads reach far into the
+    margins of the cotangent's table, at k=13 and k=129 on 16x256^2."""
+    rng = np.random.default_rng(56)
+    x = rng.normal(size=(16, 256, 256))
+    g = rng.normal(size=x.shape)
+    times = {}
+    for k in (13, 129):
+        boxes = []
+        for _ in range(16):
+            lo, hi = -rng.uniform(0.85, 0.95, size=2), rng.uniform(0.85, 0.95, size=2)
+            boxes.append(BoxParams(lo[0], hi[0], lo[1], hi[1], k))
+        layer = BoxConvLayer(boxes)
+        _, saved = layer.forward(x)
+        layer.backward(saved, g)
+        wall = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            layer.backward(saved, g)
+            wall.append(time.perf_counter() - t0)
+        times[k] = float(np.median(wall))
+    ratio = times[129] / times[13]
+    report("criterion 5b (backward cost independence of k)",
+           ratio <= 1.5, f"wide boxes, backward t129/t13={ratio:.2f}")
+
+
 def test_c06_dilated_parity():
     rng = np.random.default_rng(66)
     box_layer = BoxConvLayer([init_params(13, rng=rng)])

@@ -4,6 +4,7 @@ import pytest
 from satconv.bench import CSV_HEADER, run_bench
 from satconv.boxes import BoxParams, init_params, save_boxes
 from satconv.cli import main, render_boxes_svg
+from satconv.layer import BoxConvLayer
 from satconv.oracle import DenseKernel
 
 
@@ -39,12 +40,23 @@ def test_bench_csv_schema_and_equivalence(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == CSV_HEADER
     rows = [line.split(",") for line in lines[1:]]
-    assert {r[0] for r in rows} == {"box_sat", "box_sat_build", "naive_dense", "dilated"}
+    assert {r[0] for r in rows} == {"box_sat", "box_bwd", "box_sat_build", "naive_dense",
+                                    "dilated"}
     by_key = {(r[0], int(r[1])): r for r in rows}
+    # bench draws the input, then the cotangent, from seed 3 and each k's boxes from 3 + k
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2, 48, 40))
+    cotangent = rng.normal(size=x.shape)
     for k in (7, 13):
         box_sum = float(by_key[("box_sat", k)][7])
         dense_sum = float(by_key[("naive_dense", k)][7])
         assert abs(box_sum - dense_sum) <= 1e-9 * max(abs(box_sum), abs(dense_sum))
+        # the sum of the input gradient is <cotangent, forward(ones)>
+        box_rng = np.random.default_rng(3 + k)
+        layer = BoxConvLayer([init_params(k, rng=box_rng) for _ in range(2)])
+        want = float(np.vdot(cotangent, layer.forward(np.ones(x.shape))[0]))
+        assert by_key[("box_bwd", k)][6] == "0"
+        assert abs(float(by_key[("box_bwd", k)][7]) - want) <= 1e-9 * abs(want)
 
 
 def test_bench_dilated_parity_at_k13():

@@ -80,6 +80,15 @@ def test_mse_grad_matches_finite_diff(rng):
         assert abs(grad[idx] - finite_diff(f, pred[idx], 1e-6)) < 1e-8
 
 
+def test_mse_grad_is_scaled_difference(rng):
+    pred = rng.normal(size=(2, 3, 8, 8))
+    target = rng.normal(size=pred.shape)
+    loss, grad = mse_loss(pred, target)
+    diff = pred - target
+    assert loss == float(np.mean(diff * diff))
+    assert np.array_equal(grad, (2.0 / diff.size) * diff)
+
+
 def test_mse_shape_mismatch(rng):
     with pytest.raises(DimensionError):
         mse_loss(rng.normal(size=(1, 2, 2)), rng.normal(size=(1, 3, 2)))

@@ -151,6 +151,8 @@ def test_layer_validation(rng):
         BoxConvLayer([])
     with pytest.raises(DimensionError):
         BoxConvLayer([init_params(9, rng=rng), init_params(13, rng=rng)])
+    with pytest.raises(DimensionError, match="variant"):
+        BoxConvLayer([init_params(9, rng=rng), init_params(9, BoxVariant.SPLIT_4, rng)])
     with pytest.raises(ValueError):
         BoxConvLayer([init_params(9, rng=rng)], stride=0)
     layer = BoxConvLayer([init_params(9, rng=rng)])
@@ -328,24 +330,25 @@ def test_zero_weight_taps_pruned_without_changing_results(rng, stride):
                                   getattr(want.grad_boxes[0], field))
 
 
-def _whole_plane_taps(x, plan, stride):
-    """Reference forward: one pass per tap over the whole edge-padded table."""
-    sat = build_sat(x)
-    m = plan.max_kernel // 2 + 2  # at least every lattice offset a plan reads
-    padded = np.pad(sat, [(0, 0)] * (sat.ndim - 2) + [(m, m), (m, m)], mode="edge")
-    out_h, out_w = -(-x.shape[-2] // stride), -(-x.shape[-1] // stride)
-    out = np.zeros(x.shape[:-2] + (out_h, out_w))
-    for dx, dy, wt in plan.taps:
-        out += wt * padded[..., m + dy :: stride, m + dx :: stride][..., :out_h, :out_w]
-    return out
-
-
 _EDGE_SPLITS = {
     BoxVariant.SINGLE: (),
     BoxVariant.SPLIT_H: (-0.2,),
     BoxVariant.SPLIT_V: (0.3,),
     BoxVariant.SPLIT_4: (0.3, -0.2),
 }
+
+
+def _table_taps(x, plan):
+    """backward's input-path routine on the edge-padded table of planes x, at stride 1."""
+    h, w = x.shape[-2:]
+    left, right = satconv.layer._margins(plan.x_cells, w, w, 1)
+    top, bottom = satconv.layer._margins(plan.y_cells, h, h, 1)
+    padded = np.empty(x.shape[:-2] + (top + h + 2 + bottom, left + w + 1 + right))
+    build_sat(x, out=padded[..., top : top + h + 1, left : left + w + 1])
+    satconv.layer._edge_pad(padded, top, left, h, w)
+    out = np.empty(x.shape[:-1] + padded.shape[-1:])
+    satconv.layer._table_channel(padded, top, left, plan, out)
+    return out[..., :w]
 
 
 # Planes of several strips, a batch among them, and a k=129 window whose
@@ -363,29 +366,33 @@ def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, varia
                      inner.split_weights)
     layer = BoxConvLayer([inner, edge], stride=stride)
     x = rng.normal(size=shape)
+    g = rng.normal(size=layer.out_shape(shape))
     n, out_w = shape[0], layer.out_shape(shape)[-1]
-    want = [_whole_plane_taps(x[:, c], plan, stride) for c, plan in enumerate(layer.plans)]
-    dense, scale = [], []
-    for c, p in enumerate(layer.boxes):
-        dense.append(conv2d(x[:, c], effective_kernel(p).weights)[..., ::stride, ::stride])
-        scale.append(max(1e-12, float(np.max(np.abs(dense[c])))))
-        assert np.max(np.abs(want[c] - dense[c])) / scale[c] < 1e-12
+    dense = [conv2d(x[:, c], effective_kernel(p).weights) for c, p in enumerate(layer.boxes)]
     # the module's strip budget, then budgets of 7 output rows (7 input rows
     # at stride 1; most heights are no multiple of it) and of 1 row
-    outs = []
+    outs, tables, grads = [], [], []
     for rows in (None, 7, 1):
         if rows is not None:
             monkeypatch.setattr(satconv.layer, "STRIP_BYTES", 8 * n * out_w * rows)
-        out, _ = layer.forward(x)
+        out, saved = layer.forward(x)
         outs.append(out.tobytes())
         for c, plan in enumerate(layer.plans):
-            assert np.max(np.abs(out[:, c] - dense[c])) / scale[c] < 1e-12
-            # the table's tap routine, which backward runs on the cotangent
-            taps = np.empty_like(want[c])
-            satconv.layer._forward_channel(build_sat(x[:, c]), plan, taps, stride)
-            assert taps.tobytes() == want[c].tobytes()
-    # the carried column sums keep each pixel's sums in one order at any strip height
+            want = dense[c][..., ::stride, ::stride]
+            scale = max(1e-12, float(np.max(np.abs(want))))
+            assert np.max(np.abs(out[:, c] - want)) / scale < 1e-12
+            if stride == 1:  # the table routine, which backward runs at stride 1 only
+                taps = _table_taps(x[:, c], plan)
+                assert np.max(np.abs(taps - want)) / scale < 1e-12
+                tables.append(taps.tobytes())
+        grads.append(layer.backward(saved, g).grad_input.tobytes())
+        _, saved = layer.forward(x[0])
+        grads.append(layer.backward(saved, g[0]).grad_input.tobytes())
+    # each pixel's sums run in one order at any strip height: the carried
+    # column sums in forward, the fixed y-tap order in both passes
     assert outs[0] == outs[1] == outs[2]
+    assert grads[0::2] == [grads[0]] * 3 and grads[1::2] == [grads[1]] * 3
+    assert tables[: len(tables) // 3] * 3 == tables
 
 
 def test_forward_precision_on_large_offset_plane(rng):

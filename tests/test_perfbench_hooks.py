@@ -29,7 +29,7 @@ def test_forward_builds_one_table_block_per_channel(monkeypatch):
     calls = []
     build_sat = satconv.layer.build_sat
     monkeypatch.setattr(satconv.layer, "build_sat",
-                        lambda plane: calls.append(np.shape(plane)) or build_sat(plane))
+                        lambda plane, **kw: calls.append(np.shape(plane)) or build_sat(plane, **kw))
     rng = np.random.default_rng(0)
     for stride in (1, 2):
         layer = satconv.layer.BoxConvLayer([init_params(13, rng=rng) for _ in range(3)],

@@ -40,6 +40,15 @@ def test_matches_brute_force_prefix(rng):
     assert np.max(np.abs(build_sat(plane) - brute_prefix(plane))) < 1e-12
 
 
+def test_build_into_view_of_a_larger_array(rng):
+    planes = rng.normal(size=(2, 7, 5))
+    big = np.full((2, 10, 9), np.nan)
+    view = big[:, 1:9, 2:8]
+    assert build_sat(planes[:, ::-1, ::-1], out=view) is view
+    assert np.array_equal(view, build_sat(planes[:, ::-1, ::-1]))
+    assert np.isnan(big[:, 0]).all() and np.isnan(big[:, :, :2]).all()
+
+
 def test_monotone_for_nonnegative(rng):
     sat = build_sat(rng.uniform(size=(6, 6)))
     assert np.all(np.diff(sat, axis=0) >= 0)
