@@ -6,6 +6,7 @@ from .boxes import (
     CornerSamplePlan,
     FeasibilityError,
     compile_plan,
+    feasible,
     init_params,
     load_boxes,
     project_params,
@@ -25,7 +26,16 @@ from .fmap import (
 )
 from .heatmap import decode_keypoint, gaussian_target, mse_loss
 from .layer import BoxConvLayer, BoxGrads, LayerGradients
-from .oracle import DenseKernel, effective_kernel, finite_diff, naive_conv, rel_error
-from .sat import build_sat, region_sum, sample_bilinear, sample_bilinear_grad, sat_backward
+from .oracle import (
+    DenseKernel,
+    effective_kernel,
+    finite_diff,
+    naive_conv,
+    region_sum,
+    rel_error,
+    sample_bilinear,
+    sample_bilinear_grad,
+)
+from .sat import build_sat, sat_backward
 
 __version__ = "0.1.0"

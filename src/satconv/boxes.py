@@ -11,17 +11,22 @@ Split variants divide the coverage rectangle with one or two interior
 lines, each sub-rectangle carrying its own scalar weight. Sub-rectangles
 share table samples along the dividing line, which is why a 2-way split
 needs 6 distinct sample sites and a 4-way split needs 9 (versus 4 for a
-single box). Compiling a plan folds the per-site bilinear interpolation
-weights, corner signs, and sub-box weights into flat lattice taps, so the
-forward pass is a fixed list of multiply-adds per output pixel regardless
-of k. The same taps also come factored: every sub-box is an x difference
-times a y difference, so the taps split exactly into a few terms of x taps
-times y taps, which the layer's forward applies one axis at a time.
+single box).
+
+A layer's boxes are three arrays with one row per channel: theta (C, 4)
+holds the edges (xl, xh, yl, yh), split (C, s) the split lines and
+weight (C, w) the sub-box weights. project_params moves them back into
+their feasible set in place, and compile_plan folds them, for all channels
+at once, into each channel's lattice cells and folded site coefficients.
+Per channel, the plan holds the same taps factored: every sub-box is an x
+difference times a y difference, so the taps split exactly into a few
+terms of x taps times y taps, which the layer's forward applies one axis
+at a time. BoxParams is the record of one box, for box files, pictures
+and the oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,18 +44,25 @@ class BoxVariant(str, Enum):
     SPLIT_4 = "split_4"  # both lines: four quadrant sub-boxes
 
 
-N_SPLITS = {
-    BoxVariant.SINGLE: 0,
-    BoxVariant.SPLIT_H: 1,
-    BoxVariant.SPLIT_V: 1,
-    BoxVariant.SPLIT_4: 2,
+# Per split line, the column of theta holding the low edge it lies between:
+# 0 for an x line (between xl and xh), 2 for a y line (between yl and yh).
+SPLIT_EDGES = {
+    BoxVariant.SINGLE: (),
+    BoxVariant.SPLIT_H: (2,),
+    BoxVariant.SPLIT_V: (0,),
+    BoxVariant.SPLIT_4: (0, 2),
 }
-N_WEIGHTS = {
-    BoxVariant.SINGLE: 1,
-    BoxVariant.SPLIT_H: 2,
-    BoxVariant.SPLIT_V: 2,
-    BoxVariant.SPLIT_4: 4,
+# Per sub-box, in weight order, its (ix_lo, ix_hi, iy_lo, iy_hi) indices into
+# the sample coordinates box_geometry returns.
+SUB_BOXES = {
+    BoxVariant.SINGLE: ((0, 1, 0, 1),),
+    BoxVariant.SPLIT_H: ((0, 1, 0, 1), (0, 1, 1, 2)),
+    BoxVariant.SPLIT_V: ((0, 1, 0, 1), (1, 2, 0, 1)),
+    BoxVariant.SPLIT_4: ((0, 1, 0, 1), (1, 2, 0, 1), (0, 1, 1, 2), (1, 2, 1, 2)),
 }
+N_SPLITS = {v: len(edges) for v, edges in SPLIT_EDGES.items()}
+N_WEIGHTS = {v: len(subs) for v, subs in SUB_BOXES.items()}
+FEASIBLE = "finite values, -1 <= lo <= hi <= 1 on each axis, each split line between its edges"
 
 
 @dataclass(frozen=True)
@@ -94,6 +106,14 @@ class BoxParams:
         return (self.theta_xl, self.theta_xh, self.theta_yl, self.theta_yh)
 
 
+def box_arrays(boxes, variant):
+    """The (C, 4) theta, (C, s) split and (C, w) weight arrays of C boxes of one variant."""
+    c = len(boxes)
+    return (np.array([p.thetas for p in boxes], dtype=np.float64).reshape(c, 4),
+            np.array([p.split_theta for p in boxes], dtype=np.float64).reshape(c, N_SPLITS[variant]),
+            np.array([p.split_weights for p in boxes], dtype=np.float64).reshape(c, N_WEIGHTS[variant]))
+
+
 def theta_to_pixel(theta: float, k: int) -> float:
     """Map a normalized coordinate to a centered pixel offset: theta * (k-1)/2."""
     if k < 3 or k % 2 == 0:
@@ -103,43 +123,42 @@ def theta_to_pixel(theta: float, k: int) -> float:
     return theta * (k - 1) / 2
 
 
-def _clip(t: float) -> float:
-    return min(max(float(t), -1.0), 1.0)
+def feasible(theta, split, weight, variant) -> np.ndarray:
+    """Per box (row), whether it satisfies FEASIBLE: the contract compile_plan
+    and the layer forward assume. NaN fails every comparison, so it is never
+    feasible."""
+    ok = ((-1.0 <= theta) & (theta <= 1.0)).all(axis=-1)
+    ok &= (theta[:, 0] <= theta[:, 1]) & (theta[:, 2] <= theta[:, 3])
+    for j, lo in enumerate(SPLIT_EDGES[BoxVariant(variant)]):
+        ok &= (theta[:, lo] <= split[:, j]) & (split[:, j] <= theta[:, lo + 1])
+    return ok & np.isfinite(weight).all(axis=-1)
 
 
-def _order(lo: float, hi: float):
-    lo, hi = _clip(lo), _clip(hi)
-    # Swap rather than snap: keeps the step's gradient information and is idempotent.
-    return (hi, lo) if lo > hi else (lo, hi)
-
-
-def _interior(s: float, lo: float, hi: float) -> float:
+def _interior(s, lo, hi):
+    """Split lines s strictly inside (lo, hi), a relative 1e-9 from either
+    edge, or at the midpoint where the interval is too narrow; NaN stays NaN."""
     mid = 0.5 * (lo + hi)
-    if not lo < mid < hi:
-        return mid  # degenerate interval: snap to midpoint
     margin = (hi - lo) * 1e-9
-    s = min(max(float(s), lo + margin), hi - margin)
-    if not lo < s < hi:
-        s = mid
-    return s
+    inside = np.minimum(np.maximum(s, lo + margin), hi - margin)
+    ok = (lo < mid) & (mid < hi) & (lo < inside) & (inside < hi)
+    return np.where(ok | np.isnan(s), inside, mid)
 
 
-def project_params(p: BoxParams) -> BoxParams:
-    """Clip thetas to [-1, 1], restore lo <= hi by swapping, re-center splits.
+def project_params(theta, split, variant) -> None:
+    """Clip edges to [-1, 1], restore lo <= hi by swapping, re-center splits.
 
-    Idempotent; the result always satisfies the feasibility contract that
-    compile_plan and the layer forward assume.
+    Works in place on a layer's (C, 4) theta and (C, s) split arrays; the
+    weights are free. Idempotent; the result satisfies FEASIBLE unless a
+    value is NaN, which stays NaN for compile_plan to reject, or a weight
+    is not finite.
     """
-    xl, xh = _order(p.theta_xl, p.theta_xh)
-    yl, yh = _order(p.theta_yl, p.theta_yh)
-    splits = p.split_theta
-    if p.variant == BoxVariant.SPLIT_V:
-        splits = (_interior(splits[0], xl, xh),)
-    elif p.variant == BoxVariant.SPLIT_H:
-        splits = (_interior(splits[0], yl, yh),)
-    elif p.variant == BoxVariant.SPLIT_4:
-        splits = (_interior(splits[0], xl, xh), _interior(splits[1], yl, yh))
-    return BoxParams(xl, xh, yl, yh, p.max_kernel, p.variant, splits, p.split_weights)
+    np.clip(theta, -1.0, 1.0, out=theta)
+    for lo in (0, 2):
+        # swap rather than snap: keeps the step's gradient information and is idempotent
+        pair = theta[:, lo : lo + 2]
+        pair[...] = np.where(pair[:, :1] > pair[:, 1:], pair[:, ::-1], pair)
+    for j, lo in enumerate(SPLIT_EDGES[BoxVariant(variant)]):
+        split[:, j] = _interior(split[:, j], theta[:, lo], theta[:, lo + 1])
 
 
 def sample_init_thetas(rng) -> tuple:
@@ -161,100 +180,72 @@ def init_params(k: int, variant=BoxVariant.SINGLE, rng=None) -> BoxParams:
         xl, xh = xh, xl
     if yl > yh:
         yl, yh = yh, yl
-    splits = []
-    if variant in (BoxVariant.SPLIT_V, BoxVariant.SPLIT_4):
-        splits.append(xl + float(rng.uniform()) * (xh - xl))
-    if variant in (BoxVariant.SPLIT_H, BoxVariant.SPLIT_4):
-        splits.append(yl + float(rng.uniform()) * (yh - yl))
-    if variant == BoxVariant.SPLIT_4:
-        splits = [splits[0], splits[1]]
-    weights = (1.0,) * N_WEIGHTS[variant]
-    return project_params(
-        BoxParams(xl, xh, yl, yh, k, variant, tuple(splits), weights)
-    )
+    t = (xl, xh, yl, yh)
+    splits = [t[lo] + float(rng.uniform()) * (t[lo + 1] - t[lo]) for lo in SPLIT_EDGES[variant]]
+    theta, split = np.array([t]), np.array([splits])
+    project_params(theta, split, variant)
+    return BoxParams(*theta[0].tolist(), k, variant, split[0].tolist(), (1.0,) * N_WEIGHTS[variant])
 
 
-def box_geometry(p: BoxParams):
-    """Resolve a feasible box into table-space coordinates and sub-boxes.
+def box_geometry(theta, split, weight, k: int, variant):
+    """Resolve feasible boxes into table-space sample coordinates.
 
-    Returns (xs, ys, subs): xs and ys are the distinct sample coordinates per
-    axis as centered pixel offsets (low edge, optional split line, high edge
-    plus one), and subs is a tuple of (ix_lo, ix_hi, iy_lo, iy_hi, weight)
-    index 4-tuples into xs/ys, one per sub-box.
+    Returns (xs, ys, subs): xs (C, nx) and ys (C, ny) are each box's distinct
+    sample coordinates per axis as centered pixel offsets (low edge,
+    optional split line, high edge plus one), and subs is the variant's
+    SUB_BOXES. Raises FeasibilityError naming the first infeasible box.
     """
-    k = p.max_kernel
+    variant = BoxVariant(variant)
+    bad = np.flatnonzero(~feasible(theta, split, weight, variant))
+    if bad.size:
+        c = int(bad[0])
+        raise FeasibilityError(
+            f"channel {c}: box edges {theta[c].tolist()}, splits {split[c].tolist()}, "
+            f"weights {weight[c].tolist()} break the feasible set ({FEASIBLE})")
     r = (k - 1) / 2
-    for name, t in zip(("theta_xl", "theta_xh", "theta_yl", "theta_yh"), p.thetas):
-        if not -1.0 <= t <= 1.0:
-            raise FeasibilityError(f"{name}={t} outside [-1, 1]; project first")
-    if p.theta_xl > p.theta_xh or p.theta_yl > p.theta_yh:
-        raise FeasibilityError("box edges out of order; project first")
-    xl, xh = p.theta_xl * r, p.theta_xh * r
-    yl, yh = p.theta_yl * r, p.theta_yh * r
-    w = p.split_weights
-    if p.variant == BoxVariant.SINGLE:
-        return (xl, xh + 1.0), (yl, yh + 1.0), ((0, 1, 0, 1, w[0]),)
-    if p.variant == BoxVariant.SPLIT_V:
-        sx = p.split_theta[0]
-        if not p.theta_xl <= sx <= p.theta_xh:
-            raise FeasibilityError(f"x split {sx} outside box; project first")
-        return (
-            (xl, sx * r, xh + 1.0),
-            (yl, yh + 1.0),
-            ((0, 1, 0, 1, w[0]), (1, 2, 0, 1, w[1])),
-        )
-    if p.variant == BoxVariant.SPLIT_H:
-        sy = p.split_theta[0]
-        if not p.theta_yl <= sy <= p.theta_yh:
-            raise FeasibilityError(f"y split {sy} outside box; project first")
-        return (
-            (xl, xh + 1.0),
-            (yl, sy * r, yh + 1.0),
-            ((0, 1, 0, 1, w[0]), (0, 1, 1, 2, w[1])),
-        )
-    sx, sy = p.split_theta
-    if not (p.theta_xl <= sx <= p.theta_xh and p.theta_yl <= sy <= p.theta_yh):
-        raise FeasibilityError("split line outside box; project first")
-    return (
-        (xl, sx * r, xh + 1.0),
-        (yl, sy * r, yh + 1.0),
-        (
-            (0, 1, 0, 1, w[0]),
-            (1, 2, 0, 1, w[1]),
-            (0, 1, 1, 2, w[2]),
-            (1, 2, 1, 2, w[3]),
-        ),
-    )
+    xs, ys = (np.stack([theta[:, lo] * r,
+                        *(split[:, j] * r for j, e in enumerate(SPLIT_EDGES[variant]) if e == lo),
+                        theta[:, lo + 1] * r + 1.0], axis=-1) for lo in (0, 2))
+    return xs, ys, SUB_BOXES[variant]
 
 
 @dataclass(frozen=True)
 class CornerSamplePlan:
-    """Compiled lattice taps for one box.
+    """Compiled lattice taps for a layer's C boxes.
 
-    x_sites/y_sites are the continuous sample coordinates (centered offsets);
-    x_cells/y_cells hold their resolved (floor, frac) pairs; coeffs[ix][iy] is
-    the folded signed weight of each sample site (corner sign pattern times
-    sub-box weights); taps is the flat (dx, dy, weight) list of the paper's
-    16-tap cost model, dx/dy being integer lattice offsets. terms is the
-    same sum factored: a tuple of (x_taps, y_taps) pairs, each a tuple of
-    (offset, weight) pairs in offset order, whose outer products add up to
-    taps. Taps whose folded weight is exactly zero are left out of both;
-    the cells still name every lattice corner the sites read.
+    A sample site at coordinate v reads the lattice cell (floor, floor + 1)
+    with interpolation fraction v - floor. x_floor and x_frac are (C, nx),
+    y_floor and y_frac (C, ny); coeffs (C, nx, ny) holds each site's folded
+    signed weight (corner sign pattern times sub-box weights). terms is,
+    per channel, the whole sum of lattice taps factored: a tuple of
+    (x_taps, y_taps) pairs, each a tuple of (offset, weight) pairs in
+    offset order, whose outer products add up to the paper's 16-tap cost
+    model (tap_weights). Taps whose folded weight is exactly zero are left
+    out of the terms and of the tap count; the cells still name every
+    lattice corner the sites read.
     """
 
-    x_sites: tuple
-    y_sites: tuple
-    x_cells: tuple
-    y_cells: tuple
-    coeffs: tuple
+    x_floor: np.ndarray
+    x_frac: np.ndarray
+    y_floor: np.ndarray
+    y_frac: np.ndarray
+    coeffs: np.ndarray
     sub_boxes: tuple
-    taps: tuple
-    terms: tuple
+    terms: list
     max_kernel: int
 
+    def tap_weights(self) -> np.ndarray:
+        """(C, nx, ny, 2, 2): site (ix, iy)'s weight on lattice corner
+        (x_floor + i, y_floor + j) at [..., ix, iy, j, i]."""
+        a, b = self.x_frac, self.y_frac
+        wx = np.stack([1 - a, a], axis=-1)[:, :, None, None, :]
+        wy = np.stack([1 - b, b], axis=-1)[:, None, :, :, None]
+        return self.coeffs[..., None, None] * (wx * wy)
+
     @property
-    def n_samples(self) -> int:
-        return len(self.taps)
+    def n_taps(self) -> np.ndarray:
+        """Per channel, the lattice taps of non-zero folded weight."""
+        return np.count_nonzero(self.tap_weights(), axis=(1, 2, 3, 4))
 
 
 def _axis_taps(cells, coefs):
@@ -262,88 +253,61 @@ def _axis_taps(cells, coefs):
     value), summed by offset, in offset order, exact zeros dropped."""
     merged = {}
     for (c0, f), c in zip(cells, coefs):
-        for off, wt in ((c0, c * (1 - f)), (c0 + 1, c * f)):
-            merged[off] = merged.get(off, 0.0) + wt
+        merged[c0] = merged.get(c0, 0.0) + c * (1 - f)
+        merged[c0 + 1] = merged.get(c0 + 1, 0.0) + c * f
     return tuple((off, wt) for off, wt in sorted(merged.items()) if wt != 0.0)
 
 
-def _factor(x_cells, y_cells, subs):
-    """Taps as a sum of (x taps) x (y taps) terms, one per distinct interval.
+def _factor(x_cells, y_cells, w, variant):
+    """One box's taps as a sum of (x taps) x (y taps) terms.
 
-    Each sub-box contributes weight * (x difference) x (y difference).
-    Sub-boxes sharing an interval on the axis with fewer distinct intervals
-    share one term, whose other factor folds their weights per site, and
-    intervals whose folded factors are equal share one term too. So equal
-    weights on both sides of a split line cancel exactly, as in the folded
-    taps: 1 term for single, split_h and split_v boxes, 2 for split_4 (1
-    when its four weights are equal). A term that folds to no taps is left
-    out.
+    w holds the box's sub-box weights. Each sub-box contributes weight *
+    (x difference) x (y difference), so sub-boxes that share an interval on
+    one axis share one term, whose other factor folds their weights per
+    site, and equal weights on both sides of a split line cancel exactly, as
+    in the folded taps: 1 term for single, split_h and split_v boxes, 2 for
+    split_4 (1 when its top and bottom rows fold to the same x factor, as
+    with four equal weights). A term that folds to no taps is left out.
     """
-    x_ivs = {(ixl, ixh) for ixl, ixh, _, _, _ in subs}
-    y_ivs = {(iyl, iyh) for _, _, iyl, iyh, _ in subs}
-    if len(x_ivs) < len(y_ivs):
-        swapped = _factor(y_cells, x_cells, tuple((iyl, iyh, ixl, ixh, w)
-                                                  for ixl, ixh, iyl, iyh, w in subs))
-        return tuple((xs, ys) for ys, xs in swapped)
-    y_coefs = {}  # per distinct x factor, the folded y coefficients of its intervals
-    for iyl, iyh in sorted(y_ivs):
-        x_coefs = [0.0] * len(x_cells)
-        for ixl, ixh, jl, jh, w in subs:
-            if (jl, jh) == (iyl, iyh):
-                x_coefs[ixh] += w
-                x_coefs[ixl] -= w
-        yc = y_coefs.setdefault(tuple(x_coefs), [0.0] * len(y_cells))
-        yc[iyh] += 1.0
-        yc[iyl] -= 1.0
-    terms = ((_axis_taps(x_cells, xc), _axis_taps(y_cells, yc)) for xc, yc in y_coefs.items())
+    edge = (-1.0, 1.0)
+    if variant == BoxVariant.SINGLE:
+        pairs = [((-w[0], w[0]), edge)]
+    elif variant == BoxVariant.SPLIT_V:
+        pairs = [((-w[0], w[0] - w[1], w[1]), edge)]
+    elif variant == BoxVariant.SPLIT_H:
+        pairs = [(edge, (-w[0], w[0] - w[1], w[1]))]
+    else:
+        top, bottom = (-w[0], w[0] - w[1], w[1]), (-w[2], w[2] - w[3], w[3])
+        pairs = ([(top, (-1.0, 0.0, 1.0))] if top == bottom
+                 else [(top, (-1.0, 1.0, 0.0)), (bottom, (0.0, -1.0, 1.0))])
+    terms = ((_axis_taps(x_cells, xc), _axis_taps(y_cells, yc)) for xc, yc in pairs)
     return tuple((xs, ys) for xs, ys in terms if xs and ys)
 
 
-def compile_plan(p: BoxParams) -> CornerSamplePlan:
-    """Fold a feasible box into its corner-sample plan.
+def compile_plan(theta, split, weight, k: int, variant) -> CornerSamplePlan:
+    """Fold a layer's feasible boxes into their corner-sample plan.
 
     A tap whose folded weight is exactly zero is dropped: a site on the
     lattice (a zero interpolation fraction, as at a window edge of +-1) and
     a site whose sub-box weights cancel (the split lines of an equal-weight
     split box) add nothing to any output.
     """
-    xs, ys, subs = box_geometry(p)
-
-    coeffs = [[0.0] * len(ys) for _ in range(len(xs))]
-    for ixl, ixh, iyl, iyh, w in subs:
-        coeffs[ixh][iyh] += w
-        coeffs[ixl][iyl] += w
-        coeffs[ixl][iyh] -= w
-        coeffs[ixh][iyl] -= w
-
-    x_cells = tuple((math.floor(v), v - math.floor(v)) for v in xs)
-    y_cells = tuple((math.floor(v), v - math.floor(v)) for v in ys)
-
-    taps = []
-    for ix, (x0, a) in enumerate(x_cells):
-        for iy, (y0, b) in enumerate(y_cells):
-            c = coeffs[ix][iy]
-            for dx, dy, wt in (
-                (x0, y0, (1 - a) * (1 - b)),
-                (x0 + 1, y0, a * (1 - b)),
-                (x0, y0 + 1, (1 - a) * b),
-                (x0 + 1, y0 + 1, a * b),
-            ):
-                w = c * wt
-                if w != 0.0:
-                    taps.append((dx, dy, w))
-
-    return CornerSamplePlan(
-        x_sites=xs,
-        y_sites=ys,
-        x_cells=x_cells,
-        y_cells=y_cells,
-        coeffs=tuple(tuple(row) for row in coeffs),
-        sub_boxes=subs,
-        taps=tuple(taps),
-        terms=_factor(x_cells, y_cells, subs),
-        max_kernel=p.max_kernel,
-    )
+    xs, ys, subs = box_geometry(theta, split, weight, k, variant)
+    coeffs = np.zeros(xs.shape + ys.shape[-1:])
+    for i, (ixl, ixh, iyl, iyh) in enumerate(subs):
+        w = weight[:, i]
+        coeffs[:, ixh, iyh] += w
+        coeffs[:, ixl, iyl] += w
+        coeffs[:, ixl, iyh] -= w
+        coeffs[:, ixh, iyl] -= w
+    x_floor, y_floor = np.floor(xs), np.floor(ys)
+    x_frac, y_frac = xs - x_floor, ys - y_floor
+    x_floor, y_floor = x_floor.astype(np.int64), y_floor.astype(np.int64)
+    x_cells = [list(zip(f, a)) for f, a in zip(x_floor.tolist(), x_frac.tolist())]
+    y_cells = [list(zip(f, b)) for f, b in zip(y_floor.tolist(), y_frac.tolist())]
+    variant = BoxVariant(variant)
+    terms = [_factor(xc, yc, w, variant) for xc, yc, w in zip(x_cells, y_cells, weight.tolist())]
+    return CornerSamplePlan(x_floor, x_frac, y_floor, y_frac, coeffs, subs, terms, k)
 
 
 def save_boxes(path, boxes) -> None:
@@ -380,7 +344,10 @@ def load_boxes(path):
                 weights = (
                     (1.0,) if variant == BoxVariant.SINGLE else tuple(vals[4 + ns :])
                 )
-                boxes.append(BoxParams(*vals[:4], k, variant, splits, weights))
+                box = BoxParams(*vals[:4], k, variant, splits, weights)
+                if not feasible(*box_arrays([box], variant), variant)[0]:
+                    raise FeasibilityError(f"infeasible box, need {FEASIBLE}")
+                boxes.append(box)
             except (ValueError, KeyError, IndexError) as e:
                 raise ValueError(f"{path}:{lineno}: bad box line: {e}") from e
     if not boxes:

@@ -7,7 +7,7 @@ import os
 import sys
 
 from .bench import run_bench, to_csv
-from .boxes import BoxVariant, load_boxes
+from .boxes import SPLIT_EDGES, load_boxes
 from .gradcheck import format_report, merge_reports, run_adjoint_check, run_gradcheck
 from .train import ConfigError, parse_config, run_task, write_checkpoint, write_log_csv
 
@@ -48,18 +48,12 @@ def render_boxes_svg(boxes, columns: int = 8, tile: float = 80.0, gap: float = 1
             f'width="{sx(xh + 1) - sx(xl):.4f}" height="{sy(yh + 1) - sy(yl):.4f}" '
             'fill="#4d88ff" fill-opacity="0.45" stroke="#1a4fcc" stroke-width="1"/>'
         )
-        splits = list(p.split_theta)
-        if p.variant in (BoxVariant.SPLIT_V, BoxVariant.SPLIT_4):
-            mx = splits.pop(0) * r
+        for s, lo in zip(p.split_theta, SPLIT_EDGES[p.variant]):
+            m = s * r  # a vertical line for an x split, a horizontal one for a y split
+            x1, y1, x2, y2 = (m, yl, m, yh + 1) if lo == 0 else (xl, m, xh + 1, m)
             parts.append(
-                f'<line x1="{sx(mx):.4f}" y1="{sy(yl):.4f}" x2="{sx(mx):.4f}" '
-                f'y2="{sy(yh + 1):.4f}" stroke="#cc3333" stroke-width="1"/>'
-            )
-        if p.variant in (BoxVariant.SPLIT_H, BoxVariant.SPLIT_4):
-            my = splits.pop(0) * r
-            parts.append(
-                f'<line x1="{sx(xl):.4f}" y1="{sy(my):.4f}" x2="{sx(xh + 1):.4f}" '
-                f'y2="{sy(my):.4f}" stroke="#cc3333" stroke-width="1"/>'
+                f'<line x1="{sx(x1):.4f}" y1="{sy(y1):.4f}" x2="{sx(x2):.4f}" '
+                f'y2="{sy(y2):.4f}" stroke="#cc3333" stroke-width="1"/>'
             )
         parts.append(
             f'<text x="{ox:.4f}" y="{oy + tile + 10.0:.4f}" font-size="9" '

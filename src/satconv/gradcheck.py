@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boxes import BoxVariant, init_params
+from .boxes import SPLIT_EDGES, BoxVariant, init_params
 from .layer import BoxConvLayer
 
 CATEGORIES = (
@@ -88,11 +88,9 @@ def _draw_config(rng, ks, sizes, strides, variants):
         p = init_params(k, variant, rng)
         if p.theta_xh - p.theta_xl < 0.05 or p.theta_yh - p.theta_yl < 0.05:
             continue
-        ok = True
-        for s, lo, hi in _split_bounds(p):
-            if min(s - lo, hi - s) < 5e-3:
-                ok = False
-        if ok:
+        t = p.thetas
+        if all(min(s - t[lo], t[lo + 1] - s) >= 5e-3
+               for s, lo in zip(p.split_theta, SPLIT_EDGES[variant])):
             break
     p = replace(
         p,
@@ -105,25 +103,8 @@ def _draw_config(rng, ks, sizes, strides, variants):
     return p, (h, w), stride
 
 
-def _split_bounds(p):
-    out = []
-    i = 0
-    if p.variant in (BoxVariant.SPLIT_V, BoxVariant.SPLIT_4):
-        out.append((p.split_theta[i], p.theta_xl, p.theta_xh))
-        i += 1
-    if p.variant in (BoxVariant.SPLIT_H, BoxVariant.SPLIT_4):
-        out.append((p.split_theta[i], p.theta_yl, p.theta_yh))
-    return out
-
-
 def _split_categories(variant):
-    if variant == BoxVariant.SPLIT_V:
-        return ("split_x",)
-    if variant == BoxVariant.SPLIT_H:
-        return ("split_y",)
-    if variant == BoxVariant.SPLIT_4:
-        return ("split_x", "split_y")
-    return ()
+    return tuple("split_x" if lo == 0 else "split_y" for lo in SPLIT_EDGES[variant])
 
 
 def run_gradcheck(

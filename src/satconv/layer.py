@@ -1,10 +1,13 @@
 """Depth-wise box convolution: separable forward, analytic backward.
 
-One box per channel, all of one variant and window size. Inputs are
+One box per channel, all of one variant and window size. The layer keeps
+its boxes as (C, ...) arrays and compiles them in one boxes.compile_plan
+call into one plan: every channel's cell floors, fractions and folded site
+coefficients as arrays, and its taps factored into terms. Inputs are
 (C, H, W) or a batch (N, C, H, W); every sample is computed exactly as it
 would be on its own. A box's compiled lattice taps read a summed-area
-table, and they factor exactly into a few terms of x taps times y taps
-(boxes.compile_plan). Forward applies them one axis at a time and never
+table, and they factor exactly into a few terms of x taps times y taps.
+Forward applies them one axis at a time and never
 builds the table: in strips of input rows, it takes each row's prefix sums
 along x, applies each term's x taps at the kept output columns only, runs
 the column sums of those values down the strip (carrying the last row over
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import compile_plan
+from .boxes import BoxParams, CornerSamplePlan, box_arrays, compile_plan
 from .fmap import DimensionError, as_feature_map
 from .sat import build_sat, sat_backward  # sat_backward: only perfbench's tracer reads it here
 
@@ -112,16 +115,17 @@ class BoxConvSaved:
     x: np.ndarray  # the input, (C, H, W) or (N, C, H, W)
     out_shape: tuple
     stride: int
-    plans: list
+    plan: CornerSamplePlan
 
 
-def _margins(cells, n_out, n, stride):
+def _margins(floor, n_out, n, stride):
     """Lattice entries a table axis of n+1 entries lacks before and after it.
 
-    cells are the plan's (floor, frac) pairs on that axis; output i reads
-    entries floor + i * stride and floor + 1 + i * stride, for i < n_out.
+    floor holds the cell floors of the sites on that axis (one channel's, or
+    an array of several); output i reads entries floor + i * stride and
+    floor + 1 + i * stride, for i < n_out.
     """
-    lo = [c0 for c0, _ in cells]
+    lo = floor.ravel().tolist()
     return max(0, -min(lo)), max(0, max(lo) + 1 + (n_out - 1) * stride - n)
 
 
@@ -135,7 +139,7 @@ def _edge_pad(padded, top, left, h, w):
     padded[..., top + h + 1 :, :] = padded[..., top + h : top + h + 1, :]
 
 
-def _site_terms(q, plans):
+def _site_terms(q, plan):
     """Site values and coordinate derivatives, blended from corner products.
 
     q is (2 nx, 2 ny, ..., C): q[2 ix + i, 2 iy + j] is the product at the
@@ -144,11 +148,10 @@ def _site_terms(q, plans):
     coefficient-weighted derivative sums per x site (nx, ..., C) and per y
     site (ny, ..., C), each summed in site order.
     """
-    extra = (1,) * (q.ndim - 3) + (len(plans),)
-    a = np.array([[f for _, f in p.x_cells] for p in plans]).T.reshape((-1, 1) + extra)
-    b = np.array([[f for _, f in p.y_cells] for p in plans]).T.reshape((1, -1) + extra)
-    coeff = np.moveaxis(np.array([p.coeffs for p in plans]), 0, -1)
-    coeff = coeff.reshape(a.shape[:1] + b.shape[1:2] + extra)
+    extra = (1,) * (q.ndim - 3) + plan.coeffs.shape[:1]
+    a = plan.x_frac.T.reshape((-1, 1) + extra)
+    b = plan.y_frac.T.reshape((1, -1) + extra)
+    coeff = np.moveaxis(plan.coeffs, 0, -1).reshape(a.shape[:1] + b.shape[1:2] + extra)
     q00, q10, q01, q11 = q[::2, ::2], q[1::2, ::2], q[::2, 1::2], q[1::2, 1::2]
     values = (1 - a) * (1 - b) * q00 + a * (1 - b) * q10 + (1 - a) * b * q01 + a * b * q11
     dx = coeff * ((1 - b) * (q10 - q00) + b * (q11 - q01))
@@ -166,7 +169,7 @@ def _rows_outer(shape):
 
 
 class _YTaps:
-    """One plan's y taps, from per-term buffers of x-tapped table rows into out.
+    """Channel c's y taps, from per-term buffers of x-tapped table rows into out.
 
     The table has h + 1 rows, row 0 all zero. out is (..., out_h, out_w), or
     any view of it, and is zeroed here; output row i reads the table rows
@@ -180,10 +183,10 @@ class _YTaps:
     any strip height.
     """
 
-    def __init__(self, plan, h, out, stride):
+    def __init__(self, plan, c, h, out, stride):
         self.h, self.out, self.stride = h, out, stride
-        self.below = _margins(plan.y_cells, out.shape[-2], h, stride)[1]  # table rows past the last
-        self.taps = sorted((dy, t, wt) for t, (_, ys) in enumerate(plan.terms) for dy, wt in ys)
+        self.below = _margins(plan.y_floor[c], out.shape[-2], h, stride)[1]  # table rows past the last
+        self.taps = sorted((dy, t, wt) for t, (_, ys) in enumerate(plan.terms[c]) for dy, wt in ys)
         out[...] = 0.0
 
     def add(self, csum, p0, n):
@@ -199,8 +202,8 @@ class _YTaps:
                 out[..., i0:i1, :] += wt * csum[t, ..., j0 : j0 + (i1 - i0 - 1) * s + 1 : s, :]
 
 
-def _separable_channel(x, plan, out, stride) -> bool:
-    """Box-filter one channel's (..., H, W) planes x into out, by strips.
+def _separable_channel(x, plan, c, out, stride) -> bool:
+    """Box-filter channel c's (..., H, W) planes x into out, by strips.
 
     out is the channel's (..., out_h, out_w) output, or any view of it. A
     strip holds the input rows that fill STRIP_BYTES over all samples.
@@ -220,12 +223,13 @@ def _separable_channel(x, plan, out, stride) -> bool:
     """
     h, w = x.shape[-2:]
     lead, out_w = out.shape[:-2], out.shape[-1]
-    left, right = _margins(plan.x_cells, out_w, w, stride)
-    ytaps = _YTaps(plan, h, out, stride)
+    left, right = _margins(plan.x_floor[c], out_w, w, stride)
+    terms = plan.terms[c]
+    ytaps = _YTaps(plan, c, h, out, stride)
     rows = max(1, min(h, STRIP_BYTES // (8 * w * math.prod(lead))))
     _, rsum = _rows_outer(lead + (rows, left + w + 1 + right))
     # crow[j] is the strip's row j over all terms and samples; csum views it per term
-    crow, csum = _rows_outer((len(plan.terms),) + lead + (rows + 1 + ytaps.below, out_w))
+    crow, csum = _rows_outer((len(terms),) + lead + (rows + 1 + ytaps.below, out_w))
     row_adds = crow[0].size >= _ROW_ADD_MIN
     cols = (out_w - 1) * stride + 1
     for p0 in range(0, h, rows):
@@ -236,7 +240,7 @@ def _separable_channel(x, plan, out, stride) -> bool:
         if not np.isfinite(r[..., left + w]).all():
             return False
         r[..., left + w + 1 :] = r[..., left + w : left + w + 1]
-        for t, (xs, _) in enumerate(plan.terms):
+        for t, (xs, _) in enumerate(terms):
             u = csum[t, ..., 1 : n + 1, :]
             (dx, wt), *rest = xs
             np.multiply(r[..., left + dx : left + dx + cols : stride], wt, out=u)
@@ -254,8 +258,8 @@ def _separable_channel(x, plan, out, stride) -> bool:
     return True
 
 
-def _table_channel(padded, top, left, plan, out):
-    """One plan's terms on (..., H+1, W+1) tables at stride 1, by strips, into out.
+def _table_channel(padded, top, left, plan, c, out):
+    """Channel c's terms on (..., H+1, W+1) tables at stride 1, by strips, into out.
 
     padded holds the tables edge-replicated, entry (0, 0) at (top, left),
     with every column the x taps read and a row to spare below the last.
@@ -267,14 +271,15 @@ def _table_channel(padded, top, left, plan, out):
     runs on into the margin and the next row, read only by cut-off columns.
     """
     lead, (h, width) = out.shape[:-2], out.shape[-2:]
-    ytaps = _YTaps(plan, h, out, 1)
+    terms = plan.terms[c]
+    ytaps = _YTaps(plan, c, h, out, 1)
     rows = max(1, min(h, STRIP_BYTES // (8 * width * math.prod(lead))))
-    csum = np.zeros((len(plan.terms),) + lead + (rows + 1 + ytaps.below, width))
+    csum = np.zeros((len(terms),) + lead + (rows + 1 + ytaps.below, width))
     flat = padded.reshape(lead + (-1,))
     for p0 in range(0, h, rows):
         n = min(rows, h - p0)
         start, size = (top + p0 + 1) * width + left, n * width
-        for t, (xs, _) in enumerate(plan.terms):
+        for t, (xs, _) in enumerate(terms):
             u = csum[t, ..., 1 : n + 1, :].reshape(lead + (size,))
             (dx, wt), *rest = xs
             np.multiply(flat[..., start + dx : start + dx + size], wt, out=u)
@@ -284,7 +289,13 @@ def _table_channel(padded, top, left, plan, out):
 
 
 class BoxConvLayer:
-    """Depth-wise layer pairing each input channel with one learnable box."""
+    """Depth-wise layer pairing each input channel with one learnable box.
+
+    The layer owns its boxes as arrays, one row per channel: theta (C, 4),
+    split (C, s) and weight (C, w), all of one window size max_kernel and
+    one variant. Whoever changes them in place calls recompile() before the
+    next forward.
+    """
 
     def __init__(self, boxes, stride: int = 1):
         boxes = list(boxes)
@@ -292,31 +303,29 @@ class BoxConvLayer:
             raise DimensionError("layer needs at least one box")
         if int(stride) != stride or stride < 1:
             raise ValueError(f"stride must be a positive integer, got {stride}")
-        self.boxes = None
-        self.stride = int(stride)
-        self.set_boxes(boxes)
-
-    @property
-    def channels(self) -> int:
-        return len(self.boxes)
-
-    @property
-    def max_kernel(self) -> int:
-        return self.boxes[0].max_kernel
-
-    def recompile(self) -> None:
-        self.plans = [compile_plan(p) for p in self.boxes]
-
-    def set_boxes(self, boxes) -> None:
-        boxes = list(boxes)
-        if self.boxes is not None and len(boxes) != self.channels:
-            raise DimensionError("channel count cannot change")
         for field in ("max_kernel", "variant"):
             values = {getattr(p, field) for p in boxes}
             if len(values) != 1:
                 raise DimensionError(f"all boxes in a layer must share {field}, got {values}")
-        self.boxes = boxes
+        self.stride = int(stride)
+        self.max_kernel, self.variant = boxes[0].max_kernel, boxes[0].variant
+        self.theta, self.split, self.weight = box_arrays(boxes, self.variant)
         self.recompile()
+
+    @property
+    def channels(self) -> int:
+        return self.theta.shape[0]
+
+    @property
+    def boxes(self) -> list:
+        """A fresh BoxParams per channel, read from the arrays: for box files,
+        pictures and the oracle."""
+        k, v = self.max_kernel, self.variant
+        return [BoxParams(*t, k, v, s, w) for t, s, w in
+                zip(self.theta.tolist(), self.split.tolist(), self.weight.tolist())]
+
+    def recompile(self) -> None:
+        self.plan = compile_plan(self.theta, self.split, self.weight, self.max_kernel, self.variant)
 
     def out_shape(self, in_shape):
         """Output shape for a (C, H, W) or (N, C, H, W) input shape."""
@@ -331,43 +340,43 @@ class BoxConvLayer:
         y taps (CornerSamplePlan.terms).
         """
         *lead, _, out_h, out_w = self.out_shape(in_shape)
-        return int(np.prod(lead, dtype=np.int64)) * out_h * out_w * sum(
-            len(p.taps) for p in self.plans)
+        return int(np.prod(lead, dtype=np.int64)) * out_h * out_w * int(self.plan.n_taps.sum())
 
     def forward(self, x):
         x = as_feature_map(x)
         if x.shape[-3] != self.channels:
             raise DimensionError(f"input has {x.shape[-3]} channels, layer has {self.channels}")
         out_shape = self.out_shape(x.shape)
-        plans = list(self.plans)
+        plan = self.plan
         out = np.empty(out_shape, dtype=np.float64)
-        for c, plan in enumerate(plans):
-            if not _separable_channel(x[..., c, :, :], plan, out[..., c, :, :], self.stride):
+        for c in range(self.channels):
+            if not _separable_channel(x[..., c, :, :], plan, c, out[..., c, :, :], self.stride):
                 raise ValueError(
                     f"channel {c}: input holds NaN or inf, or its sums overflow float64"
                 )
-        saved = BoxConvSaved(x=x, out_shape=out_shape, stride=self.stride, plans=plans)
+        saved = BoxConvSaved(x=x, out_shape=out_shape, stride=self.stride, plan=plan)
         return out.astype(x.dtype, copy=False), saved
 
     def backward(self, saved: BoxConvSaved, grad_output) -> LayerGradients:
         g = np.asarray(grad_output, dtype=np.float64)
         if g.shape != saved.out_shape:
             raise DimensionError(f"grad_output shape {g.shape} != forward output {saved.out_shape}")
-        x, s, plans = saved.x, saved.stride, saved.plans
+        x, s, plan = saved.x, saved.stride, saved.plan
         lead, (h, w) = x.shape[:-3], x.shape[-2:]
         # before the buffers below: allocated after them, it let the peak RSS
         # of boxconv_train_256 grow by 8 MB in 5 of 10 runs (heap layout)
         grad_input = np.empty(x.shape)
-        # margins for every plan's stride-1 corner reads, and a spare row below
-        left, right = (max(m) for m in zip(*(_margins(p.x_cells, w, w, 1) for p in plans)))
-        top, bottom = (max(m) for m in zip(*(_margins(p.y_cells, h, h, 1) for p in plans)))
+        # margins for every channel's stride-1 corner reads, and a spare row below
+        left, right = _margins(plan.x_floor, w, w, 1)
+        top, bottom = _margins(plan.y_floor, h, h, 1)
         width = left + w + 1 + right
         padded = np.empty(lead + (top + h + 2 + bottom, width))
         plane = np.empty(lead + (h, width))
         xf = np.empty(lead + (h, 1, w))  # the flipped input, one row per dot product
         gs = np.zeros(lead + (h, w)) if s > 1 else None  # zero off the stride grid
-        q = np.empty((2 * len(plans[0].x_cells), 2 * len(plans[0].y_cells)) + lead + (len(plans),))
-        for c, plan in enumerate(plans):
+        (n, nx), ny = plan.x_floor.shape, plan.y_floor.shape[1]
+        q = np.empty((2 * nx, 2 * ny) + lead + (n,))
+        for c in range(n):
             # the cotangent placed on the input grid, and the table of its flip
             gc = g[..., c, :, :]
             if gs is not None:
@@ -376,33 +385,33 @@ class BoxConvLayer:
             build_sat(gc[..., ::-1, ::-1], out=padded[..., top : top + h + 1, left : left + w + 1])
             _edge_pad(padded, top, left, h, w)
 
-            # input path: the plan's terms on the table at stride 1, flipped back
-            _table_channel(padded, top, left, plan, plane)
+            # input path: the channel's terms on the table at stride 1, flipped back
+            _table_channel(padded, top, left, plan, c, plane)
             grad_input[..., c, ::-1, ::-1] = plane[..., :w]
 
             # parameter path: <flip(x), table read at (dx, dy)> per sample and
-            # distinct corner of the plan's cells, one BLAS dot per row: that
+            # distinct corner of the channel's cells, one BLAS dot per row: that
             # skips the margins, and keeps each dot below the 10000 values past
             # which OpenBLAS splits it over threads (its sums then depend on the
             # thread count; on a 2-core host an idle pool took 6 ms to wake)
             xf[..., 0, :] = x[..., c, ::-1, ::-1]
-            xc = [x0 + i for x0, _ in plan.x_cells for i in (0, 1)]
-            yc = [y0 + j for y0, _ in plan.y_cells for j in (0, 1)]
+            xc = [x0 + i for x0 in plan.x_floor[c].tolist() for i in (0, 1)]
+            yc = [y0 + j for y0 in plan.y_floor[c].tolist() for j in (0, 1)]
             prods = {(dx, dy): np.matmul(
                 xf, padded[..., top + dy : top + dy + h, left + dx : left + dx + w, None]
             )[..., 0, 0].sum(axis=-1) for dx in set(xc) for dy in set(yc)}
             q[..., c] = [[prods[dx, dy] for dy in yc] for dx in xc]
 
-        values, gx_sites, gy_sites = _site_terms(q, plans)
-        r = (plans[0].max_kernel - 1) / 2
+        values, gx_sites, gy_sites = _site_terms(q, plan)
+        r = (plan.max_kernel - 1) / 2
         theta = np.stack([gx_sites[0], gx_sites[-1], gy_sites[0], gy_sites[-1]], axis=-1) * r
         # a split line is the middle site on its axis
         split = [sites[1] * r for sites in (gx_sites, gy_sites) if len(sites) == 3]
-        subs = plans[0].sub_boxes
+        subs = plan.sub_boxes
         if len(subs) == 1:  # a single box's weight is fixed
             sw = np.zeros(theta.shape[:-1] + (1,))
         else:
             sw = np.stack([values[ixh, iyh] - values[ixl, iyh] - values[ixh, iyl] + values[ixl, iyl]
-                           for ixl, ixh, iyl, iyh, _wgt in subs], axis=-1)
+                           for ixl, ixh, iyl, iyh in subs], axis=-1)
         split = np.stack(split, axis=-1) if split else np.zeros(theta.shape[:-1] + (0,))
         return LayerGradients(grad_input.astype(x.dtype, copy=False), BoxGrads(theta, split, sw))

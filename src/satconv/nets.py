@@ -9,15 +9,16 @@ the sum equals that of N unbatched passes bit for bit. A ctx serves one
 backward pass: Sequential releases each child's ctx as soon as it is used,
 so activations are freed while the pass runs.
 Parameter arrays are updated in place by the optimizer; modules that cache
-derived state (the box layers recompile their tap plans) refresh it in
-post_step().
+derived state refresh it in post_step(): a box layer projects its box
+arrays into their feasible set and recompiles its tap plan, one call each
+for the whole layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boxes import BoxParams, BoxVariant, N_SPLITS, N_WEIGHTS, init_params, project_params
+from .boxes import BoxVariant, N_SPLITS, init_params, project_params
 from .dense import conv2d, conv2d_input_grad, conv2d_kernel_grad
 from .fmap import (
     DimensionError,
@@ -113,16 +114,16 @@ class DenseDepthwise(Module):
 
 
 class BoxDepthwise(Module):
-    """One learnable box per channel, backed by a BoxConvLayer."""
+    """One learnable box per channel, backed by a BoxConvLayer.
+
+    theta, split and weight are the layer's own arrays, which the optimizer
+    updates in place; post_step projects them and recompiles the layer.
+    """
 
     def __init__(self, rng, channels: int, k: int, variant=BoxVariant.SINGLE, stride: int = 1):
-        self.variant = BoxVariant(variant)
-        self.k = k
-        boxes = [init_params(k, self.variant, rng) for _ in range(channels)]
-        self.theta = np.array([p.thetas for p in boxes])
-        self.split = np.array([p.split_theta for p in boxes]).reshape(channels, N_SPLITS[self.variant])
-        self.weight = np.array([p.split_weights for p in boxes])
-        self.conv = BoxConvLayer(boxes, stride=stride)
+        self.conv = BoxConvLayer([init_params(k, variant, rng) for _ in range(channels)], stride)
+        self.variant = self.conv.variant
+        self.theta, self.split, self.weight = self.conv.theta, self.conv.split, self.conv.weight
 
     def params(self):
         p = {"theta": self.theta}
@@ -131,18 +132,6 @@ class BoxDepthwise(Module):
         if self.variant != BoxVariant.SINGLE:
             p["weight"] = self.weight
         return p
-
-    def boxes(self):
-        return [
-            BoxParams(
-                *self.theta[c],
-                self.k,
-                self.variant,
-                tuple(self.split[c]),
-                tuple(self.weight[c]),
-            )
-            for c in range(self.theta.shape[0])
-        ]
 
     def forward(self, x):
         return self.conv.forward(x)
@@ -158,20 +147,8 @@ class BoxDepthwise(Module):
         return lg.grad_input, grads
 
     def post_step(self):
-        for c in range(self.theta.shape[0]):
-            p = project_params(
-                BoxParams(
-                    *self.theta[c],
-                    self.k,
-                    self.variant,
-                    tuple(self.split[c]),
-                    tuple(self.weight[c]),
-                )
-            )
-            self.theta[c] = p.thetas
-            self.split[c] = p.split_theta
-            self.weight[c] = p.split_weights
-        self.conv.set_boxes(self.boxes())
+        project_params(self.theta, self.split, self.variant)
+        self.conv.recompile()
 
 
 class Broadcast(Module):

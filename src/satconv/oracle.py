@@ -5,15 +5,19 @@ being easy to audit. naive_conv is a literal quadruple loop over plain
 Python floats; effective_kernel expands a sub-pixel box into the dense
 weight array it is equivalent to, built from 1-D coverage profiles with a
 closed form that never touches the table code it is used to check.
+region_sum, sample_bilinear and sample_bilinear_grad read one value of a
+summed-area table (sat.build_sat) at a time, with the table's
+zero-padding convention spelled out by clamping.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoxParams, box_geometry
+from .boxes import BoxParams, box_arrays, box_geometry
 
 
 @dataclass(frozen=True)
@@ -93,16 +97,80 @@ def effective_kernel(box: BoxParams) -> DenseKernel:
     sub-box weights. Entries land on offsets -(k-1)/2 .. (k-1)/2 + 1 with
     the anchor at the window center.
     """
-    xs, ys, subs = box_geometry(box)
     k = box.max_kernel
+    (xs,), (ys,), subs = box_geometry(*box_arrays([box], box.variant), k, box.variant)
     r = (k - 1) // 2
     offsets = np.arange(-r, r + 2)
     kern = np.zeros((k + 1, k + 1))
-    for ixl, ixh, iyl, iyh, wgt in subs:
+    for (ixl, ixh, iyl, iyh), wgt in zip(subs, box.split_weights):
         px = coverage_profile(xs[ixl], xs[ixh], offsets)
         py = coverage_profile(ys[iyl], ys[iyh], offsets)
         kern += wgt * np.outer(py, px)
     return DenseKernel(kern)
+
+
+def region_sum(sat, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> float:
+    """Sum of source pixels in the closed rectangle [x_lo, x_hi] x [y_lo, y_hi].
+
+    Corner indices are clamped to the table, which is exactly zero-padding
+    semantics: the result is the sum over rectangle intersect image.
+    """
+    h = sat.shape[0] - 1
+    w = sat.shape[1] - 1
+    x0 = min(max(x_lo, 0), w)
+    x1 = min(max(x_hi + 1, 0), w)
+    y0 = min(max(y_lo, 0), h)
+    y1 = min(max(y_hi + 1, 0), h)
+    return float(sat[y1, x1] - sat[y0, x1] - sat[y1, x0] + sat[y0, x0])
+
+
+def _cell(coord: float, n: int):
+    """Clamp a continuous lattice coordinate to [0, n] and resolve its cell.
+
+    Returns (i0, i1, frac) with value = (1-frac)*S[i0] + frac*S[i1]. The cell
+    is right-sided at interior lattice points (i0 = floor(coord)); where the
+    clamp is active both taps coincide, so the coordinate derivative there is
+    zero by construction.
+    """
+    c = min(max(float(coord), 0.0), float(n))
+    i0 = math.floor(c)
+    i1 = min(i0 + 1, n)
+    return i0, i1, c - i0
+
+
+def sample_bilinear(sat, x: float, y: float) -> float:
+    """Table value at continuous (x, y), bilinearly interpolated."""
+    h = sat.shape[0] - 1
+    w = sat.shape[1] - 1
+    x0, x1, a = _cell(x, w)
+    y0, y1, b = _cell(y, h)
+    return float(
+        (1 - a) * (1 - b) * sat[y0, x0]
+        + a * (1 - b) * sat[y0, x1]
+        + (1 - a) * b * sat[y1, x0]
+        + a * b * sat[y1, x1]
+    )
+
+
+def sample_bilinear_grad(sat, x: float, y: float):
+    """Coordinate derivatives of the interpolated sample, plus corner weights.
+
+    d_dx = (1-b)*(S[y0,x1] - S[y0,x0]) + b*(S[y1,x1] - S[y1,x0]) and the
+    symmetric expression for d_dy; corner weights are returned in the order
+    (floor,floor), (ceil,floor), (floor,ceil), (ceil,ceil).
+    """
+    h = sat.shape[0] - 1
+    w = sat.shape[1] - 1
+    x0, x1, a = _cell(x, w)
+    y0, y1, b = _cell(y, h)
+    s00 = float(sat[y0, x0])
+    s10 = float(sat[y0, x1])
+    s01 = float(sat[y1, x0])
+    s11 = float(sat[y1, x1])
+    d_dx = (1 - b) * (s10 - s00) + b * (s11 - s01)
+    d_dy = (1 - a) * (s01 - s00) + a * (s11 - s10)
+    weights = ((1 - a) * (1 - b), a * (1 - b), (1 - a) * b, a * b)
+    return d_dx, d_dy, weights
 
 
 def finite_diff(f, at: float, h: float = 1e-5) -> float:

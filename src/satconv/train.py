@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import BoxVariant, save_boxes
+from .boxes import feasible, save_boxes
 from .dense import conv2d
 from .fmap import save_feature_map
 from .heatmap import decode_keypoint, gaussian_target, mse_loss
@@ -210,7 +210,7 @@ def train_kernel_approx(target: np.ndarray, n_boxes: int, steps: int, seed: int,
     mix.matrix[:] = rng.uniform(-0.5, 0.5, size=mix.matrix.shape)
 
     def current_error():
-        return kernel_rel_error(box_layer.boxes(), mix.matrix[0], target)
+        return kernel_rel_error(box_layer.conv.boxes, mix.matrix[0], target)
 
     initial_error = current_error()
     adam = Adam(model.params(), lr=lr)
@@ -229,7 +229,7 @@ def train_kernel_approx(target: np.ndarray, n_boxes: int, steps: int, seed: int,
         model.post_step()
         rows.append((step, loss, current_error()))
     return KernelApproxResult(
-        boxes=box_layer.boxes(),
+        boxes=box_layer.conv.boxes,
         mix_weights=mix.matrix[0].copy(),
         initial_error=initial_error,
         final_error=current_error(),
@@ -283,22 +283,7 @@ def build_keypoint_net(rng, cfg: TrainConfig):
 
 
 def box_invariants_ok(box_layers) -> bool:
-    for layer in box_layers:
-        t = layer.theta
-        if np.any(np.abs(t) > 1.0):
-            return False
-        if np.any(t[:, 0] > t[:, 1]) or np.any(t[:, 2] > t[:, 3]):
-            return False
-        for c in range(t.shape[0]):
-            axes = []
-            if layer.variant in (BoxVariant.SPLIT_V, BoxVariant.SPLIT_4):
-                axes.append((t[c, 0], t[c, 1]))
-            if layer.variant in (BoxVariant.SPLIT_H, BoxVariant.SPLIT_4):
-                axes.append((t[c, 2], t[c, 3]))
-            for s, (lo, hi) in zip(layer.split[c], axes):
-                if not lo <= s <= hi:
-                    return False
-    return True
+    return all(feasible(m.theta, m.split, m.weight, m.variant).all() for m in box_layers)
 
 
 def evaluate_keypoints(model, samples, batch: int, radius: float = 2.0) -> float:
@@ -378,7 +363,7 @@ def collect_boxes(model) -> list:
 
     def walk(m):
         if isinstance(m, BoxDepthwise):
-            found.extend(m.boxes())
+            found.extend(m.conv.boxes)
         for attr in ("children",):
             for _, child in getattr(m, attr, []):
                 walk(child)

@@ -15,8 +15,8 @@ from satconv.boxes import BoxParams, BoxVariant, init_params
 from satconv.cli import render_boxes_svg
 from satconv.gradcheck import run_adjoint_check, run_gradcheck
 from satconv.layer import BoxConvLayer
-from satconv.oracle import DenseKernel, effective_kernel, naive_conv
-from satconv.sat import build_sat, region_sum
+from satconv.oracle import DenseKernel, effective_kernel, naive_conv, region_sum
+from satconv.sat import build_sat
 from satconv.train import (
     TrainConfig,
     box_target_kernel,

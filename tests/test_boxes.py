@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,10 @@ from satconv.boxes import (
     BoxParams,
     BoxVariant,
     FeasibilityError,
+    box_arrays,
+    box_geometry,
     compile_plan,
+    feasible,
     init_params,
     load_boxes,
     project_params,
@@ -16,9 +22,37 @@ from satconv.boxes import (
     theta_to_pixel,
 )
 from satconv.layer import BoxConvLayer
-from satconv.sat import build_sat, sample_bilinear
+from satconv.oracle import sample_bilinear
+from satconv.sat import build_sat
 
 finite_theta = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+
+def project(p):
+    """p moved into its feasible set by project_params."""
+    theta, split, _ = box_arrays([p], p.variant)
+    project_params(theta, split, p.variant)
+    return BoxParams(*theta[0].tolist(), p.max_kernel, p.variant, split[0].tolist(),
+                     p.split_weights)
+
+
+def plan_of(p):
+    return BoxConvLayer([p]).plan
+
+
+def flat_taps(plan, c=0):
+    """Channel c's (dx, dy, weight) lattice taps of non-zero weight, site by site."""
+    w = plan.tap_weights()[c]
+    return [(x0 + i, y0 + j, w[ix, iy, j, i])
+            for ix, x0 in enumerate(plan.x_floor[c].tolist())
+            for iy, y0 in enumerate(plan.y_floor[c].tolist())
+            for j in (0, 1) for i in (0, 1) if w[ix, iy, j, i] != 0.0]
+
+
+def sites(p):
+    """The box's sample coordinates per axis, and its sub-boxes."""
+    xs, ys, subs = box_geometry(*box_arrays([p], p.variant), p.max_kernel, p.variant)
+    return xs[0].tolist(), ys[0].tolist(), subs
 
 
 def test_theta_to_pixel_values():
@@ -43,16 +77,16 @@ def test_even_kernel_rejected():
 
 def test_project_feasible_unchanged():
     p = BoxParams(-0.3, 0.4, -0.1, 0.2, 9)
-    assert project_params(p) == p
+    assert project(p) == p
 
 
 def test_project_clips():
-    p = project_params(BoxParams(1.7, 2.0, 0.0, 0.1, 9))
+    p = project(BoxParams(1.7, 2.0, 0.0, 0.1, 9))
     assert p.theta_xl == 1.0 and p.theta_xh == 1.0
 
 
 def test_project_swaps_out_of_order():
-    p = project_params(BoxParams(0.5, -0.5, 0.0, 0.1, 9))
+    p = project(BoxParams(0.5, -0.5, 0.0, 0.1, 9))
     assert (p.theta_xl, p.theta_xh) == (-0.5, 0.5)
 
 
@@ -61,7 +95,7 @@ def test_project_swaps_out_of_order():
 @settings(max_examples=200, deadline=None)
 def test_project_idempotent_and_feasible(ts, s):
     p = BoxParams(*ts, 9, BoxVariant.SPLIT_V, (s,), (1.0, 1.0))
-    q = project_params(p)
+    q = project(p)
     assert -1 <= q.theta_xl <= q.theta_xh <= 1
     assert -1 <= q.theta_yl <= q.theta_yh <= 1
     mid = 0.5 * (q.theta_xl + q.theta_xh)
@@ -71,7 +105,63 @@ def test_project_idempotent_and_feasible(ts, s):
         assert sx == mid
     else:
         assert q.theta_xl < sx < q.theta_xh
-    assert project_params(q) == q
+    assert project(q) == q
+
+
+def _scalar_project(lo, hi, splits):
+    """The projection rules one value at a time: clip, swap, re-center."""
+    lo, hi = (min(max(t, -1.0), 1.0) for t in (lo, hi))
+    lo, hi = (hi, lo) if lo > hi else (lo, hi)
+    out = []
+    for s in splits:
+        mid = 0.5 * (lo + hi)
+        if lo < mid < hi:
+            margin = (hi - lo) * 1e-9
+            s = min(max(s, lo + margin), hi - margin)
+        out.append(s if lo < mid < hi and lo < s < hi else mid)
+    return lo, hi, out
+
+
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_array_projection_follows_the_scalar_rules(variant):
+    """Bit for bit, on random and extreme edges (infinities, the window
+    border and just past it, zeros of both signs, degenerate intervals)."""
+    rng = np.random.default_rng(3)
+    extremes = [-np.inf, np.inf, -1.0, 1.0, 0.0, -0.0, 1e-300, -1 - 2e-16, 1 + 2e-16, 5.0, -3.0]
+    n = 4000
+    theta = np.where(rng.uniform(size=(n, 4)) < 0.5, rng.uniform(-2, 2, size=(n, 4)),
+                     rng.choice(extremes, size=(n, 4)))
+    theta[: n // 4, 1] = theta[: n // 4, 0]
+    split = np.where(rng.uniform(size=(n, 2)) < 0.5, rng.uniform(-2, 2, size=(n, 2)),
+                     rng.choice(extremes, size=(n, 2)))[:, : _N_SPLITS[variant.value]]
+    t, s = theta.copy(), split.copy()
+    project_params(t, s, variant)
+    # the low edge of the axis each split line divides, in split order
+    axes = {"single": (), "split_h": (2,), "split_v": (0,), "split_4": (0, 2)}[variant.value]
+    for c in range(n):
+        want_t, want_s = theta[c].tolist(), []
+        for lo in (0, 2):
+            lines = [split[c, j] for j, e in enumerate(axes) if e == lo]
+            want_t[lo], want_t[lo + 1], out = _scalar_project(*theta[c, lo : lo + 2], lines)
+            want_s += out
+        assert np.array(want_t).tobytes() == t[c].tobytes(), (theta[c], t[c])
+        assert np.array(want_s, dtype=float).tobytes() == s[c].tobytes(), (split[c], s[c])
+    assert feasible(t, s, np.ones((n, 1)), variant).all()
+
+
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_projection_keeps_nan(variant):
+    """A NaN edge or split is never projected to a finite value (np.fmin or
+    nan_to_num would do that), so compile_plan rejects it."""
+    p = init_params(9, variant, np.random.default_rng(0))
+    for i in range(4 + len(p.split_theta)):
+        theta, split, weight = box_arrays([p, p], variant)
+        arr, j = (theta, i) if i < 4 else (split, i - 4)
+        arr[1, j] = np.nan
+        project_params(theta, split, variant)
+        assert np.isnan(theta[1]).any() or np.isnan(split[1]).any(), i
+        assert not feasible(theta, split, weight, variant)[1]
+        assert feasible(theta, split, weight, variant)[0]
 
 
 @pytest.mark.parametrize("variant", list(BoxVariant))
@@ -101,8 +191,7 @@ def test_init_marginal_is_uniform():
 
 def test_plan_integer_corners_collapse():
     p = BoxParams(-0.5, 0.25, -0.25, 0.5, 9)  # offsets -2, 1, -1, 2
-    plan = compile_plan(p)
-    nonzero = [t for t in plan.taps if t[2] != 0.0]
+    nonzero = flat_taps(plan_of(p))
     assert len(nonzero) == 4
     assert sorted(t[2] for t in nonzero) == [-1.0, -1.0, 1.0, 1.0]
     assert {(t[0], t[1]) for t in nonzero} == {(-2, -1), (2, -1), (-2, 3), (2, 3)}
@@ -118,17 +207,17 @@ def test_plan_terms_multiply_out_to_taps(rng, variant):
         unequal = BoxParams(*p.thetas, p.max_kernel, variant, p.split_theta,
                             tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights))))
         for q, n_terms in ((p, 1), (unequal, 2 if variant == BoxVariant.SPLIT_4 else 1)):
-            plan = compile_plan(q)
-            assert len(plan.terms) == n_terms
+            plan = plan_of(q)
+            assert len(plan.terms[0]) == n_terms
             product = {}
-            for xs, ys in plan.terms:
+            for xs, ys in plan.terms[0]:
                 assert [o for o, _ in xs] == sorted({o for o, _ in xs})
                 assert all(wt != 0.0 for _, wt in xs + ys)
                 for dx, wx in xs:
                     for dy, wy in ys:
                         product[dx, dy] = product.get((dx, dy), 0.0) + wx * wy
             taps = {}  # sites of a narrow box can share a lattice offset
-            for dx, dy, wt in plan.taps:
+            for dx, dy, wt in flat_taps(plan):
                 taps[dx, dy] = taps.get((dx, dy), 0.0) + wt
             for key in set(product) | set(taps):
                 assert abs(product.get(key, 0.0) - taps.get(key, 0.0)) < 1e-14, (q, key)
@@ -142,7 +231,7 @@ def test_plan_sample_counts():
         BoxVariant.SPLIT_V: 24,
         BoxVariant.SPLIT_4: 36,
     }
-    sites = {
+    n_sites = {
         BoxVariant.SINGLE: 4,
         BoxVariant.SPLIT_H: 6,
         BoxVariant.SPLIT_V: 6,
@@ -154,9 +243,9 @@ def test_plan_sample_counts():
         weights = tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights)))
         if variant != BoxVariant.SINGLE:
             p = BoxParams(*p.thetas, 9, variant, p.split_theta, weights)
-        plan = compile_plan(p)
-        assert plan.n_samples == n
-        assert len(plan.x_sites) * len(plan.y_sites) == sites[variant]
+        plan = plan_of(p)
+        assert list(plan.n_taps) == [n] and len(flat_taps(plan)) == n
+        assert plan.x_floor.shape[1] * plan.y_floor.shape[1] == n_sites[variant]
 
 
 def test_plan_matches_four_corner_sampling(rng):
@@ -165,10 +254,9 @@ def test_plan_matches_four_corner_sampling(rng):
     plane = rng.normal(size=(10, 10))
     sat = build_sat(plane)
     p = init_params(9, BoxVariant.SINGLE, rng)
-    plan = compile_plan(p)
     cx = cy = 5
-    got = sum(w * sat[cy + dy, cx + dx] for dx, dy, w in plan.taps)
-    (xl, xh1), (yl, yh1) = plan.x_sites, plan.y_sites
+    got = sum(w * sat[cy + dy, cx + dx] for dx, dy, w in flat_taps(plan_of(p)))
+    (xl, xh1), (yl, yh1), _ = sites(p)
     want = (
         sample_bilinear(sat, cx + xh1, cy + yh1)
         + sample_bilinear(sat, cx + xl, cy + yl)
@@ -200,16 +288,15 @@ def draw_projected_box(data, ks=(5, 9, 13)):
     ts = [data.draw(finite_theta) for _ in range(4)]
     splits = tuple(data.draw(finite_theta) for _ in range(_N_SPLITS[variant.value]))
     weights = (1.0,) * _N_WEIGHTS[variant.value]
-    return project_params(BoxParams(*ts, k, variant, splits, weights))
+    return project(BoxParams(*ts, k, variant, splits, weights))
 
 
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_plan_taps_stay_in_window_plus_one(data):
     p = draw_projected_box(data)
-    plan = compile_plan(p)
     r = (p.max_kernel - 1) // 2
-    for dx, dy, w in plan.taps:
+    for dx, dy, w in flat_taps(plan_of(p)):
         if w != 0.0:
             assert -r <= dx <= r + 1 and -r <= dy <= r + 1
 
@@ -225,14 +312,13 @@ def test_plan_area_on_constant_source(data):
     weights = tuple(data.draw(st.floats(-2, 2)) for _ in p.split_weights)
     if variant != BoxVariant.SINGLE:
         p = BoxParams(*p.thetas, k, variant, p.split_theta, weights)
-    plan = compile_plan(p)
     n = 2 * k
     x = np.ones((1, n, n))
     out, _ = BoxConvLayer([p]).forward(x)
     center = out[0, n // 2, n // 2]
-    xs, ys = plan.x_sites, plan.y_sites
+    xs, ys, subs = sites(p)
     area = sum(w * (xs[ixh] - xs[ixl]) * (ys[iyh] - ys[iyl])
-               for ixl, ixh, iyl, iyh, w in plan.sub_boxes)
+               for (ixl, ixh, iyl, iyh), w in zip(subs, p.split_weights))
     assert abs(center - area) < 1e-9
 
 
@@ -247,10 +333,22 @@ def test_plan_continuity_under_tiny_perturbation(rng):
 
 
 def test_infeasible_params_rejected():
-    with pytest.raises(FeasibilityError):
-        compile_plan(BoxParams(0.5, -0.5, 0.0, 0.0, 9))
-    with pytest.raises(FeasibilityError):
-        compile_plan(BoxParams(-1.5, 0.5, 0.0, 0.0, 9))
+    for bad in (
+        BoxParams(0.5, -0.5, 0.0, 0.0, 9),
+        BoxParams(-1.5, 0.5, 0.0, 0.0, 9),
+        BoxParams(np.nan, 0.5, 0.0, 0.0, 9),
+        BoxParams(-0.5, 0.5, 0.0, 0.0, 9, BoxVariant.SPLIT_V, (0.9,), (1.0, 1.0)),
+        BoxParams(-0.5, 0.5, 0.0, 0.0, 9, BoxVariant.SPLIT_V, (0.1,), (1.0, np.inf)),
+    ):
+        good = replace(bad, theta_xl=-0.5, theta_xh=0.5,
+                       split_theta=(0.0,) * len(bad.split_theta),
+                       split_weights=(1.0,) * len(bad.split_weights))
+        theta, split, weight = box_arrays([good, good, bad], bad.variant)
+        assert list(feasible(theta, split, weight, bad.variant)) == [True, True, False]
+        with pytest.raises(FeasibilityError, match="channel 2"):
+            compile_plan(theta, split, weight, 9, bad.variant)
+        with pytest.raises(FeasibilityError, match="channel 0"):
+            BoxConvLayer([bad])
 
 
 def test_box_file_roundtrip(tmp_path, rng):
@@ -270,4 +368,17 @@ def test_box_file_rejects_bad_lines(tmp_path):
         load_boxes(path)
     path.write_text("")
     with pytest.raises(ValueError):
+        load_boxes(path)
+
+
+@pytest.mark.parametrize("line", [
+    "single 9 nan 2.0 0.3 -0.2",
+    "single 9 -0.5 1.5 -0.2 0.3",
+    "split_v 9 -0.5 0.5 -0.2 0.3 0.9 1 1",  # split line right of the high edge
+    "split_h 9 -0.5 0.5 -0.2 0.3 0.1 1 nan",
+])
+def test_box_file_rejects_infeasible_boxes(tmp_path, line):
+    path = tmp_path / "boxes.txt"
+    path.write_text("single 9 -0.5 0.5 -0.2 0.3\n" + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*infeasible"):
         load_boxes(path)

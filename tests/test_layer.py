@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import satconv.layer
-from satconv.boxes import BoxParams, BoxVariant, compile_plan, init_params
+from satconv.boxes import BoxParams, BoxVariant, init_params
 from satconv.dense import conv2d
 from satconv.fmap import DimensionError
 from satconv.layer import BoxConvLayer
@@ -163,15 +163,21 @@ def test_layer_validation(rng):
         layer.backward(saved, np.zeros((1, 3, 3)))
 
 
-def test_set_boxes_recompiles(rng):
-    layer = BoxConvLayer([BoxParams(0, 0, 0, 0, 9)])
-    x = rng.normal(size=(1, 6, 6))
-    out1, _ = layer.forward(x)
-    layer.set_boxes([BoxParams(-1, 1, -1, 1, 9)])
+def test_recompile_reads_the_arrays(rng):
+    layer = BoxConvLayer([BoxParams(0, 0, 0, 0, 9), BoxParams(0, 0, 0, 0, 9)])
+    x = rng.normal(size=(2, 6, 6))
+    out1, saved = layer.forward(x)
+    layer.theta[1] = (-1, 1, -1, 1)
+    layer.recompile()
+    assert layer.boxes[1] == BoxParams(-1, 1, -1, 1, 9)
     out2, _ = layer.forward(x)
-    assert not np.allclose(out1, out2)
-    with pytest.raises(DimensionError):
-        layer.set_boxes([BoxParams(0, 0, 0, 0, 9)] * 2)
+    assert np.array_equal(out2[0], out1[0]) and not np.allclose(out2[1], out1[1])
+    assert np.array_equal(out2, BoxConvLayer(layer.boxes).forward(x)[0])
+    # a forward's saved plan is its own: backward after a recompile still
+    # differentiates the boxes that forward ran
+    grad = layer.backward(saved, np.ones_like(out1)).grad_input
+    assert np.array_equal(grad[1], BoxConvLayer([BoxParams(0, 0, 0, 0, 9)]).forward(
+        np.ones((1, 6, 6)))[0][0])
 
 
 @pytest.mark.parametrize(
@@ -297,27 +303,34 @@ def test_split_weight_gradient_is_sub_box_response(rng, variant, on_lattice, str
 
 
 def _unpruned(plan):
-    """The plan with every cell corner of every site as a tap, zero weights included."""
-    taps = []
-    for ix, (x0, a) in enumerate(plan.x_cells):
-        for iy, (y0, b) in enumerate(plan.y_cells):
-            c = plan.coeffs[ix][iy]
-            taps += [(x0, y0, c * ((1 - a) * (1 - b))), (x0 + 1, y0, c * (a * (1 - b))),
-                     (x0, y0 + 1, c * ((1 - a) * b)), (x0 + 1, y0 + 1, c * (a * b))]
-    return replace(plan, taps=tuple(taps))
+    """The plan with a zero-weight tap at every cell corner its terms leave out."""
+    def fill(taps, floors):
+        have = dict(taps)
+        corners = {f + i for f in floors for i in (0, 1)}
+        return tuple((off, have.get(off, 0.0)) for off in sorted(corners | set(have)))
+
+    terms = [tuple((fill(xs, xf), fill(ys, yf)) for xs, ys in channel_terms)
+             for channel_terms, xf, yf in zip(plan.terms, plan.x_floor.tolist(),
+                                               plan.y_floor.tolist())]
+    return replace(plan, terms=terms)
+
+
+def _n_term_taps(plan):
+    return sum(len(xs) + len(ys) for channel_terms in plan.terms for xs, ys in channel_terms)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_zero_weight_taps_pruned_without_changing_results(rng, stride):
     equal_split = init_params(9, BoxVariant.SPLIT_4, rng)  # equal sub-box weights
     clipped = BoxParams(-1.0, 0.3, -0.2, 1.0, 9)  # two edges on the window border
-    assert compile_plan(equal_split).n_samples == 16
-    assert _unpruned(compile_plan(equal_split)).n_samples == 36
-    assert compile_plan(clipped).n_samples == 9
+    plan = BoxConvLayer([equal_split]).plan
+    assert plan.tap_weights().size == 36 and list(plan.n_taps) == [16]
+    plan = BoxConvLayer([clipped]).plan
+    assert list(plan.n_taps) == [9] and _n_term_taps(_unpruned(plan)) > _n_term_taps(plan)
     for p in (equal_split, clipped):
         pruned = BoxConvLayer([p], stride=stride)
         full = BoxConvLayer([p], stride=stride)
-        full.plans = [_unpruned(full.plans[0])]
+        full.plan = _unpruned(full.plan)
         x = rng.normal(size=(2, 1, 12, 11))
         y, saved = pruned.forward(x)
         y_full, saved_full = full.forward(x)
@@ -338,16 +351,17 @@ _EDGE_SPLITS = {
 }
 
 
-def _table_taps(x, plan):
-    """backward's input-path routine on the edge-padded table of planes x, at stride 1."""
+def _table_taps(x, plan, c):
+    """backward's input-path routine for channel c on the edge-padded table of planes x,
+    at stride 1."""
     h, w = x.shape[-2:]
-    left, right = satconv.layer._margins(plan.x_cells, w, w, 1)
-    top, bottom = satconv.layer._margins(plan.y_cells, h, h, 1)
+    left, right = satconv.layer._margins(plan.x_floor[c], w, w, 1)
+    top, bottom = satconv.layer._margins(plan.y_floor[c], h, h, 1)
     padded = np.empty(x.shape[:-2] + (top + h + 2 + bottom, left + w + 1 + right))
     build_sat(x, out=padded[..., top : top + h + 1, left : left + w + 1])
     satconv.layer._edge_pad(padded, top, left, h, w)
     out = np.empty(x.shape[:-1] + padded.shape[-1:])
-    satconv.layer._table_channel(padded, top, left, plan, out)
+    satconv.layer._table_channel(padded, top, left, plan, c, out)
     return out[..., :w]
 
 
@@ -377,12 +391,12 @@ def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, varia
             monkeypatch.setattr(satconv.layer, "STRIP_BYTES", 8 * n * out_w * rows)
         out, saved = layer.forward(x)
         outs.append(out.tobytes())
-        for c, plan in enumerate(layer.plans):
+        for c in range(layer.channels):
             want = dense[c][..., ::stride, ::stride]
             scale = max(1e-12, float(np.max(np.abs(want))))
             assert np.max(np.abs(out[:, c] - want)) / scale < 1e-12
             if stride == 1:  # the table routine, which backward runs at stride 1 only
-                taps = _table_taps(x[:, c], plan)
+                taps = _table_taps(x[:, c], layer.plan, c)
                 assert np.max(np.abs(taps - want)) / scale < 1e-12
                 tables.append(taps.tobytes())
         grads.append(layer.backward(saved, g).grad_input.tobytes())

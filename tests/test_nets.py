@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from satconv.boxes import BoxVariant
+from satconv.boxes import BoxVariant, FeasibilityError
 from satconv.fmap import DimensionError, channel_shuffle
 from satconv.nets import (
     Adam,
@@ -171,3 +171,18 @@ def test_box_depthwise_post_step_projects(rng):
     assert -1 <= t[0] <= t[1] <= 1 and -1 <= t[2] <= t[3] <= 1
     # plans were refreshed to the projected boxes
     assert module.conv.boxes[0].thetas == tuple(t)
+
+
+@pytest.mark.parametrize("variant", [BoxVariant.SINGLE, BoxVariant.SPLIT_4])
+def test_box_depthwise_post_step_rejects_nan(rng, variant):
+    """A NaN left by an optimizer step fails post_step, naming its channel,
+    whichever array it sits in."""
+    for name, col in (("theta", 1), ("split", 1), ("weight", 3)):
+        module = BoxDepthwise(rng, 4, 9, variant)
+        arr = getattr(module, name)
+        if col >= arr.shape[1]:
+            continue
+        arr[2, col] = np.nan
+        with pytest.raises(FeasibilityError, match="channel 2") as err:
+            module.post_step()
+        assert "project" not in str(err.value)

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import satconv.layer
-from satconv.boxes import init_params
+import satconv.nets
+from satconv.boxes import BoxParams, BoxVariant, init_params
 
 
 def test_tracer_finds_every_traced_name(monkeypatch):
@@ -20,6 +22,27 @@ def test_tracer_finds_every_traced_name(monkeypatch):
     hooked = {(owner, attr) for owner, attr, _orig, _wrapper in tracer._patches}
     for name in ("build_sat", "sat_backward", "compile_plan"):
         assert (satconv.layer, name) in hooked
+    assert (satconv.nets, "project_params") in hooked
+
+
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_post_step_projects_and_compiles_once_per_layer(monkeypatch, variant):
+    # boxes.project_params_calls_per_step and boxes.compile_plan_calls_per_step
+    # count calls through these names: one each per box layer and step, and
+    # no BoxParams is built on the way.
+    calls = []
+    for module, name in ((satconv.nets, "project_params"), (satconv.layer, "compile_plan")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    module = satconv.nets.BoxDepthwise(np.random.default_rng(0), 16, 13, variant)
+    post_init = BoxParams.__post_init__
+    monkeypatch.setattr(BoxParams, "__post_init__",
+                        lambda self: calls.append("BoxParams") or post_init(self))
+    calls.clear()
+    module.theta += 0.01
+    module.post_step()
+    assert calls == ["project_params", "compile_plan"]
 
 
 def test_forward_builds_one_table_block_per_channel(monkeypatch):

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from satconv.fmap import DimensionError
-from satconv.sat import (
-    build_sat,
-    region_sum,
-    sample_bilinear,
-    sample_bilinear_grad,
-    sat_backward,
-)
+from satconv.oracle import region_sum, sample_bilinear, sample_bilinear_grad
+from satconv.sat import build_sat, sat_backward
 
 
 def brute_prefix(plane):
