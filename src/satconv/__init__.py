@@ -11,7 +11,6 @@ from .boxes import (
     load_boxes,
     project_params,
     save_boxes,
-    theta_to_pixel,
 )
 from .fmap import (
     DimensionError,
@@ -32,7 +31,6 @@ from .oracle import (
     finite_diff,
     naive_conv,
     region_sum,
-    rel_error,
     sample_bilinear,
     sample_bilinear_grad,
 )

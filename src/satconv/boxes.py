@@ -114,15 +114,6 @@ def box_arrays(boxes, variant):
             np.array([p.split_weights for p in boxes], dtype=np.float64).reshape(c, N_WEIGHTS[variant]))
 
 
-def theta_to_pixel(theta: float, k: int) -> float:
-    """Map a normalized coordinate to a centered pixel offset: theta * (k-1)/2."""
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"kernel size must be odd and >= 3, got {k}")
-    if not -1.0 <= theta <= 1.0:
-        raise FeasibilityError(f"theta {theta} outside [-1, 1]; project first")
-    return theta * (k - 1) / 2
-
-
 def feasible(theta, split, weight, variant) -> np.ndarray:
     """Per box (row), whether it satisfies FEASIBLE: the contract compile_plan
     and the layer forward assume. NaN fails every comparison, so it is never

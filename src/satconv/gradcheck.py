@@ -46,13 +46,16 @@ def rel_err(a: float, b: float) -> float:
 class GradCheckReport:
     """Per category: the largest floored relative error (max_errors, which
     the pass rule reads) and the largest absolute analytic-vs-FD difference
-    (max_abs_diffs, which shows agreement below the floor too)."""
+    (max_abs_diffs, which shows agreement below the floor too); n_nonzero
+    counts the checks whose analytic gradient was not 0, so a category whose
+    derivatives all vanish shows as checked but untested."""
 
     tolerance: float
     n_configs: int
     max_errors: dict = field(default_factory=dict)
     max_abs_diffs: dict = field(default_factory=dict)
     n_checks: dict = field(default_factory=dict)
+    n_nonzero: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
     @property
@@ -65,6 +68,7 @@ class GradCheckReport:
         self.max_abs_diffs[category] = max(self.max_abs_diffs.get(category, 0.0),
                                            abs(analytic - fd))
         self.n_checks[category] = self.n_checks.get(category, 0) + 1
+        self.n_nonzero[category] = self.n_nonzero.get(category, 0) + int(analytic != 0.0)
         if err >= self.tolerance:
             self.failures.append(f"{category} at {where}: rel err {err:.3e}")
 
@@ -92,6 +96,9 @@ def _draw_config(rng, ks, sizes, strides, variants):
         if all(min(s - t[lo], t[lo + 1] - s) >= 5e-3
                for s, lo in zip(p.split_theta, SPLIT_EDGES[variant])):
             break
+    if variant != BoxVariant.SINGLE:
+        # unequal sub-box weights: with equal ones every split site cancels
+        p = replace(p, split_weights=tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights))))
     p = replace(
         p,
         theta_xl=_nudge_theta(p.theta_xl, k),
@@ -219,6 +226,7 @@ def merge_reports(*reports) -> GradCheckReport:
             merged.max_abs_diffs[cat] = max(merged.max_abs_diffs.get(cat, 0.0),
                                             r.max_abs_diffs[cat])
             merged.n_checks[cat] = merged.n_checks.get(cat, 0) + r.n_checks[cat]
+            merged.n_nonzero[cat] = merged.n_nonzero.get(cat, 0) + r.n_nonzero[cat]
         merged.failures.extend(r.failures)
     return merged
 
@@ -230,7 +238,8 @@ def format_report(report: GradCheckReport, seed: int) -> str:
     for cat in CATEGORIES:
         if cat in report.max_errors:
             lines.append(
-                f"  {cat:<14} checks={report.n_checks[cat]:<5d} max_rel_err={report.max_errors[cat]:.3e}"
+                f"  {cat:<14} checks={report.n_checks[cat]:<5d}"
+                f" nonzero={report.n_nonzero[cat]:<5d} max_rel_err={report.max_errors[cat]:.3e}"
                 f" max_abs_diff={report.max_abs_diffs[cat]:.3e}"
             )
     for fail in report.failures:

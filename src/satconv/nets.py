@@ -2,7 +2,9 @@
 
 No autograd graph: every module implements forward(x) -> (y, ctx) and
 backward(ctx, grad_y) -> (grad_x, grads), where grads is keyed like
-params(). Composite modules namespace child parameters as "child.name".
+params(). A composite declares its tree once, as children: (name, module)
+pairs. From them Module derives params(), keyed "name.key" in child order,
+and post_step(); backward keys child gradients the same way with prefixed().
 Feature maps are (C, H, W) or a batch (N, C, H, W); a batched backward
 returns each parameter's per-sample gradients summed in sample order, so
 the sum equals that of N unbatched passes bit for bit. A ctx serves one
@@ -41,9 +43,16 @@ def sum_samples(grad, batched: bool):
     return total
 
 
+def prefixed(name: str, grads: dict) -> dict:
+    """A child's gradients, keyed as its parent's params() keys them."""
+    return {f"{name}.{k}": v for k, v in grads.items()}
+
+
 class Module:
+    children = ()  # (name, module) pairs; empty for a leaf
+
     def params(self) -> dict:
-        return {}
+        return {f"{name}.{k}": v for name, child in self.children for k, v in child.params().items()}
 
     def forward(self, x):
         raise NotImplementedError
@@ -52,7 +61,8 @@ class Module:
         raise NotImplementedError
 
     def post_step(self) -> None:
-        pass
+        for _, child in self.children:
+            child.post_step()
 
 
 class Pointwise(Module):
@@ -120,18 +130,20 @@ class BoxDepthwise(Module):
     updates in place; post_step projects them and recompiles the layer.
     """
 
-    def __init__(self, rng, channels: int, k: int, variant=BoxVariant.SINGLE, stride: int = 1):
-        self.conv = BoxConvLayer([init_params(k, variant, rng) for _ in range(channels)], stride)
+    def __init__(self, rng, channels: int, k: int, variant=BoxVariant.SINGLE):
+        self.conv = BoxConvLayer([init_params(k, variant, rng) for _ in range(channels)])
         self.variant = self.conv.variant
         self.theta, self.split, self.weight = self.conv.theta, self.conv.split, self.conv.weight
+        # (name, BoxGrads field) of each trained array: theta always, split
+        # if the variant has split lines, weight unless it is single
+        self.trained = [("theta", "theta")]
+        if N_SPLITS[self.variant]:
+            self.trained.append(("split", "split_theta"))
+        if self.variant != BoxVariant.SINGLE:
+            self.trained.append(("weight", "split_weights"))
 
     def params(self):
-        p = {"theta": self.theta}
-        if N_SPLITS[self.variant]:
-            p["split"] = self.split
-        if self.variant != BoxVariant.SINGLE:
-            p["weight"] = self.weight
-        return p
+        return {name: getattr(self, name) for name, _ in self.trained}
 
     def forward(self, x):
         return self.conv.forward(x)
@@ -139,12 +151,8 @@ class BoxDepthwise(Module):
     def backward(self, ctx, g):
         lg = self.conv.backward(ctx, g)
         batched = ctx.x.ndim == 4
-        grads = {"theta": sum_samples(lg.boxes.theta, batched)}
-        if N_SPLITS[self.variant]:
-            grads["split"] = sum_samples(lg.boxes.split_theta, batched)
-        if self.variant != BoxVariant.SINGLE:
-            grads["weight"] = sum_samples(lg.boxes.split_weights, batched)
-        return lg.grad_input, grads
+        return lg.grad_input, {name: sum_samples(getattr(lg.boxes, field), batched)
+                               for name, field in self.trained}
 
     def post_step(self):
         project_params(self.theta, self.split, self.variant)
@@ -168,14 +176,7 @@ class Broadcast(Module):
 
 class Sequential(Module):
     def __init__(self, children):
-        self.children = list(children)  # (name, module) pairs
-
-    def params(self):
-        out = {}
-        for name, child in self.children:
-            for k, v in child.params().items():
-                out[f"{name}.{k}"] = v
-        return out
+        self.children = list(children)
 
     def forward(self, x):
         ctxs = []
@@ -190,13 +191,8 @@ class Sequential(Module):
             name, child = self.children[i]
             g, child_grads = child.backward(ctxs[i], g)
             ctxs[i] = None  # frees this child's activations before the next child runs
-            for k, v in child_grads.items():
-                grads[f"{name}.{k}"] = v
+            grads.update(prefixed(name, child_grads))
         return g, grads
-
-    def post_step(self):
-        for _, child in self.children:
-            child.post_step()
 
 
 class ShuffleHalfBlock(Module):
@@ -208,9 +204,7 @@ class ShuffleHalfBlock(Module):
             raise DimensionError(f"block needs an even channel count, got {channels}")
         self.channels = channels
         self.inner = inner
-
-    def params(self):
-        return {f"inner.{k}": v for k, v in self.inner.params().items()}
+        self.children = (("inner", inner),)
 
     def forward(self, x):
         half = self.channels // 2
@@ -225,11 +219,7 @@ class ShuffleHalfBlock(Module):
         half = self.channels // 2
         g_keep, g_work = channel_split(channel_shuffle(g, half), half)  # un-interleave
         g_work, inner_grads = self.inner.backward(ictx, g_work)
-        grads = {f"inner.{k}": v for k, v in inner_grads.items()}
-        return channel_concat(g_keep, g_work), grads
-
-    def post_step(self):
-        self.inner.post_step()
+        return channel_concat(g_keep, g_work), prefixed("inner", inner_grads)
 
 
 class ChannelChangeBlock(Module):
@@ -243,11 +233,7 @@ class ChannelChangeBlock(Module):
         self.proj = Sequential(
             [("pw", Pointwise(rng, in_ch, out_ch // 2)), ("act", Relu())]
         )
-
-    def params(self):
-        out = {f"inner.{k}": v for k, v in self.inner.params().items()}
-        out.update({f"proj.{k}": v for k, v in self.proj.params().items()})
-        return out
+        self.children = (("inner", inner), ("proj", self.proj))
 
     def forward(self, x):
         a, actx = self.inner.forward(x)
@@ -259,25 +245,17 @@ class ChannelChangeBlock(Module):
         ga, gb = channel_split(channel_shuffle(g, g.shape[-3] // 2), half)
         ga, inner_grads = self.inner.backward(actx, ga)
         gb, proj_grads = self.proj.backward(bctx, gb)
-        grads = {f"inner.{k}": v for k, v in inner_grads.items()}
-        grads.update({f"proj.{k}": v for k, v in proj_grads.items()})
-        return ga + gb, grads
-
-    def post_step(self):
-        self.inner.post_step()
-        self.proj.post_step()
+        return ga + gb, {**prefixed("inner", inner_grads), **prefixed("proj", proj_grads)}
 
 
 class Adam:
     """Bias-corrected Adam updating parameter arrays in place."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float = 1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in self.params.items()}

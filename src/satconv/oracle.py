@@ -176,7 +176,3 @@ def sample_bilinear_grad(sat, x: float, y: float):
 def finite_diff(f, at: float, h: float = 1e-5) -> float:
     """Central difference (f(at+h) - f(at-h)) / 2h."""
     return (f(at + h) - f(at - h)) / (2.0 * h)
-
-
-def rel_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-8)

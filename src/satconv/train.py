@@ -359,19 +359,10 @@ def write_log_csv(path, rows) -> None:
 
 
 def collect_boxes(model) -> list:
-    found = []
-
-    def walk(m):
-        if isinstance(m, BoxDepthwise):
-            found.extend(m.conv.boxes)
-        for attr in ("children",):
-            for _, child in getattr(m, attr, []):
-                walk(child)
-        for attr in ("inner", "proj"):
-            if hasattr(m, attr):
-                walk(getattr(m, attr))
-
-    walk(model)
+    """The boxes of every BoxDepthwise in the tree, in params() order."""
+    found = list(model.conv.boxes) if isinstance(model, BoxDepthwise) else []
+    for _, child in model.children:
+        found += collect_boxes(child)
     return found
 
 
@@ -380,8 +371,9 @@ def write_checkpoint(outdir, model) -> None:
     boxes = collect_boxes(model)
     if boxes:
         save_boxes(os.path.join(outdir, "boxes.txt"), boxes)
-    for key in sorted(model.params()):
-        arr = model.params()[key]
+    params = model.params()
+    for key in sorted(params):
+        arr = params[key]
         if key.endswith(("theta", "split", "weight")):
             continue  # box parameters live in boxes.txt
         shaped = arr.reshape((1,) * (3 - arr.ndim) + arr.shape) if arr.ndim < 3 else arr

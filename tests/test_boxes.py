@@ -19,7 +19,6 @@ from satconv.boxes import (
     project_params,
     sample_init_thetas,
     save_boxes,
-    theta_to_pixel,
 )
 from satconv.layer import BoxConvLayer
 from satconv.oracle import sample_bilinear
@@ -53,19 +52,6 @@ def sites(p):
     """The box's sample coordinates per axis, and its sub-boxes."""
     xs, ys, subs = box_geometry(*box_arrays([p], p.variant), p.max_kernel, p.variant)
     return xs[0].tolist(), ys[0].tolist(), subs
-
-
-def test_theta_to_pixel_values():
-    assert theta_to_pixel(0.0, 13) == 0.0
-    assert theta_to_pixel(1.0, 13) == 6.0
-    assert theta_to_pixel(-0.5, 9) == -2.0
-
-
-def test_theta_to_pixel_contract():
-    with pytest.raises(FeasibilityError):
-        theta_to_pixel(1.2, 9)
-    with pytest.raises(ValueError):
-        theta_to_pixel(0.5, 8)
 
 
 def test_even_kernel_rejected():

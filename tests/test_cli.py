@@ -4,6 +4,7 @@ import pytest
 from satconv.bench import CSV_HEADER, run_bench
 from satconv.boxes import BoxParams, init_params, save_boxes
 from satconv.cli import main, render_boxes_svg
+from satconv.gradcheck import format_report, run_gradcheck
 from satconv.layer import BoxConvLayer
 from satconv.oracle import DenseKernel
 
@@ -142,3 +143,13 @@ def test_train_rejects_even_kernel_before_running(tmp_path, capsys):
 def test_train_missing_config(capsys):
     code, _, err = run_cli(capsys, "train", "/does/not/exist.cfg")
     assert code == 2
+
+
+def test_gradcheck_split_gradients_are_nonzero():
+    """Split gradients cancel when every sub-box weighs the same; the drawn
+    configs must give them something to check."""
+    rep = run_gradcheck(seed=0, n_configs=12)
+    assert rep.passed
+    assert rep.n_nonzero["split_x"] > 0 and rep.n_nonzero["split_y"] > 0
+    assert rep.n_nonzero["weight"] > 0
+    assert f"nonzero={rep.n_nonzero['split_x']}" in format_report(rep, 0)

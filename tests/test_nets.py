@@ -11,11 +11,14 @@ from satconv.nets import (
     Broadcast,
     ChannelChangeBlock,
     DenseDepthwise,
+    Module,
     Pointwise,
     Relu,
     Sequential,
     ShuffleHalfBlock,
 )
+from satconv.layer import BoxConvLayer
+from satconv.train import collect_boxes
 
 
 def scalar_adam_reference(grad_fn, theta, lr, steps):
@@ -186,3 +189,46 @@ def test_box_depthwise_post_step_rejects_nan(rng, variant):
         with pytest.raises(FeasibilityError, match="channel 2") as err:
             module.post_step()
         assert "project" not in str(err.value)
+
+
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_box_depthwise_param_order(rng, variant):
+    module = BoxDepthwise(rng, 3, 9, variant)
+    want = ["theta"] if variant == BoxVariant.SINGLE else ["theta", "split", "weight"]
+    assert list(module.params()) == want
+    y, ctx = module.forward(rng.normal(size=(2, 3, 8, 8)))
+    _, grads = module.backward(ctx, rng.normal(size=y.shape))
+    assert list(grads) == want
+    assert all(grads[k].shape == v.shape for k, v in module.params().items())
+
+
+class TwoBoxes(Module):
+    """A composite that declares only its children, under names of its own."""
+
+    def __init__(self, rng):
+        self.smooth = BoxDepthwise(rng, 2, 9, BoxVariant.SPLIT_4)
+        self.wide = Sequential([("dw", BoxDepthwise(rng, 3, 13)), ("act", Relu())])
+        self.children = (("smooth", self.smooth), ("wide", self.wide))
+
+
+def test_composite_declares_children_only(rng):
+    net = TwoBoxes(rng)
+    wide_box = net.wide.children[0][1]
+    params = net.params()
+    assert list(params) == ["smooth.theta", "smooth.split", "smooth.weight", "wide.dw.theta"]
+    assert params["smooth.split"] is net.smooth.split
+    assert params["wide.dw.theta"] is wide_box.theta
+
+    params["smooth.theta"][1] = [0.9, -1.4, 0.3, 0.2]  # out of order and out of range
+    params["wide.dw.theta"][2] = [0.5, 0.1, -0.2, -0.6]
+    net.post_step()
+    assert net.smooth.conv.boxes[1].thetas == (-1.0, 0.9, 0.2, 0.3)
+    assert wide_box.conv.boxes[2].thetas == (0.1, 0.5, -0.6, -0.2)
+    for box in (net.smooth, wide_box):  # the plans were recompiled from the projected arrays
+        x = rng.normal(size=(box.conv.channels, 10, 10))
+        fresh, _ = BoxConvLayer(box.conv.boxes).forward(x)
+        assert np.array_equal(box.forward(x)[0], fresh)
+
+    found = collect_boxes(net)
+    assert found == net.smooth.conv.boxes + wide_box.conv.boxes
+    assert len(found) == 5

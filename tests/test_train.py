@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from satconv.train import (
     ConfigError,
     TrainConfig,
     box_target_kernel,
+    build_keypoint_net,
     kernel_rel_error,
     log_target_kernel,
     parse_config,
@@ -166,3 +169,18 @@ def test_artifact_writers(tmp_path):
     boxes = load_boxes(tmp_path / "ckpt" / "boxes.txt")
     assert len(boxes) == 2  # half the trunk width
     assert any((tmp_path / "ckpt").glob("param__*.fm"))
+
+
+def test_keypoint_net_param_order_is_pinned(rng):
+    """Adam's state and the benchmark's box snapshots read params() in order."""
+    cfg = parse_config(Path(__file__).parents[1] / "scripts" / "configs" / "keypoints_32.cfg")
+    net, _ = build_keypoint_net(rng, cfg)
+    blocks = []
+    for i, dw in enumerate(("kernels", "theta", "kernels", "theta")):
+        blocks += [f"blk{i}.inner.dw.{dw}", f"blk{i}.inner.pw.matrix", f"blk{i}.inner.pw.bias"]
+    assert list(net.params()) == [
+        "stem.inner.dw.kernels", "stem.inner.pw.matrix", "stem.inner.pw.bias",
+        "stem.proj.pw.matrix", "stem.proj.pw.bias",
+        *blocks,
+        "head.matrix", "head.bias",
+    ]
