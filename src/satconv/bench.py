@@ -31,7 +31,7 @@ import numpy as np
 from .boxes import init_params
 from .dense import conv2d
 from .layer import BoxConvLayer
-from .oracle import effective_kernel
+from .oracle import effective_kernels
 from .sat import build_sat
 
 CSV_HEADER = "method,k,channels,height,width,wall_ms,multadds,checksum"
@@ -89,7 +89,7 @@ def run_bench(k_list, height: int, width: int, channels: int = 1,
         box_rng = np.random.default_rng(seed + k)
         boxes = [init_params(k, rng=box_rng) for _ in range(channels)]
         layer = BoxConvLayer(boxes)
-        kernels = [effective_kernel(p).weights for p in boxes]
+        kernels = effective_kernels(layer.theta, layer.split, layer.weight, k, layer.variant)
         dil = dilation_for(k)
         dil_kernel = box_rng.normal(size=(4, 4))
 

@@ -15,9 +15,10 @@ single box).
 
 A layer's boxes are three arrays with one row per channel: theta (C, 4)
 holds the edges (xl, xh, yl, yh), split (C, s) the split lines and
-weight (C, w) the sub-box weights. project_params moves them back into
-their feasible set in place, and compile_plan folds them, for all channels
-at once, into each channel's lattice cells and folded site coefficients.
+weight (C, w) the sub-box weights; TRAINED names those that train.
+project_params moves them back into their feasible set in place, and
+compile_plan folds them, for all channels at once, into each channel's
+lattice cells and folded site coefficients.
 Per channel, the plan holds the same taps factored: every sub-box is an x
 difference times a y difference, so the taps split exactly into a few
 terms of x taps times y taps, which the layer's forward applies one axis
@@ -62,6 +63,11 @@ SUB_BOXES = {
 }
 N_SPLITS = {v: len(edges) for v, edges in SPLIT_EDGES.items()}
 N_WEIGHTS = {v: len(subs) for v, subs in SUB_BOXES.items()}
+# Per variant, the layer arrays that train, in params() order: theta always,
+# split if the variant has split lines, weight unless it has one sub-box,
+# whose weight is fixed at 1.
+TRAINED = {v: ("theta",) + ("split",) * (N_SPLITS[v] > 0) + ("weight",) * (N_WEIGHTS[v] > 1)
+           for v in BoxVariant}
 FEASIBLE = "finite values, -1 <= lo <= hi <= 1 on each axis, each split line between its edges"
 
 
@@ -308,7 +314,7 @@ def save_boxes(path, boxes) -> None:
         fields = [p.variant.value, str(p.max_kernel)]
         fields += [f"{t:.17g}" for t in p.thetas]
         fields += [f"{s:.17g}" for s in p.split_theta]
-        if p.variant != BoxVariant.SINGLE:
+        if "weight" in TRAINED[p.variant]:
             fields += [f"{w:.17g}" for w in p.split_weights]
         lines.append(" ".join(fields))
     with open(path, "w") as f:
@@ -327,15 +333,12 @@ def load_boxes(path):
                 variant = BoxVariant(parts[0])
                 k = int(parts[1])
                 vals = [float(v) for v in parts[2:]]
-                ns, nw = N_SPLITS[variant], N_WEIGHTS[variant]
-                want = 4 + ns + (nw if variant != BoxVariant.SINGLE else 0)
+                ns, weighted = N_SPLITS[variant], "weight" in TRAINED[variant]
+                want = 4 + ns + N_WEIGHTS[variant] * weighted
                 if len(vals) != want:
                     raise ValueError(f"expected {want + 2} fields, got {len(parts)}")
-                splits = tuple(vals[4 : 4 + ns])
-                weights = (
-                    (1.0,) if variant == BoxVariant.SINGLE else tuple(vals[4 + ns :])
-                )
-                box = BoxParams(*vals[:4], k, variant, splits, weights)
+                weights = tuple(vals[4 + ns :]) if weighted else (1.0,)
+                box = BoxParams(*vals[:4], k, variant, vals[4 : 4 + ns], weights)
                 if not feasible(*box_arrays([box], variant), variant)[0]:
                     raise FeasibilityError(f"infeasible box, need {FEASIBLE}")
                 boxes.append(box)

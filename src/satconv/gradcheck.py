@@ -1,24 +1,28 @@
 """Finite-difference verification of the analytic backward pass.
 
 Every check compares an analytic derivative against a central difference of
-the forward pass contracted with a fixed cotangent. The forward output is
-piecewise multilinear in each box parameter, with breakpoints where a
-sample coordinate crosses the integer lattice, so configurations are nudged
-to keep all sample coordinates a safe margin away from integers; inside a
-cell the central difference is then exact up to rounding noise. Comparisons
-use relative error with a small absolute agreement floor for derivatives
-that are legitimately zero (pixels outside a box's coverage), where the
-difference quotient returns pure rounding noise.
+the forward pass contracted with a fixed cotangent. A configuration is one
+one-channel BoxConvLayer, whose own theta, split and weight entries, those
+boxes.TRAINED names, are moved by +-h in place and recompiled, as an
+optimizer step and post_step do. The forward output is piecewise
+multilinear in each box parameter, with breakpoints where a sample
+coordinate crosses the integer lattice, so configurations are nudged to
+keep all sample coordinates a safe margin away from integers; inside a cell
+the central difference is then exact up to rounding noise. The relative
+error's denominator is at least ABS_AGREEMENT_FLOOR / tolerance, so
+derivatives that are legitimately zero (pixels outside a box's coverage),
+where the difference quotient returns pure rounding noise, pass when they
+agree to within ABS_AGREEMENT_FLOOR.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import SPLIT_EDGES, BoxVariant, init_params
+from .boxes import N_WEIGHTS, SPLIT_EDGES, TRAINED, BoxParams, BoxVariant, init_params
 from .layer import BoxConvLayer
 
 CATEGORIES = (
@@ -34,21 +38,22 @@ CATEGORIES = (
 )
 
 ABS_AGREEMENT_FLOOR = 1e-7
+INPUT_PIXELS = 2  # input-gradient checks per configuration
 
 
-def rel_err(a: float, b: float) -> float:
-    if abs(a - b) < ABS_AGREEMENT_FLOOR:
-        return 0.0
-    return abs(a - b) / max(abs(a), abs(b), 1e-8)
+def rel_err(a: float, b: float, tolerance: float) -> float:
+    """|a - b| over the largest of |a|, |b| and ABS_AGREEMENT_FLOOR / tolerance:
+    it reaches tolerance only where |a - b| also reaches ABS_AGREEMENT_FLOOR."""
+    return abs(a - b) / max(abs(a), abs(b), ABS_AGREEMENT_FLOOR / tolerance)
 
 
 @dataclass
 class GradCheckReport:
-    """Per category: the largest floored relative error (max_errors, which
-    the pass rule reads) and the largest absolute analytic-vs-FD difference
-    (max_abs_diffs, which shows agreement below the floor too); n_nonzero
-    counts the checks whose analytic gradient was not 0, so a category whose
-    derivatives all vanish shows as checked but untested."""
+    """Per category: the largest relative error (max_errors, which the pass
+    rule reads) and the largest absolute analytic-vs-FD difference
+    (max_abs_diffs); n_nonzero counts the checks whose analytic gradient was
+    not 0, so a category whose derivatives all vanish shows as checked but
+    untested."""
 
     tolerance: float
     n_configs: int
@@ -63,7 +68,7 @@ class GradCheckReport:
         return not self.failures
 
     def record(self, category: str, analytic: float, fd: float, where: str) -> None:
-        err = rel_err(analytic, fd)
+        err = rel_err(analytic, fd, self.tolerance)
         self.max_errors[category] = max(self.max_errors.get(category, 0.0), err)
         self.max_abs_diffs[category] = max(self.max_abs_diffs.get(category, 0.0),
                                            abs(analytic - fd))
@@ -96,22 +101,20 @@ def _draw_config(rng, ks, sizes, strides, variants):
         if all(min(s - t[lo], t[lo + 1] - s) >= 5e-3
                for s, lo in zip(p.split_theta, SPLIT_EDGES[variant])):
             break
-    if variant != BoxVariant.SINGLE:
+    weights = (1.0,)
+    if "weight" in TRAINED[variant]:
         # unequal sub-box weights: with equal ones every split site cancels
-        p = replace(p, split_weights=tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights))))
-    p = replace(
-        p,
-        theta_xl=_nudge_theta(p.theta_xl, k),
-        theta_xh=_nudge_theta(p.theta_xh, k, 1.0),
-        theta_yl=_nudge_theta(p.theta_yl, k),
-        theta_yh=_nudge_theta(p.theta_yh, k, 1.0),
-        split_theta=tuple(_nudge_theta(s, k) for s in p.split_theta),
-    )
+        weights = rng.uniform(0.5, 1.5, size=N_WEIGHTS[variant])
+    # the high edges' sample coordinates are one pixel past their offsets
+    p = BoxParams(*(_nudge_theta(v, k, i % 2) for i, v in enumerate(t)), k, variant,
+                  [_nudge_theta(s, k) for s in p.split_theta], weights)
     return p, (h, w), stride
 
 
-def _split_categories(variant):
-    return tuple("split_x" if lo == 0 else "split_y" for lo in SPLIT_EDGES[variant])
+def _categories(name, variant):
+    """The report category of each column of the layer array name."""
+    split = tuple("split_x" if lo == 0 else "split_y" for lo in SPLIT_EDGES[variant])
+    return {"theta": CATEGORIES[:4], "split": split, "weight": ("weight",) * N_WEIGHTS[variant]}[name]
 
 
 def run_gradcheck(
@@ -122,7 +125,6 @@ def run_gradcheck(
     strides=(1, 2),
     tolerance: float = 1e-5,
     h: float = 1e-5,
-    input_pixels: int = 2,
     perturb: str = None,
 ) -> GradCheckReport:
     """FD-check box parameter and input gradients over random configurations.
@@ -141,54 +143,34 @@ def run_gradcheck(
         g = rng.normal(size=layer.out_shape(x.shape))
         _, saved = layer.forward(x)
         grads = layer.backward(saved, g)
-        bg = grads.grad_boxes[0]
         where = f"config {ci} ({p.variant.value} k={p.max_kernel} stride={stride})"
 
-        def loss_for(pp):
-            out, _ = BoxConvLayer([pp], stride=stride).forward(x)
-            return float(np.sum(out * g))
+        def loss(xin):
+            return float(np.sum(layer.forward(xin)[0] * g))
+
+        def loss_at(arr, j, t):
+            arr[0, j] = t
+            layer.recompile()
+            return loss(x)
 
         def skew(cat, val):
             return val + 1e-2 if perturb == cat else val
 
-        for i, name in enumerate(("theta_xl", "theta_xh", "theta_yl", "theta_yh")):
-            fd = (
-                loss_for(replace(p, **{name: getattr(p, name) + h}))
-                - loss_for(replace(p, **{name: getattr(p, name) - h}))
-            ) / (2 * h)
-            report.record(name, skew(name, bg.theta[i]), fd, where)
+        for name in TRAINED[p.variant]:
+            arr, analytic = getattr(layer, name), getattr(grads.boxes, name)[0]
+            for j, cat in enumerate(_categories(name, p.variant)):
+                t = arr[0, j]
+                fd = (loss_at(arr, j, t + h) - loss_at(arr, j, t - h)) / (2 * h)
+                arr[0, j] = t
+                report.record(cat, skew(cat, analytic[j]), fd, where)
+        layer.recompile()
 
-        for i, cat in enumerate(_split_categories(p.variant)):
-            st = list(p.split_theta)
-            st[i] += h
-            hi_val = loss_for(replace(p, split_theta=tuple(st)))
-            st[i] -= 2 * h
-            lo_val = loss_for(replace(p, split_theta=tuple(st)))
-            fd = (hi_val - lo_val) / (2 * h)
-            report.record(cat, skew(cat, bg.split_theta[i]), fd, where)
-
-        if p.variant != BoxVariant.SINGLE:
-            for i in range(len(p.split_weights)):
-                sw = list(p.split_weights)
-                sw[i] += h
-                hi_val = loss_for(replace(p, split_weights=tuple(sw)))
-                sw[i] -= 2 * h
-                lo_val = loss_for(replace(p, split_weights=tuple(sw)))
-                fd = (hi_val - lo_val) / (2 * h)
-                report.record("weight", skew("weight", bg.split_weights[i]), fd, where)
-
-        gin = grads.grad_input
-        for _ in range(input_pixels):
-            iy = int(rng.integers(hh))
-            ix = int(rng.integers(ww))
-            xp = x.copy()
-            xp[0, iy, ix] += h
-            xm = x.copy()
-            xm[0, iy, ix] -= h
-            op, _ = layer.forward(xp)
-            om, _ = layer.forward(xm)
-            fd = float(np.sum((op - om) * g)) / (2 * h)
-            report.record("input", skew("input", gin[0, iy, ix]), fd, where)
+        for _ in range(INPUT_PIXELS):
+            iy, ix = int(rng.integers(hh)), int(rng.integers(ww))
+            e = np.zeros_like(x)
+            e[0, iy, ix] = h
+            fd = (loss(x + e) - loss(x - e)) / (2 * h)
+            report.record("input", skew("input", grads.grad_input[0, iy, ix]), fd, where)
 
     return report
 

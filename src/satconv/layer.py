@@ -79,17 +79,18 @@ _ROW_ADD_MIN = 256
 
 @dataclass
 class BoxGrads:
-    """Box parameter gradients, one row per sample for a batched input.
+    """Box parameter gradients, named as the layer arrays they belong to.
 
-    Shapes are (..., 4) for the edges (theta_xl, theta_xh, theta_yl,
-    theta_yh), (..., n_splits) and (..., n_weights), with the input's batch
-    axis leading when it has one (and a channel axis before the last when
-    they hold a whole layer's boxes).
+    Shapes are (..., 4) for theta's edges (xl, xh, yl, yh), (..., n_splits)
+    for split and (..., n_weights) for weight, with the input's batch axis
+    leading when it has one (and a channel axis before the last when they
+    hold a whole layer's boxes). weight is there for every variant, a single
+    box's too, whose weight does not train (boxes.TRAINED).
     """
 
     theta: np.ndarray
-    split_theta: np.ndarray
-    split_weights: np.ndarray
+    split: np.ndarray
+    weight: np.ndarray
 
 
 @dataclass
@@ -104,7 +105,7 @@ class LayerGradients:
     def grad_boxes(self) -> list:
         """One BoxGrads per channel, views of the stacked arrays."""
         b = self.boxes
-        return [BoxGrads(b.theta[..., c, :], b.split_theta[..., c, :], b.split_weights[..., c, :])
+        return [BoxGrads(b.theta[..., c, :], b.split[..., c, :], b.weight[..., c, :])
                 for c in range(b.theta.shape[-2])]
 
 
@@ -407,11 +408,7 @@ class BoxConvLayer:
         theta = np.stack([gx_sites[0], gx_sites[-1], gy_sites[0], gy_sites[-1]], axis=-1) * r
         # a split line is the middle site on its axis
         split = [sites[1] * r for sites in (gx_sites, gy_sites) if len(sites) == 3]
-        subs = plan.sub_boxes
-        if len(subs) == 1:  # a single box's weight is fixed
-            sw = np.zeros(theta.shape[:-1] + (1,))
-        else:
-            sw = np.stack([values[ixh, iyh] - values[ixl, iyh] - values[ixh, iyl] + values[ixl, iyl]
-                           for ixl, ixh, iyl, iyh in subs], axis=-1)
+        sw = np.stack([values[ixh, iyh] - values[ixl, iyh] - values[ixh, iyl] + values[ixl, iyl]
+                       for ixl, ixh, iyl, iyh in plan.sub_boxes], axis=-1)
         split = np.stack(split, axis=-1) if split else np.zeros(theta.shape[:-1] + (0,))
         return LayerGradients(grad_input.astype(x.dtype, copy=False), BoxGrads(theta, split, sw))

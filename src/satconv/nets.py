@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boxes import BoxVariant, N_SPLITS, init_params, project_params
+from .boxes import TRAINED, BoxVariant, init_params, project_params
 from .dense import conv2d, conv2d_input_grad, conv2d_kernel_grad
 from .fmap import (
     DimensionError,
@@ -126,24 +126,18 @@ class DenseDepthwise(Module):
 class BoxDepthwise(Module):
     """One learnable box per channel, backed by a BoxConvLayer.
 
-    theta, split and weight are the layer's own arrays, which the optimizer
-    updates in place; post_step projects them and recompiles the layer.
+    theta, split and weight are the layer's own arrays; params() holds those
+    boxes.TRAINED names for the variant, which the optimizer updates in
+    place. post_step projects them and recompiles the layer.
     """
 
     def __init__(self, rng, channels: int, k: int, variant=BoxVariant.SINGLE):
         self.conv = BoxConvLayer([init_params(k, variant, rng) for _ in range(channels)])
         self.variant = self.conv.variant
         self.theta, self.split, self.weight = self.conv.theta, self.conv.split, self.conv.weight
-        # (name, BoxGrads field) of each trained array: theta always, split
-        # if the variant has split lines, weight unless it is single
-        self.trained = [("theta", "theta")]
-        if N_SPLITS[self.variant]:
-            self.trained.append(("split", "split_theta"))
-        if self.variant != BoxVariant.SINGLE:
-            self.trained.append(("weight", "split_weights"))
 
     def params(self):
-        return {name: getattr(self, name) for name, _ in self.trained}
+        return {name: getattr(self, name) for name in TRAINED[self.variant]}
 
     def forward(self, x):
         return self.conv.forward(x)
@@ -151,8 +145,8 @@ class BoxDepthwise(Module):
     def backward(self, ctx, g):
         lg = self.conv.backward(ctx, g)
         batched = ctx.x.ndim == 4
-        return lg.grad_input, {name: sum_samples(getattr(lg.boxes, field), batched)
-                               for name, field in self.trained}
+        return lg.grad_input, {name: sum_samples(getattr(lg.boxes, name), batched)
+                               for name in TRAINED[self.variant]}
 
     def post_step(self):
         project_params(self.theta, self.split, self.variant)

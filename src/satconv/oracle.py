@@ -2,9 +2,11 @@
 
 Nothing here is optimized, on purpose: the test strategy leans on these
 being easy to audit. naive_conv is a literal quadruple loop over plain
-Python floats; effective_kernel expands a sub-pixel box into the dense
-weight array it is equivalent to, built from 1-D coverage profiles with a
-closed form that never touches the table code it is used to check.
+Python floats; effective_kernels expands a layer's sub-pixel boxes, read
+from its theta, split and weight arrays, into the dense weight arrays they
+are equivalent to (effective_kernel does one BoxParams), built from 1-D
+coverage profiles with a closed form that never touches the table code it
+is used to check.
 region_sum, sample_bilinear and sample_bilinear_grad read one value of a
 summed-area table (sat.build_sat) at a time, with the table's
 zero-padding convention spelled out by clamping.
@@ -89,24 +91,30 @@ def coverage_profile(lo: float, hi: float, offsets) -> np.ndarray:
     return np.clip(hi - q, 0.0, 1.0) - np.clip(lo - q, 0.0, 1.0)
 
 
-def effective_kernel(box: BoxParams) -> DenseKernel:
-    """Dense (k+1)-sized kernel equivalent to the sub-pixel box.
+def effective_kernels(theta, split, weight, k: int, variant) -> np.ndarray:
+    """(C, k+1, k+1) dense kernels equivalent to a layer's sub-pixel boxes.
 
-    Interior pixels weigh 1, edge strips carry their fractional coverage,
-    corners the product; split variants sum their sub-boxes scaled by the
-    sub-box weights. Entries land on offsets -(k-1)/2 .. (k-1)/2 + 1 with
-    the anchor at the window center.
+    theta, split and weight are the layer's (C, ...) box arrays. Interior
+    pixels weigh 1, edge strips carry their fractional coverage, corners
+    the product; each sub-box adds its outer product of coverage profiles
+    scaled by its weight, in sub-box order. Entries land on offsets
+    -(k-1)/2 .. (k-1)/2 + 1 with the anchor at the window center.
     """
-    k = box.max_kernel
-    (xs,), (ys,), subs = box_geometry(*box_arrays([box], box.variant), k, box.variant)
+    xs, ys, subs = box_geometry(theta, split, weight, k, variant)
     r = (k - 1) // 2
     offsets = np.arange(-r, r + 2)
-    kern = np.zeros((k + 1, k + 1))
-    for (ixl, ixh, iyl, iyh), wgt in zip(subs, box.split_weights):
-        px = coverage_profile(xs[ixl], xs[ixh], offsets)
-        py = coverage_profile(ys[iyl], ys[iyh], offsets)
-        kern += wgt * np.outer(py, px)
-    return DenseKernel(kern)
+    kern = np.zeros((len(theta), k + 1, k + 1))
+    for i, (ixl, ixh, iyl, iyh) in enumerate(subs):
+        px = coverage_profile(xs[:, ixl, None], xs[:, ixh, None], offsets)
+        py = coverage_profile(ys[:, iyl, None], ys[:, iyh, None], offsets)
+        kern += weight[:, i, None, None] * (py[:, :, None] * px[:, None, :])
+    return kern
+
+
+def effective_kernel(box: BoxParams) -> DenseKernel:
+    """The dense kernel of one box: effective_kernels of a one-row layer."""
+    kern = effective_kernels(*box_arrays([box], box.variant), box.max_kernel, box.variant)
+    return DenseKernel(kern[0])
 
 
 def region_sum(sat, x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> float:

@@ -30,7 +30,7 @@ from .nets import (
     Sequential,
     ShuffleHalfBlock,
 )
-from .oracle import effective_kernel
+from .oracle import effective_kernels
 
 
 class ConfigError(ValueError):
@@ -161,17 +161,19 @@ def log_target_kernel(k: int, size: int = 9, sigma: float = 1.4) -> np.ndarray:
     return kern
 
 
-def composite_kernel(boxes, mix_weights) -> np.ndarray:
-    """Dense kernel realized by mixing per-channel boxes with scalar weights."""
-    total = None
-    for p, w in zip(boxes, mix_weights):
-        kern = w * effective_kernel(p).weights
-        total = kern if total is None else total + kern
-    return total
+def composite_kernel(layer, mix_weights) -> np.ndarray:
+    """Dense kernel realized by mixing a box layer's channels with scalar
+    weights, summed in channel order."""
+    kerns = effective_kernels(layer.theta, layer.split, layer.weight,
+                              layer.max_kernel, layer.variant)
+    weighted = np.asarray(mix_weights)[:, None, None] * kerns
+    return sum(weighted[1:], weighted[0])
 
 
-def kernel_rel_error(boxes, mix_weights, target: np.ndarray) -> float:
-    got = composite_kernel(boxes, mix_weights) if boxes else np.zeros_like(target)
+def kernel_rel_error(layer, mix_weights, target: np.ndarray) -> float:
+    """Relative L2 error of composite_kernel against target; a layer of None
+    stands for no boxes, a zero kernel."""
+    got = np.zeros_like(target) if layer is None else composite_kernel(layer, mix_weights)
     return float(np.linalg.norm(got - target) / max(np.linalg.norm(target), 1e-12))
 
 
@@ -195,7 +197,7 @@ def train_kernel_approx(target: np.ndarray, n_boxes: int, steps: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     if n_boxes == 0:
-        err = kernel_rel_error([], [], target)
+        err = kernel_rel_error(None, [], target)
         return KernelApproxResult([], np.zeros(0), err, err, [])
 
     model = Sequential(
@@ -210,7 +212,7 @@ def train_kernel_approx(target: np.ndarray, n_boxes: int, steps: int, seed: int,
     mix.matrix[:] = rng.uniform(-0.5, 0.5, size=mix.matrix.shape)
 
     def current_error():
-        return kernel_rel_error(box_layer.conv.boxes, mix.matrix[0], target)
+        return kernel_rel_error(box_layer.conv, mix.matrix[0], target)
 
     initial_error = current_error()
     adam = Adam(model.params(), lr=lr)
@@ -286,15 +288,18 @@ def box_invariants_ok(box_layers) -> bool:
     return all(feasible(m.theta, m.split, m.weight, m.variant).all() for m in box_layers)
 
 
-def evaluate_keypoints(model, samples, batch: int, radius: float = 2.0) -> float:
-    """Fraction of samples decoded within radius pixels, forwarded batch at a time."""
+HIT_RADIUS = 2.0  # pixels: the @2px of the held-out accuracy
+
+
+def evaluate_keypoints(model, samples, batch: int) -> float:
+    """Fraction of samples decoded within HIT_RADIUS, forwarded batch at a time."""
     hits = 0
     for start in range(0, len(samples), batch):
         chunk = samples[start : start + batch]
         pred, _ = model.forward(np.stack([x for x, _ in chunk]))
         for p, (_, (cx, cy)) in zip(pred, chunk):
             dx, dy = decode_keypoint(p[0])
-            if (dx - cx) ** 2 + (dy - cy) ** 2 <= radius * radius:
+            if (dx - cx) ** 2 + (dy - cy) ** 2 <= HIT_RADIUS * HIT_RADIUS:
                 hits += 1
     return hits / len(samples)
 

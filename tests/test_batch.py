@@ -56,8 +56,8 @@ def test_box_layer_batch_equals_samples(rng, variant, stride):
         assert np.array_equal(grads.grad_input[n], gn.grad_input)
         for b, bn in zip(grads.grad_boxes, gn.grad_boxes):
             assert np.array_equal(b.theta[n], bn.theta)
-            assert np.array_equal(b.split_theta[n], bn.split_theta)
-            assert np.array_equal(b.split_weights[n], bn.split_weights)
+            assert np.array_equal(b.split[n], bn.split)
+            assert np.array_equal(b.weight[n], bn.weight)
 
 
 def test_box_layer_shapes_accept_a_batch_axis(rng):

@@ -75,7 +75,7 @@ def test_backward_zero_cotangent_gives_zero_grads(rng):
     grads = layer.backward(saved, np.zeros_like(out))
     assert not grads.grad_input.any()
     bg = grads.grad_boxes[0]
-    assert not bg.theta.any() and not bg.split_theta.any() and not bg.split_weights.any()
+    assert not bg.theta.any() and not bg.split.any() and not bg.weight.any()
 
 
 def test_exact_adjoint_identity(rng):
@@ -262,7 +262,7 @@ def test_position_gradients_on_lattice_and_in_margin(rng, kind, variant, stride)
     out, saved = layer.forward(x)
     g = rng.normal(size=out.shape)
     bg = layer.backward(saved, g).grad_boxes[0]
-    analytic = np.concatenate([bg.theta, bg.split_theta])
+    analytic = np.concatenate([bg.theta, bg.split])
     if kind == "margin":
         assert not analytic.any()
 
@@ -278,11 +278,12 @@ def test_position_gradients_on_lattice_and_in_margin(rng, kind, variant, stride)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("variant", [BoxVariant.SPLIT_H, BoxVariant.SPLIT_V, BoxVariant.SPLIT_4])
+@pytest.mark.parametrize("variant", list(BoxVariant))
 @pytest.mark.parametrize("on_lattice", [True, False])
 def test_split_weight_gradient_is_sub_box_response(rng, variant, on_lattice, stride):
     """Output is linear in the sub-box weights, so each weight's gradient is
-    <g, output of that sub-box alone with weight 1>, no finite difference."""
+    <g, output of that sub-box alone with weight 1>, no finite difference.
+    Backward returns it for a single box too, whose weight does not train."""
     if on_lattice:
         p = _edge_case_box("lattice", variant)[0]
     else:
@@ -293,7 +294,7 @@ def test_split_weight_gradient_is_sub_box_response(rng, variant, on_lattice, str
     layer = BoxConvLayer([p], stride=stride)
     out, saved = layer.forward(x)
     g = rng.normal(size=out.shape)
-    gw = layer.backward(saved, g).grad_boxes[0].split_weights
+    gw = layer.backward(saved, g).grad_boxes[0].weight
     n = len(p.split_weights)
     for bi in range(n):
         alone = BoxParams(*p.thetas, 9, variant, p.split_theta, tuple(np.eye(n)[bi]))
@@ -338,7 +339,7 @@ def test_zero_weight_taps_pruned_without_changing_results(rng, stride):
         g = rng.normal(size=y.shape)
         got, want = pruned.backward(saved, g), full.backward(saved_full, g)
         assert np.array_equal(got.grad_input, want.grad_input)
-        for field in ("theta", "split_theta", "split_weights"):
+        for field in ("theta", "split", "weight"):
             assert np.array_equal(getattr(got.grad_boxes[0], field),
                                   getattr(want.grad_boxes[0], field))
 

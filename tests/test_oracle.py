@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satconv.boxes import BoxParams, BoxVariant, init_params
+from satconv.boxes import N_SPLITS, N_WEIGHTS, BoxParams, BoxVariant, box_arrays, init_params
 from satconv.oracle import (
     DenseKernel,
     coverage_profile,
     effective_kernel,
+    effective_kernels,
     finite_diff,
     naive_conv,
 )
@@ -91,6 +92,44 @@ def test_effective_kernel_entries_and_mass(data):
     (xl, xh, yl, yh) = (p.theta_xl * 4, p.theta_xh * 4, p.theta_yl * 4, p.theta_yh * 4)
     area = (xh - xl + 1) * (yh - yl + 1)
     assert kern.sum() == pytest.approx(area, rel=1e-12, abs=1e-12)
+
+
+def _one_box_kernel(p):
+    """The closed form for one box, without a channel axis: each sub-box's
+    weight times the outer product of its coverage profiles, in sub-box order."""
+    k, r = p.max_kernel, (p.max_kernel - 1) // 2
+    offsets = np.arange(-r, r + 2)
+    xs = [p.theta_xl * r, *(s * r for s in p.split_theta[:1] if p.variant != BoxVariant.SPLIT_H),
+          p.theta_xh * r + 1.0]
+    ys = [p.theta_yl * r, *(s * r for s in p.split_theta[-1:] if p.variant != BoxVariant.SPLIT_V),
+          p.theta_yh * r + 1.0]
+    subs = {BoxVariant.SINGLE: [(0, 1, 0, 1)],
+            BoxVariant.SPLIT_H: [(0, 1, 0, 1), (0, 1, 1, 2)],
+            BoxVariant.SPLIT_V: [(0, 1, 0, 1), (1, 2, 0, 1)],
+            BoxVariant.SPLIT_4: [(0, 1, 0, 1), (1, 2, 0, 1), (0, 1, 1, 2), (1, 2, 1, 2)]}
+    kern = np.zeros((k + 1, k + 1))
+    for (ixl, ixh, iyl, iyh), wgt in zip(subs[p.variant], p.split_weights):
+        px = coverage_profile(xs[ixl], xs[ixh], offsets)
+        py = coverage_profile(ys[iyl], ys[iyh], offsets)
+        kern += wgt * np.outer(py, px)
+    return kern
+
+
+@pytest.mark.parametrize("k", [3, 9, 41])
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_effective_kernels_rows_are_effective_kernel(rng, variant, k):
+    """One call over a layer's arrays gives every box's kernel bit for bit:
+    unequal weights, and a box with edges on the window border."""
+    border = BoxParams(-1.0, 1.0, -1.0, 0.4, k, variant, (0.1,) * N_SPLITS[variant],
+                       (1.0,) * N_WEIGHTS[variant])
+    boxes = [BoxParams(*p.thetas, k, variant, p.split_theta,
+                       tuple(rng.uniform(0.5, 1.5, size=N_WEIGHTS[variant])))
+             for p in [init_params(k, variant, rng) for _ in range(3)] + [border]]
+    kernels = effective_kernels(*box_arrays(boxes, variant), k, variant)
+    assert kernels.shape == (4, k + 1, k + 1)
+    for kern, p in zip(kernels, boxes):
+        assert np.array_equal(kern, effective_kernel(p).weights)
+        assert np.array_equal(kern, _one_box_kernel(p))
 
 
 def test_coverage_profile_basics():

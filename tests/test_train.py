@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from satconv.boxes import load_boxes
+from satconv.boxes import BoxParams, load_boxes
 from satconv.train import (
     ConfigError,
     TrainConfig,
@@ -184,3 +184,18 @@ def test_keypoint_net_param_order_is_pinned(rng):
         *blocks,
         "head.matrix", "head.bias",
     ]
+
+
+def test_kernel_task_builds_no_box_records_per_step(monkeypatch):
+    """The per-step kernel error reads the layer's arrays: training builds as
+    many BoxParams in 20 steps as in 5."""
+    calls = []
+    post_init = BoxParams.__post_init__
+    monkeypatch.setattr(BoxParams, "__post_init__",
+                        lambda self: calls.append(1) or post_init(self))
+    counts = []
+    for steps in (5, 20):
+        calls.clear()
+        train_kernel_approx(log_target_kernel(9), n_boxes=4, steps=steps, seed=0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
