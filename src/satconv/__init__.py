@@ -1,5 +1,10 @@
 """Differentiable box convolution on summed-area tables."""
 
+# The heap policy goes first, before any satconv module allocates (see heap.py).
+from .heap import keep_freed_memory
+
+keep_freed_memory()
+
 from .boxes import (
     BoxParams,
     BoxVariant,

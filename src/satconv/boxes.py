@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -68,6 +69,40 @@ N_WEIGHTS = {v: len(subs) for v, subs in SUB_BOXES.items()}
 # whose weight is fixed at 1.
 TRAINED = {v: ("theta",) + ("split",) * (N_SPLITS[v] > 0) + ("weight",) * (N_WEIGHTS[v] > 1)
            for v in BoxVariant}
+# Per variant, the columns of [theta | split] that give its sample sites:
+# x sites (low edge, optional split line, high edge), then y sites.
+SITE_EDGES = {v: tuple(np.array([lo, *(4 + j for j, e in enumerate(edges) if e == lo), lo + 1])
+                       for lo in (0, 2))
+              for v, edges in SPLIT_EDGES.items()}
+# Per variant, the x factors and then the y factors its terms are built from
+# (see _factor): each factor's weights on the intervals between consecutive
+# sample sites, as columns of [0, 1, w_0, w_1, ...] (column 2 + i reads
+# sub-box weight i). A site's coefficient is the weight of the interval
+# before it minus that of the interval after it, with weight 0 outside the box.
+FACTORS = {
+    BoxVariant.SINGLE: (((2,),), ((1,),)),
+    BoxVariant.SPLIT_V: (((2, 3),), ((1,),)),
+    BoxVariant.SPLIT_H: (((1,),), ((2, 3),)),
+    BoxVariant.SPLIT_4: (((2, 3), (4, 5)), ((1, 1), (1, 0), (0, 1))),
+}
+
+
+def _site_columns(x_factors, y_factors):
+    """(2, F, nx + ny): the columns of the intervals before, and after, each
+    x site, then each y site, per factor; a factor reads column 0 on the
+    other axis."""
+    nx, ny = len(x_factors[0]) + 1, len(y_factors[0]) + 1
+    before, after = [], []
+    for f in x_factors:
+        before.append((0, *f) + (0,) * ny)
+        after.append((*f, 0) + (0,) * ny)
+    for f in y_factors:
+        before.append((0,) * nx + (0, *f))
+        after.append((0,) * nx + (*f, 0))
+    return np.array([before, after])
+
+
+SITE_COLUMNS = {v: _site_columns(*factors) for v, factors in FACTORS.items()}
 FEASIBLE = "finite values, -1 <= lo <= hi <= 1 on each axis, each split line between its edges"
 
 
@@ -199,10 +234,10 @@ def box_geometry(theta, split, weight, k: int, variant):
         raise FeasibilityError(
             f"channel {c}: box edges {theta[c].tolist()}, splits {split[c].tolist()}, "
             f"weights {weight[c].tolist()} break the feasible set ({FEASIBLE})")
-    r = (k - 1) / 2
-    xs, ys = (np.stack([theta[:, lo] * r,
-                        *(split[:, j] * r for j, e in enumerate(SPLIT_EDGES[variant]) if e == lo),
-                        theta[:, lo + 1] * r + 1.0], axis=-1) for lo in (0, 2))
+    edges = np.concatenate((theta, split), axis=1) * ((k - 1) / 2)
+    xs, ys = (edges[:, columns] for columns in SITE_EDGES[variant])
+    xs[:, -1] += 1.0
+    ys[:, -1] += 1.0
     return xs, ys, SUB_BOXES[variant]
 
 
@@ -245,40 +280,62 @@ class CornerSamplePlan:
         return np.count_nonzero(self.tap_weights(), axis=(1, 2, 3, 4))
 
 
-def _axis_taps(cells, coefs):
-    """One axis's lattice taps of sum_i coefs[i] * (site i's interpolated
-    value), summed by offset, in offset order, exact zeros dropped."""
-    merged = {}
-    for (c0, f), c in zip(cells, coefs):
-        merged[c0] = merged.get(c0, 0.0) + c * (1 - f)
-        merged[c0 + 1] = merged.get(c0 + 1, 0.0) + c * f
-    return tuple((off, wt) for off, wt in sorted(merged.items()) if wt != 0.0)
+# A site reads cells floor + _CELL_STEP with shares frac * _SHARE_SLOPE + _SHARE_AT_0,
+# that is 1 - frac and frac.
+_CELL_STEP = np.array([0, 1])
+_SHARE_SLOPE, _SHARE_AT_0 = np.array([-1.0, 1.0]), np.array([1.0, 0.0])
 
 
-def _factor(x_cells, y_cells, w, variant):
-    """One box's taps as a sum of (x taps) x (y taps) terms.
+def _lattice_taps(floor, frac, coefs, k):
+    """The lattice taps of factors sum_i coefs[i] * (site i's interpolated value).
 
-    w holds the box's sub-box weights. Each sub-box contributes weight *
-    (x difference) x (y difference), so sub-boxes that share an interval on
-    one axis share one term, whose other factor folds their weights per
-    site, and equal weights on both sides of a split line cancel exactly, as
-    in the folded taps: 1 term for single, split_h and split_v boxes, 2 for
-    split_4 (1 when its top and bottom rows fold to the same x factor, as
-    with four equal weights). A term that folds to no taps is left out.
+    floor and frac are the (C, S) site floors and fractions of C boxes in a
+    window of size k, coefs the (F, C, S) site coefficients of F factors.
+    Returns, factor by factor and box by box, a tuple of (offset, weight)
+    pairs: offsets in order, each weight summed from 0.0 in site order,
+    exact zeros dropped.
     """
-    edge = (-1.0, 1.0)
-    if variant == BoxVariant.SINGLE:
-        pairs = [((-w[0], w[0]), edge)]
-    elif variant == BoxVariant.SPLIT_V:
-        pairs = [((-w[0], w[0] - w[1], w[1]), edge)]
-    elif variant == BoxVariant.SPLIT_H:
-        pairs = [(edge, (-w[0], w[0] - w[1], w[1]))]
+    f, c, _ = coefs.shape
+    r, width = (k - 1) // 2, k + 2  # a site lies in [-r, r + 1], its upper cell at most r + 2
+    origin = np.arange(r, r + f * c * width, width).reshape(f, c, 1, 1)  # offset 0 of each row
+    acc = np.zeros(f * c * width)
+    # unbuffered, in index order: each cell adds its sites' shares in site order
+    np.add.at(acc, (origin + floor[..., None] + _CELL_STEP).ravel(),
+              (coefs[..., None] * (frac[..., None] * _SHARE_SLOPE + _SHARE_AT_0)).ravel())
+    nz = np.flatnonzero(acc)
+    row, col = np.divmod(nz, width)
+    taps = zip((col - r).tolist(), acc[nz].tolist())
+    return [tuple(islice(taps, n)) for n in np.bincount(row, minlength=f * c).tolist()]
+
+
+def _factor(floor, frac, weight, k, variant):
+    """Every box's taps as a sum of (x taps) x (y taps) terms.
+
+    floor and frac hold each box's x sites, then its y sites. Each sub-box
+    contributes weight * (x difference) x (y difference), so sub-boxes that
+    share an interval on one axis share one term, whose other factor folds
+    their weights per site (FACTORS), and equal weights on both sides of a
+    split line cancel exactly, as in the folded taps: 1 term for single,
+    split_h and split_v boxes, 2 for split_4 (1 when its top and bottom rows
+    fold to the same x factor, as with four equal weights). A term that
+    folds to no taps is left out. A factor's coefficients on the other
+    axis's sites are 0.0, whose shares leave every sum as it is.
+    """
+    c = len(weight)
+    columns = np.empty((c, 2 + weight.shape[1]))
+    columns[:, 0], columns[:, 1], columns[:, 2:] = 0.0, 1.0, weight
+    before_after = columns[:, SITE_COLUMNS[variant]]
+    coefs = (before_after[:, 0] - before_after[:, 1]).transpose(1, 0, 2)
+    taps = _lattice_taps(floor, frac, coefs, k)
+    n_x = len(FACTORS[variant][0]) * c
+    xt, yt = taps[:n_x], taps[n_x:]
+    if variant == BoxVariant.SPLIT_4:
+        same = (coefs[0] == coefs[1]).all(axis=1).tolist()
+        pairs = [((xt[i], yt[i]),) if s else ((xt[i], yt[c + i]), (xt[c + i], yt[2 * c + i]))
+                 for i, s in enumerate(same)]
     else:
-        top, bottom = (-w[0], w[0] - w[1], w[1]), (-w[2], w[2] - w[3], w[3])
-        pairs = ([(top, (-1.0, 0.0, 1.0))] if top == bottom
-                 else [(top, (-1.0, 1.0, 0.0)), (bottom, (0.0, -1.0, 1.0))])
-    terms = ((_axis_taps(x_cells, xc), _axis_taps(y_cells, yc)) for xc, yc in pairs)
-    return tuple((xs, ys) for xs, ys in terms if xs and ys)
+        pairs = [((xs, ys),) for xs, ys in zip(xt, yt)]
+    return [tuple((xs, ys) for xs, ys in p if xs and ys) for p in pairs]
 
 
 def compile_plan(theta, split, weight, k: int, variant) -> CornerSamplePlan:
@@ -297,14 +354,14 @@ def compile_plan(theta, split, weight, k: int, variant) -> CornerSamplePlan:
         coeffs[:, ixl, iyl] += w
         coeffs[:, ixl, iyh] -= w
         coeffs[:, ixh, iyl] -= w
-    x_floor, y_floor = np.floor(xs), np.floor(ys)
-    x_frac, y_frac = xs - x_floor, ys - y_floor
-    x_floor, y_floor = x_floor.astype(np.int64), y_floor.astype(np.int64)
-    x_cells = [list(zip(f, a)) for f, a in zip(x_floor.tolist(), x_frac.tolist())]
-    y_cells = [list(zip(f, b)) for f, b in zip(y_floor.tolist(), y_frac.tolist())]
-    variant = BoxVariant(variant)
-    terms = [_factor(xc, yc, w, variant) for xc, yc, w in zip(x_cells, y_cells, weight.tolist())]
-    return CornerSamplePlan(x_floor, x_frac, y_floor, y_frac, coeffs, subs, terms, k)
+    sites = np.concatenate((xs, ys), axis=1)
+    floor = np.floor(sites)
+    frac = sites - floor
+    floor = floor.astype(np.int64)
+    terms = _factor(floor, frac, weight, k, BoxVariant(variant))
+    nx = xs.shape[1]
+    return CornerSamplePlan(floor[:, :nx], frac[:, :nx], floor[:, nx:], frac[:, nx:], coeffs, subs,
+                            terms, k)
 
 
 def save_boxes(path, boxes) -> None:

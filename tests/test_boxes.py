@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satconv.boxes import (
+    N_WEIGHTS,
+    SPLIT_EDGES,
     BoxParams,
     BoxVariant,
     FeasibilityError,
@@ -207,6 +210,83 @@ def test_plan_terms_multiply_out_to_taps(rng, variant):
                 taps[dx, dy] = taps.get((dx, dy), 0.0) + wt
             for key in set(product) | set(taps):
                 assert abs(product.get(key, 0.0) - taps.get(key, 0.0)) < 1e-14, (q, key)
+
+
+def _loop_axis_taps(sites, coefs):
+    """One axis's taps of sum_i coefs[i] * (site i's interpolated value), one
+    site at a time: summed by offset, in offset order, exact zeros dropped."""
+    merged = {}
+    for v, c in zip(sites, coefs):
+        c0 = math.floor(v)
+        f = v - c0
+        merged[c0] = merged.get(c0, 0.0) + c * (1 - f)
+        merged[c0 + 1] = merged.get(c0 + 1, 0.0) + c * f
+    return tuple((off, wt) for off, wt in sorted(merged.items()) if wt != 0.0)
+
+
+def loop_terms(p):
+    """One box's factored terms, built box by box in Python floats: the
+    reference that compile_plan's array version must match bit for bit."""
+    r = (p.max_kernel - 1) / 2
+    t, w = p.thetas, p.split_weights
+    splits = dict(zip(SPLIT_EDGES[p.variant], p.split_theta))
+    xs, ys = ([t[lo] * r, *([splits[lo] * r] if lo in splits else []), t[lo + 1] * r + 1.0]
+              for lo in (0, 2))
+    edge = (-1.0, 1.0)
+    if p.variant == BoxVariant.SINGLE:
+        pairs = [((-w[0], w[0]), edge)]
+    elif p.variant == BoxVariant.SPLIT_V:
+        pairs = [((-w[0], w[0] - w[1], w[1]), edge)]
+    elif p.variant == BoxVariant.SPLIT_H:
+        pairs = [(edge, (-w[0], w[0] - w[1], w[1]))]
+    else:
+        top, bottom = (-w[0], w[0] - w[1], w[1]), (-w[2], w[2] - w[3], w[3])
+        pairs = ([(top, (-1.0, 0.0, 1.0))] if top == bottom
+                 else [(top, (-1.0, 1.0, 0.0)), (bottom, (0.0, -1.0, 1.0))])
+    terms = ((_loop_axis_taps(xs, xc), _loop_axis_taps(ys, yc)) for xc, yc in pairs)
+    return tuple((a, b) for a, b in terms if a and b)
+
+
+def edge_case_arrays(rng, k, variant, n):
+    """n feasible boxes, many of them on the cases that merge or drop taps:
+    edges and split lines on the lattice, at +-1 or on each other, and
+    equal, zero, signed-zero or negative sub-box weights."""
+    r = (k - 1) / 2
+    theta = rng.uniform(-1.0, 1.0, size=(n, 4))
+    pick = rng.random((n, 4))
+    theta = np.where(pick < 0.3, rng.integers(-r, r + 1, size=(n, 4)) / r, theta)
+    theta = np.where(pick > 0.9, rng.choice([-1.0, 1.0], size=(n, 4)), theta)
+    theta = np.where(rng.random((n, 1)) < 0.1, theta[:, [0, 0, 2, 2]], theta)  # zero-width boxes
+    theta = np.concatenate([np.sort(theta[:, :2], axis=1), np.sort(theta[:, 2:], axis=1)], axis=1)
+    lo = theta[:, list(SPLIT_EDGES[variant])]
+    hi = theta[:, [e + 1 for e in SPLIT_EDGES[variant]]]
+    u = rng.choice([0.0, 1.0, 0.5, *rng.uniform(size=5)], size=lo.shape)
+    split = np.clip(np.where(rng.random(lo.shape) < 0.3, np.round((lo + u * (hi - lo)) * r) / r,
+                             lo + u * (hi - lo)), lo, hi)
+    weight = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, *rng.normal(size=4)],
+                        size=(n, N_WEIGHTS[variant]))
+    weight[::3] = weight[::3, :1]  # all equal
+    if variant == BoxVariant.SPLIT_4:
+        weight[1::6, 2:] = weight[1::6, :2]  # top row == bottom row
+    assert feasible(theta, split, weight, variant).all()
+    return theta, split, weight
+
+
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_plan_terms_match_the_box_by_box_loop(variant):
+    """compile_plan builds the terms with array operations over the boxes;
+    offsets, order and the bits of every weight equal the per-box loop's."""
+    rng = np.random.default_rng(7)
+    for k in (3, 5, 9, 13, 129):
+        theta, split, weight = edge_case_arrays(rng, k, variant, 700)
+        plan = compile_plan(theta, split, weight, k, variant)
+        for c, (t, s, w) in enumerate(zip(theta.tolist(), split.tolist(), weight.tolist())):
+            p = BoxParams(*t, k, variant, s, w)
+            assert _bits(plan.terms[c]) == _bits(loop_terms(p)), p
+
+
+def _bits(terms):
+    return [tuple(tuple((off, wt.hex()) for off, wt in taps) for taps in term) for term in terms]
 
 
 def test_plan_sample_counts():
