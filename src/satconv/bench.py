@@ -77,6 +77,8 @@ def dilation_for(k: int) -> int:
 
 def run_bench(k_list, height: int, width: int, channels: int = 1,
               repeats: int = 5, seed: int = 0):
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(channels, height, width))
     cotangent = rng.normal(size=x.shape)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -63,30 +64,52 @@ def render_boxes_svg(boxes, columns: int = 8, tile: float = 80.0, gap: float = 1
     return "\n".join(parts) + "\n"
 
 
-def _parse_int_list(text: str):
-    return [int(v) for v in text.split(",") if v.strip()]
+def _checked(parse, ok, expected):
+    """An argparse type: parse the text and check it, so that a bad value is
+    a usage error (exit code 2) rather than a traceback. parse returns None,
+    or raises ValueError, for text it cannot read."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return convert
 
 
-def _parse_sizes(text: str):
-    sizes = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        h, w = token.lower().split("x")
-        sizes.append((int(h), int(w)))
-    return tuple(sizes)
+def _ints(text: str):
+    return tuple(int(v) for v in text.split(",") if v.strip()) or None
+
+
+def _sizes(text: str):
+    sizes = tuple(tuple(int(v) for v in t.lower().split("x")) for t in text.split(",") if t.strip())
+    return sizes or None
+
+
+def _is_size(hw) -> bool:
+    return len(hw) == 2 and min(hw) >= 1
+
+
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_positive_ints = _checked(_ints, lambda vs: min(vs) >= 1, "comma-separated integers >= 1")
+_kernel_sizes = _checked(_ints, lambda ks: all(k >= 3 and k % 2 for k in ks),
+                         "comma-separated odd kernel sizes >= 3")
+_plane_sizes = _checked(_sizes, lambda ss: all(map(_is_size, ss)), "comma-separated HxW sizes")
+_plane_size = _checked(_sizes, lambda ss: len(ss) == 1 and _is_size(ss[0]), "one HxW size")
 
 
 def cmd_gradcheck(args) -> int:
     report = run_gradcheck(
         seed=args.seed,
         n_configs=args.configs,
-        sizes=_parse_sizes(args.sizes),
-        ks=tuple(_parse_int_list(args.k)),
-        strides=tuple(_parse_int_list(args.strides)),
+        sizes=args.sizes,
+        ks=args.k,
+        strides=args.strides,
         tolerance=args.tolerance,
-        perturb=args.perturb,
     )
     adjoint = run_adjoint_check(seed=args.seed, tolerance=args.tolerance)
     merged = merge_reports(report, adjoint)
@@ -96,9 +119,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench(args) -> int:
     results = run_bench(
-        k_list=_parse_int_list(args.k),
-        height=_parse_sizes(args.size)[0][0],
-        width=_parse_sizes(args.size)[0][1],
+        k_list=args.k,
+        height=args.size[0][0],
+        width=args.size[0][1],
         channels=args.channels,
         repeats=args.repeats,
         seed=args.seed,
@@ -145,21 +168,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--configs", type=int, default=100)
-    g.add_argument("--sizes", default="8x8,12x16,16x11")
-    g.add_argument("--k", default="5,9,13")
-    g.add_argument("--strides", default="1,2")
-    g.add_argument("--tolerance", type=float, default=1e-5)
-    g.add_argument("--perturb", default=None, help=argparse.SUPPRESS)
+    g.add_argument("--seed", type=_seed, default=0)
+    g.add_argument("--configs", type=_positive_int, default=100)
+    g.add_argument("--sizes", type=_plane_sizes, default="8x8,12x16,16x11")
+    g.add_argument("--k", type=_kernel_sizes, default="5,9,13")
+    g.add_argument("--strides", type=_positive_ints, default="1,2")
+    g.add_argument("--tolerance", type=_tolerance, default=1e-5)
     g.set_defaults(fn=cmd_gradcheck)
 
     b = sub.add_parser("bench", help="kernel-size scaling benchmark (CSV on stdout)")
-    b.add_argument("--k", default="7,13,21")
-    b.add_argument("--size", default="256x256")
-    b.add_argument("--channels", type=int, default=1)
-    b.add_argument("--repeats", type=int, default=5)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--k", type=_kernel_sizes, default="7,13,21")
+    b.add_argument("--size", type=_plane_size, default="256x256")
+    b.add_argument("--channels", type=_positive_int, default=1)
+    b.add_argument("--repeats", type=_positive_int, default=5)
+    b.add_argument("--seed", type=_seed, default=0)
     b.set_defaults(fn=cmd_bench)
 
     e = sub.add_parser("export-boxes", help="render a box checkpoint as SVG")

@@ -125,13 +125,8 @@ def run_gradcheck(
     strides=(1, 2),
     tolerance: float = 1e-5,
     h: float = 1e-5,
-    perturb: str = None,
 ) -> GradCheckReport:
-    """FD-check box parameter and input gradients over random configurations.
-
-    perturb names a category whose analytic gradient is deliberately skewed,
-    as a self-test that the harness catches wrong gradients.
-    """
+    """FD-check box parameter and input gradients over random configurations."""
     rng = np.random.default_rng(seed)
     variants = list(BoxVariant)
     report = GradCheckReport(tolerance=tolerance, n_configs=n_configs)
@@ -153,16 +148,13 @@ def run_gradcheck(
             layer.recompile()
             return loss(x)
 
-        def skew(cat, val):
-            return val + 1e-2 if perturb == cat else val
-
         for name in TRAINED[p.variant]:
             arr, analytic = getattr(layer, name), getattr(grads.boxes, name)[0]
             for j, cat in enumerate(_categories(name, p.variant)):
                 t = arr[0, j]
                 fd = (loss_at(arr, j, t + h) - loss_at(arr, j, t - h)) / (2 * h)
                 arr[0, j] = t
-                report.record(cat, skew(cat, analytic[j]), fd, where)
+                report.record(cat, analytic[j], fd, where)
         layer.recompile()
 
         for _ in range(INPUT_PIXELS):
@@ -170,7 +162,7 @@ def run_gradcheck(
             e = np.zeros_like(x)
             e[0, iy, ix] = h
             fd = (loss(x + e) - loss(x - e)) / (2 * h)
-            report.record("input", skew("input", grads.grad_input[0, iy, ix]), fd, where)
+            report.record("input", grads.grad_input[0, iy, ix], fd, where)
 
     return report
 

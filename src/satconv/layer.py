@@ -7,34 +7,35 @@ coefficients as arrays, and its taps factored into terms. Inputs are
 (C, H, W) or a batch (N, C, H, W); every sample is computed exactly as it
 would be on its own. A box's compiled lattice taps read a summed-area
 table, and they factor exactly into a few terms of x taps times y taps.
-Forward applies them one axis at a time and never
-builds the table: in strips of input rows, it takes each row's prefix sums
-along x, applies each term's x taps at the kept output columns only, runs
-the column sums of those values down the strip (carrying the last row over
-from the strip before), and adds each y tap into the output rows it
-reaches. Because integer strides preserve the
-fractional parts of the sample coordinates, the tap weights are constant
-over the whole plane. Out-of-range reads are resolved by edge replication:
-a zero left margin and the row total right of the prefix sums, no rows
-above the first and the final column sums below the last, which reproduces
-zero-padding of the source exactly. The y taps reach every output pixel in
-one fixed (offset, term) order, so the output does not depend on the strip
-height. The column sums grow with a box's width, not with the whole
-plane's, so the four-corner differences lose far less precision than on a
-table. A channel whose row prefix sums or column sums are not finite (NaN
-or inf in the input, or sums that overflow float64) is rejected: one bad
-pixel would spoil every output below it whose box reaches its column.
+Forward applies them one axis at a time and never builds the table: in
+strips of input rows, it takes each row's prefix sums along x, applies
+each term's x taps, runs the column sums of those values down the strip
+(carrying the last row over from the strip before), and adds each y tap
+into the output rows it reaches. Every output pixel's sample coordinates
+share their fractional parts, so the tap weights are constant over the
+whole plane. This is a stride-1 filter; a strided layer keeps every
+stride-th row and column of its output. Out-of-range reads are resolved by
+edge replication: a zero left margin and the row total right of the prefix
+sums, no rows above the first and the final column sums below the last,
+which reproduces zero-padding of the source exactly. The y taps reach
+every output pixel in one fixed (offset, term) order, so the output does
+not depend on the strip height. The column sums grow with a box's width,
+not with the whole plane's, so the four-corner differences lose far less
+precision than on a table. A channel whose row prefix sums or column sums
+are not finite (NaN or inf in the input, or sums that overflow float64) is
+rejected: one bad pixel would spoil every output below it whose box
+reaches its column.
 
 Backward is box forward run on the cotangent, read through flipped views.
 Placed on the input grid (stride-spaced, zeros between) and flipped along
 both axes, each channel's cotangent gets one summed-area table T, built
 into an edge-replicated buffer shared by all channels of the call. The
 mirrored box filter of the cotangent, which is the input gradient, is then
-the plan's terms applied to T at stride 1: each term's x taps on a strip
-of T's rows, whose entries already are column sums, then the same y-tap
-pass as forward's, into one plane that is copied once into a flipped view
-of the channel's input gradient. Forward keeps only its input for
-backward. Three gradient families come out:
+the plan's terms applied to T: each term's x taps on a strip of T's rows,
+whose entries already are column sums, then the same y-tap pass as
+forward's, into one plane that is copied once into a flipped view of the
+channel's input gradient. Forward keeps only its input for backward. Three
+gradient families come out:
 
 * input: the x then y taps on T, as above;
 * box coordinates: every sample site's value and coordinate derivatives
@@ -119,15 +120,15 @@ class BoxConvSaved:
     plan: CornerSamplePlan
 
 
-def _margins(floor, n_out, n, stride):
+def _margins(floor):
     """Lattice entries a table axis of n+1 entries lacks before and after it.
 
     floor holds the cell floors of the sites on that axis (one channel's, or
-    an array of several); output i reads entries floor + i * stride and
-    floor + 1 + i * stride, for i < n_out.
+    an array of several); output i < n reads entries floor + i and
+    floor + 1 + i, so what lies past the last entry does not depend on n.
     """
     lo = floor.ravel().tolist()
-    return max(0, -min(lo)), max(0, max(lo) + 1 + (n_out - 1) * stride - n)
+    return max(0, -min(lo)), max(0, max(lo))
 
 
 def _edge_pad(padded, top, left, h, w):
@@ -172,67 +173,63 @@ def _rows_outer(shape):
 class _YTaps:
     """Channel c's y taps, from per-term buffers of x-tapped table rows into out.
 
-    The table has h + 1 rows, row 0 all zero. out is (..., out_h, out_w), or
-    any view of it, and is zeroed here; output row i reads the table rows
-    around i * stride. A strip's buffer csum[t] holds term t's x taps of
-    table rows p0 .. p0 + n in its rows 0..n, with room for `below` more.
-    add() adds each y tap (offset dy) of the rows new in the strip to the
-    output rows i with i * stride + dy in p0 + 1 .. p0 + n; rows above the
-    table are zero and are skipped, and rows below it, reached only from the
-    last strip, repeat its final row. The taps run in (offset, term) order
-    in every strip, so each pixel gets the same sums in the same order at
-    any strip height.
+    The table has h + 1 rows, row 0 all zero. out is (..., h, width), or any
+    view of it, and is zeroed here; output row i reads the table rows around
+    i. A strip's buffer csum[t] holds term t's x taps of table rows p0 ..
+    p0 + n in its rows 0..n, with room for `below` more. add() adds each y
+    tap (offset dy) of the rows new in the strip to the output rows i with
+    i + dy in p0 + 1 .. p0 + n; rows above the table are zero and are
+    skipped, and rows below it, reached only from the last strip, repeat its
+    final row. The taps run in (offset, term) order in every strip, so each
+    pixel gets the same sums in the same order at any strip height.
     """
 
-    def __init__(self, plan, c, h, out, stride):
-        self.h, self.out, self.stride = h, out, stride
-        self.below = _margins(plan.y_floor[c], out.shape[-2], h, stride)[1]  # table rows past the last
+    def __init__(self, plan, c, h, out):
+        self.h, self.out = h, out
+        self.below = _margins(plan.y_floor[c])[1]  # table rows past the last
         self.taps = sorted((dy, t, wt) for t, (_, ys) in enumerate(plan.terms[c]) for dy, wt in ys)
         out[...] = 0.0
 
     def add(self, csum, p0, n):
-        out, s = self.out, self.stride
         end = p0 + n + 1  # table rows p0 + 1 .. end - 1 are new in this strip
         if end > self.h:
             csum[..., n + 1 :, :] = csum[..., n : n + 1, :]
             end += self.below
         for dy, t, wt in self.taps:
-            i0, i1 = max(0, -((dy - p0 - 1) // s)), min(out.shape[-2], -((dy - end) // s))
+            i0, i1 = max(0, p0 + 1 - dy), min(self.h, end - dy)
             if i0 < i1:
-                j0 = i0 * s + dy - p0  # the strip row output row i0 reads
-                out[..., i0:i1, :] += wt * csum[t, ..., j0 : j0 + (i1 - i0 - 1) * s + 1 : s, :]
+                j0 = i0 + dy - p0  # the strip row output row i0 reads
+                self.out[..., i0:i1, :] += wt * csum[t, ..., j0 : j0 + i1 - i0, :]
 
 
-def _separable_channel(x, plan, c, out, stride) -> bool:
+def _separable_channel(x, plan, c, out) -> bool:
     """Box-filter channel c's (..., H, W) planes x into out, by strips.
 
-    out is the channel's (..., out_h, out_w) output, or any view of it. A
-    strip holds the input rows that fill STRIP_BYTES over all samples.
-    Their prefix sums along x go into a buffer with the zero left margin
-    and the edge-replicated right margin of a table row. Each term's x taps
-    read it at the kept columns and write one row per input row into that
-    term's buffer, whose row 0 carries the column sums of the table row
-    above the strip; the running sums then turn row j into the column sums
-    of table row p0 + j, and _YTaps adds them into the output. The buffers
-    keep a strip row's values adjacent over samples and terms, so each
-    row-wise add is one contiguous pass.
+    out is the channel's (..., H, W) output, or any view of it. A strip
+    holds the input rows that fill STRIP_BYTES over all samples. Their
+    prefix sums along x go into a buffer with the zero left margin and the
+    edge-replicated right margin of a table row. Each term's x taps read it
+    and write one row per input row into that term's buffer, whose row 0
+    carries the column sums of the table row above the strip; the running
+    sums then turn row j into the column sums of table row p0 + j, and
+    _YTaps adds them into the output. The buffers keep a strip row's values
+    adjacent over samples and terms, so each row-wise add is one contiguous
+    pass.
 
     Returns False, before any y tap reads them, as soon as a strip's row
     totals (its last prefix sums) or its last column sums are not finite. A
     running sum stays non-finite once it is, so those values are finite
     exactly when every prefix and column sum so far is.
     """
-    h, w = x.shape[-2:]
-    lead, out_w = out.shape[:-2], out.shape[-1]
-    left, right = _margins(plan.x_floor[c], out_w, w, stride)
+    lead, (h, w) = x.shape[:-2], x.shape[-2:]
+    left, right = _margins(plan.x_floor[c])
     terms = plan.terms[c]
-    ytaps = _YTaps(plan, c, h, out, stride)
+    ytaps = _YTaps(plan, c, h, out)
     rows = max(1, min(h, STRIP_BYTES // (8 * w * math.prod(lead))))
     _, rsum = _rows_outer(lead + (rows, left + w + 1 + right))
     # crow[j] is the strip's row j over all terms and samples; csum views it per term
-    crow, csum = _rows_outer((len(terms),) + lead + (rows + 1 + ytaps.below, out_w))
+    crow, csum = _rows_outer((len(terms),) + lead + (rows + 1 + ytaps.below, w))
     row_adds = crow[0].size >= _ROW_ADD_MIN
-    cols = (out_w - 1) * stride + 1
     for p0 in range(0, h, rows):
         n = min(rows, h - p0)
         r = rsum[..., :n, :]
@@ -244,9 +241,9 @@ def _separable_channel(x, plan, c, out, stride) -> bool:
         for t, (xs, _) in enumerate(terms):
             u = csum[t, ..., 1 : n + 1, :]
             (dx, wt), *rest = xs
-            np.multiply(r[..., left + dx : left + dx + cols : stride], wt, out=u)
+            np.multiply(r[..., left + dx : left + dx + w], wt, out=u)
             for dx, wt in rest:
-                u += wt * r[..., left + dx : left + dx + cols : stride]
+                u += wt * r[..., left + dx : left + dx + w]
         if row_adds:
             for j in range(n):
                 crow[j + 1] += crow[j]
@@ -260,20 +257,20 @@ def _separable_channel(x, plan, c, out, stride) -> bool:
 
 
 def _table_channel(padded, top, left, plan, c, out):
-    """Channel c's terms on (..., H+1, W+1) tables at stride 1, by strips, into out.
+    """Channel c's terms on (..., H+1, W+1) tables, by strips, into out.
 
     padded holds the tables edge-replicated, entry (0, 0) at (top, left),
     with every column the x taps read and a row to spare below the last.
     out is (..., H, width), width being padded's: its first W columns get
     the result. A strip's x taps read table rows p0 + 1 .. p0 + n, which
-    already hold the column sums forward runs down its strips. At stride 1
-    each x tap is one flat pass over whole rows of padded width into the
+    already hold the column sums forward runs down its strips. Each x tap
+    is one flat pass over whole rows of padded width into the
     term's buffer, and each y tap one pass over whole rows of it: a row
     runs on into the margin and the next row, read only by cut-off columns.
     """
     lead, (h, width) = out.shape[:-2], out.shape[-2:]
     terms = plan.terms[c]
-    ytaps = _YTaps(plan, c, h, out, 1)
+    ytaps = _YTaps(plan, c, h, out)
     rows = max(1, min(h, STRIP_BYTES // (8 * width * math.prod(lead))))
     csum = np.zeros((len(terms),) + lead + (rows + 1 + ytaps.below, width))
     flat = padded.reshape(lead + (-1,))
@@ -347,16 +344,16 @@ class BoxConvLayer:
         x = as_feature_map(x)
         if x.shape[-3] != self.channels:
             raise DimensionError(f"input has {x.shape[-3]} channels, layer has {self.channels}")
-        out_shape = self.out_shape(x.shape)
-        plan = self.plan
-        out = np.empty(out_shape, dtype=np.float64)
+        plan, s = self.plan, self.stride
+        out = np.empty(x.shape, dtype=np.float64)
         for c in range(self.channels):
-            if not _separable_channel(x[..., c, :, :], plan, c, out[..., c, :, :], self.stride):
+            if not _separable_channel(x[..., c, :, :], plan, c, out[..., c, :, :]):
                 raise ValueError(
                     f"channel {c}: input holds NaN or inf, or its sums overflow float64"
                 )
-        saved = BoxConvSaved(x=x, out_shape=out_shape, stride=self.stride, plan=plan)
-        return out.astype(x.dtype, copy=False), saved
+        saved = BoxConvSaved(x=x, out_shape=self.out_shape(x.shape), stride=s, plan=plan)
+        # the stride-1 filter, subsampled: no copy at stride 1
+        return np.ascontiguousarray(out[..., ::s, ::s], dtype=x.dtype), saved
 
     def backward(self, saved: BoxConvSaved, grad_output) -> LayerGradients:
         g = np.asarray(grad_output, dtype=np.float64)
@@ -367,9 +364,9 @@ class BoxConvLayer:
         # before the buffers below: allocated after them, it let the peak RSS
         # of boxconv_train_256 grow by 8 MB in 5 of 10 runs (heap layout)
         grad_input = np.empty(x.shape)
-        # margins for every channel's stride-1 corner reads, and a spare row below
-        left, right = _margins(plan.x_floor, w, w, 1)
-        top, bottom = _margins(plan.y_floor, h, h, 1)
+        # margins for every channel's corner reads, and a spare row below
+        left, right = _margins(plan.x_floor)
+        top, bottom = _margins(plan.y_floor)
         width = left + w + 1 + right
         padded = np.empty(lead + (top + h + 2 + bottom, width))
         plane = np.empty(lead + (h, width))
@@ -386,7 +383,7 @@ class BoxConvLayer:
             build_sat(gc[..., ::-1, ::-1], out=padded[..., top : top + h + 1, left : left + w + 1])
             _edge_pad(padded, top, left, h, w)
 
-            # input path: the channel's terms on the table at stride 1, flipped back
+            # input path: the channel's terms on the table, flipped back
             _table_channel(padded, top, left, plan, c, plane)
             grad_input[..., c, ::-1, ::-1] = plane[..., :w]
 

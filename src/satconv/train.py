@@ -100,14 +100,13 @@ def parse_config(path) -> TrainConfig:
     return cfg
 
 
-def _block_kind(token: str):
-    if token.startswith("dense"):
-        size = int(token[len("dense"):] or 3)
-        return "dense", size
-    if token.startswith("box"):
-        k = int(token[len("box"):])
-        return "box", k
-    raise ConfigError(f"unknown block token {token!r}")
+def _block_kind(token: str, path="config"):
+    """("dense", size) for dense<size> (dense alone is dense3), ("box", k) for box<k>."""
+    kind = token.rstrip("0123456789")
+    size = token[len(kind):]
+    if kind == "dense" or (kind == "box" and size):
+        return kind, int(size or 3)
+    raise ConfigError(f"{path}: blocks: unknown block token {token!r}")
 
 
 def validate_config(cfg: TrainConfig, path="config") -> None:
@@ -115,11 +114,25 @@ def validate_config(cfg: TrainConfig, path="config") -> None:
         raise ConfigError(f"{path}: task must be 'keypoints' or 'kernel_approx', got {cfg.task!r}")
     if cfg.steps < 0:
         raise ConfigError(f"{path}: steps must be >= 0")
+    if cfg.seed < 0:
+        raise ConfigError(f"{path}: seed must be >= 0, got {cfg.seed}")
+    for key in sorted(_FLOAT_KEYS):
+        if not np.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{path}: {key} must be finite, got {getattr(cfg, key)}")
+    for key in ("lr", "sigma", "log_sigma"):
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"{path}: {key} must be > 0, got {getattr(cfg, key)}")
     if cfg.task == "keypoints":
-        if cfg.channels % 2 != 0:
-            raise ConfigError(f"{path}: channels must be even, got {cfg.channels}")
+        if cfg.channels < 2 or cfg.channels % 2 != 0:
+            raise ConfigError(f"{path}: channels must be even and >= 2, got {cfg.channels}")
+        for key in ("batch", "eval_every", "eval_samples", "final_eval_samples"):
+            if getattr(cfg, key) < 1:
+                raise ConfigError(f"{path}: {key} must be >= 1, got {getattr(cfg, key)}")
+        if cfg.image_size < 2 * BLOB_MARGIN + 1:
+            raise ConfigError(f"{path}: image_size must be >= {2 * BLOB_MARGIN + 1} to hold a "
+                              f"blob {BLOB_MARGIN} px from each edge, got {cfg.image_size}")
         for token in cfg.blocks:
-            kind, size = _block_kind(token)
+            kind, size = _block_kind(token, path)
             if kind == "box" and (size % 2 == 0 or size < 3):
                 raise ConfigError(f"{path}: box kernel size must be odd and >= 3, got {size}")
             if kind == "dense" and size % 2 == 0:
@@ -131,6 +144,16 @@ def validate_config(cfg: TrainConfig, path="config") -> None:
             raise ConfigError(f"{path}: target must be 'log' or 'box', got {cfg.target!r}")
         if cfg.n_boxes < 0:
             raise ConfigError(f"{path}: n_boxes must be >= 0")
+        if cfg.image_size < 1:
+            raise ConfigError(f"{path}: image_size must be >= 1, got {cfg.image_size}")
+        if cfg.target == "box" and len(cfg.target_box) != 4:
+            raise ConfigError(f"{path}: target_box must be 4 integers xl xh yl yh, "
+                              f"got {len(cfg.target_box)}")
+        try:
+            target_kernel(cfg)
+        except ValueError as e:
+            key = "k" if cfg.target == "log" else "target_box"
+            raise ConfigError(f"{path}: {key}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +168,13 @@ def box_target_kernel(k: int, xl: int, xh: int, yl: int, yh: int) -> np.ndarray:
     kern = np.zeros((k + 1, k + 1))
     kern[yl + r : yh + r + 1, xl + r : xh + r + 1] = 1.0
     return kern
+
+
+def target_kernel(cfg: TrainConfig) -> np.ndarray:
+    """The kernel_approx task's target: the config's LoG or integer box."""
+    if cfg.target == "log":
+        return log_target_kernel(cfg.k, sigma=cfg.log_sigma)
+    return box_target_kernel(cfg.k, *cfg.target_box)
 
 
 def log_target_kernel(k: int, size: int = 9, sigma: float = 1.4) -> np.ndarray:
@@ -244,11 +274,13 @@ def train_kernel_approx(target: np.ndarray, n_boxes: int, steps: int, seed: int,
 # synthetic keypoint task
 
 
+BLOB_MARGIN = 4  # pixels from a blob centre to the nearest image edge, at least
+
+
 def synth_keypoint_sample(rng, size: int, noise: float = 0.25):
     """One training sample: a bright blob at a random spot over noise."""
-    margin = 4.0
-    cx = float(rng.uniform(margin, size - 1 - margin))
-    cy = float(rng.uniform(margin, size - 1 - margin))
+    cx = float(rng.uniform(BLOB_MARGIN, size - 1 - BLOB_MARGIN))
+    cy = float(rng.uniform(BLOB_MARGIN, size - 1 - BLOB_MARGIN))
     amp = float(rng.uniform(0.8, 1.2))
     blob_sigma = float(rng.uniform(1.5, 2.5))
     img = amp * gaussian_target((cx, cy), (size, size), sigma=blob_sigma)
@@ -389,11 +421,7 @@ def write_checkpoint(outdir, model) -> None:
 def run_task(cfg: TrainConfig):
     """Dispatch a parsed config; returns (result, summary line)."""
     if cfg.task == "kernel_approx":
-        if cfg.target == "log":
-            target = log_target_kernel(cfg.k, sigma=cfg.log_sigma)
-        else:
-            target = box_target_kernel(cfg.k, *cfg.target_box)
-        res = train_kernel_approx(target, cfg.n_boxes, cfg.steps, cfg.seed,
+        res = train_kernel_approx(target_kernel(cfg), cfg.n_boxes, cfg.steps, cfg.seed,
                                   k=cfg.k, lr=cfg.lr, image_size=cfg.image_size)
         summary = (f"kernel_approx: rel error {res.initial_error:.17g} -> "
                    f"{res.final_error:.17g}")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from satconv.cli import main, render_boxes_svg
 from satconv.gradcheck import format_report, run_gradcheck
 from satconv.layer import BoxConvLayer
 from satconv.oracle import DenseKernel
+from satconv.train import ConfigError, parse_config
 
 
 def run_cli(capsys, *argv):
@@ -23,10 +26,17 @@ def test_gradcheck_passes_and_is_deterministic(capsys):
     assert "RESULT PASS" in out1
 
 
-def test_gradcheck_perturbation_hook_fails_loudly(capsys):
-    code, out, _ = run_cli(
-        capsys, "gradcheck", "--configs", "3", "--perturb", "theta_xh"
-    )
+def test_gradcheck_perturbation_hook_fails_loudly(capsys, monkeypatch):
+    """A wrong theta_xh gradient must fail the report, naming its category."""
+    backward = BoxConvLayer.backward
+
+    def skewed(self, saved, grad_output):
+        grads = backward(self, saved, grad_output)
+        grads.boxes.theta[..., 1] += 1e-2
+        return grads
+
+    monkeypatch.setattr(BoxConvLayer, "backward", skewed)
+    code, out, _ = run_cli(capsys, "gradcheck", "--configs", "3")
     assert code == 1
     assert "RESULT FAIL" in out
     assert "theta_xh" in out.split("RESULT")[0]
@@ -58,6 +68,31 @@ def test_bench_csv_schema_and_equivalence(capsys):
         want = float(np.vdot(cotangent, layer.forward(np.ones(x.shape))[0]))
         assert by_key[("box_bwd", k)][6] == "0"
         assert abs(float(by_key[("box_bwd", k)][7]) - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "--repeats", "0"),
+    ("bench", "--size", "256"),
+    ("bench", "--k", "4"),
+    ("gradcheck", "--sizes", "8"),
+    ("gradcheck", "--k", "4"),
+    ("gradcheck", "--strides", "0"),
+    ("gradcheck", "--tolerance", "nan"),  # every comparison with nan passes
+    ("gradcheck", "--tolerance", "0"),
+    ("bench", "--seed", "-1"),
+])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert f"argument {argv[1]}" in captured.err
+
+
+def test_bench_rejects_no_repeats():
+    with pytest.raises(ValueError, match="repeats"):
+        run_bench([13], 16, 16, repeats=0)
 
 
 def test_bench_dilated_parity_at_k13():
@@ -95,8 +130,6 @@ def test_export_fresh_init_stays_central(rng):
     r = 6.0
     lo_px = (-r / 2 + r) / 13.0 * 78.0
     hi_px = (r / 2 + 1 + r) / 13.0 * 78.0
-    import re
-
     col_pitch, row_pitch = 78.0, 78.0 + 12.0  # 12-unit label band below each tile
     for m in re.finditer(r'<rect x="([\d.]+)" y="([\d.]+)" width="([\d.]+)" '
                          r'height="([\d.]+)" fill="#4d88ff"', svg):
@@ -138,6 +171,46 @@ def test_train_rejects_even_kernel_before_running(tmp_path, capsys):
     assert code == 2
     assert "odd" in err
     assert not (tmp_path / "bad_run").exists()
+
+
+_KEYPOINTS = "task keypoints\nsteps 2\n"
+_KERNEL = "task kernel_approx\nsteps 2\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    (_KEYPOINTS + "seed -1\n", "seed"),
+    (_KEYPOINTS + "lr 0\n", "lr"),
+    (_KERNEL + "lr nan\n", "lr"),
+    (_KEYPOINTS + "noise nan\n", "noise"),
+    (_KEYPOINTS + "eval_every 0\n", "eval_every"),
+    (_KEYPOINTS + "batch 0\n", "batch"),
+    (_KEYPOINTS + "eval_samples 0\n", "eval_samples"),
+    (_KEYPOINTS + "final_eval_samples 0\n", "final_eval_samples"),
+    (_KEYPOINTS + "image_size 8\n", "image_size"),  # a blob needs 4 px of margin
+    (_KEYPOINTS + "channels 0\n", "channels"),
+    (_KEYPOINTS + "blocks dense3,boxa\n", "blocks"),
+    (_KEYPOINTS + "sigma 0\n", "sigma"),  # an all-zero heatmap target
+    (_KERNEL + "k 7\ntarget log\n", "k"),  # the LoG target's support is 9
+    (_KERNEL + "k 5\ntarget box\ntarget_box -3 1 -1 2\n", "target_box"),
+    (_KERNEL + "target box\ntarget_box 1 2 3\n", "target_box"),
+    (_KERNEL + "image_size 0\n", "image_size"),
+    (_KERNEL + "log_sigma 0\n", "log_sigma"),
+])
+def test_train_rejects_config_that_would_crash(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + f"out {tmp_path / 'run'}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}: {key}")):
+        parse_config(cfg)
+    code, out, err = run_cli(capsys, "train", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {cfg}: {key}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["keypoints_32", "kernel_box", "kernel_log"])
+def test_canonical_configs_parse(name):
+    assert parse_config(f"scripts/configs/{name}.cfg").steps > 0
 
 
 def test_train_missing_config(capsys):

@@ -42,13 +42,30 @@ def test_forward_matches_effective_kernel(rng, variant):
 
 
 def test_stride_subsamples_stride_one(rng):
-    p = init_params(9, BoxVariant.SINGLE, rng)
-    x = rng.normal(size=(1, 11, 13))
-    full, _ = BoxConvLayer([p], stride=1).forward(x)
-    for s in (2, 3):
-        strided, _ = BoxConvLayer([p], stride=s).forward(x)
-        assert strided.shape == (1, -(-11 // s), -(-13 // s))
-        assert np.array_equal(strided, full[:, ::s, ::s])
+    """A stride-s layer is the stride-1 layer on the stride grid: forward
+    keeps every s-th row and column, and backward is the stride-1 backward
+    of the cotangent placed on that grid, zeros between."""
+    for variant in BoxVariant:
+        p = init_params(9, variant, rng)
+        if variant != BoxVariant.SINGLE:
+            p = replace(p, split_weights=tuple(rng.uniform(0.5, 1.5, len(p.split_weights))))
+        for lead in ((), (2,)):
+            x = rng.normal(size=lead + (1, 11, 13))
+            one = BoxConvLayer([p], stride=1)
+            full, saved_one = one.forward(x)
+            for s in (2, 3):
+                layer = BoxConvLayer([p], stride=s)
+                strided, saved = layer.forward(x)
+                assert strided.shape == lead + (1, -(-11 // s), -(-13 // s))
+                assert np.array_equal(strided, full[..., ::s, ::s])
+                g = rng.normal(size=strided.shape)
+                placed = np.zeros(full.shape)
+                placed[..., ::s, ::s] = g
+                got, want = layer.backward(saved, g), one.backward(saved_one, placed)
+                assert got.grad_input.tobytes() == want.grad_input.tobytes()
+                for field in ("theta", "split", "weight"):
+                    assert (getattr(got.boxes, field).tobytes()
+                            == getattr(want.boxes, field).tobytes())
 
 
 def test_backward_theta_xh_area_growth():
@@ -356,8 +373,8 @@ def _table_taps(x, plan, c):
     """backward's input-path routine for channel c on the edge-padded table of planes x,
     at stride 1."""
     h, w = x.shape[-2:]
-    left, right = satconv.layer._margins(plan.x_floor[c], w, w, 1)
-    top, bottom = satconv.layer._margins(plan.y_floor[c], h, h, 1)
+    left, right = satconv.layer._margins(plan.x_floor[c])
+    top, bottom = satconv.layer._margins(plan.y_floor[c])
     padded = np.empty(x.shape[:-2] + (top + h + 2 + bottom, left + w + 1 + right))
     build_sat(x, out=padded[..., top : top + h + 1, left : left + w + 1])
     satconv.layer._edge_pad(padded, top, left, h, w)
