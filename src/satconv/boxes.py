@@ -28,7 +28,7 @@ and the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 
@@ -241,6 +241,31 @@ def box_geometry(theta, split, weight, k: int, variant):
     return xs, ys, SUB_BOXES[variant]
 
 
+def _corner_runs(floors):
+    """Each row's lattice corners on one axis, floor and floor + 1 per site.
+
+    floors is a list of rows of site floors, in site order, which is
+    ascending. Returns the numbers of each row's corners among its distinct
+    ones in order, as a (C, 2 S) array, and per row the distinct corners as
+    runs of consecutive offsets, each a (first number, first offset,
+    length) tuple. A site adds as many new corners as its floor lies above
+    the one before, at most 2, and its two corners are then the last two
+    distinct ones; it starts a run when its floor lies more than 2 above.
+    """
+    slots, runs = [], []
+    for row in floors:
+        slot, starts, d = [0, 1], [(0, row[0])], 2
+        for before, v in zip(row, row[1:]):
+            if v - before > 2:
+                starts.append((d, v))
+            d += min(2, v - before)
+            slot += [d - 2, d - 1]
+        slots.append(slot)
+        ends = [k for k, _ in starts[1:]] + [d]
+        runs.append(tuple((k, v, end - k) for (k, v), end in zip(starts, ends)))
+    return np.array(slots, dtype=np.intp), runs
+
+
 @dataclass(frozen=True)
 class CornerSamplePlan:
     """Compiled lattice taps for a layer's C boxes.
@@ -255,6 +280,21 @@ class CornerSamplePlan:
     model (tap_weights). Taps whose folded weight is exactly zero are left
     out of the terms and of the tap count; the cells still name every
     lattice corner the sites read.
+
+    Derived from those, once per plan: y_taps holds, per channel, every
+    term's y taps as (offset, term index, weight) in (offset, term) order,
+    the order in which the layer adds them; margins is (left, right, top,
+    bottom), the lattice entries a table axis lacks before and after it for
+    every channel's reads: output i reads entries floor + i and
+    floor + 1 + i, so what lies past the last entry does not depend on the
+    plane size. The cells read 2 nx lattice corners on the x axis and 2 ny
+    on the y axis (floor, then floor + 1, site by site), of which each
+    channel's distinct ones are numbered in order: x_runs and y_runs hold,
+    per channel, the distinct corners as runs of consecutive offsets
+    (first number, first offset, length), and corner_index (C, nx, 2, ny, 2)
+    says where the product at corner (x0 + i, y0 + j) of channel c's cells
+    ix and iy lies among the (C, 2 ny, 2 nx) products at distinct corners,
+    flattened.
     """
 
     x_floor: np.ndarray
@@ -265,6 +305,28 @@ class CornerSamplePlan:
     sub_boxes: tuple
     terms: list
     max_kernel: int
+    y_taps: list = field(init=False, repr=False)
+    margins: tuple = field(init=False)
+    x_runs: list = field(init=False, repr=False)
+    y_runs: list = field(init=False, repr=False)
+    corner_index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        derived = {"y_taps": [tuple(sorted((dy, t, wt) for t, (_, ys) in enumerate(channel)
+                                           for dy, wt in ys)) for channel in self.terms]}
+        margins, slots = [], []
+        for axis, floor in (("x", self.x_floor.tolist()), ("y", self.y_floor.tolist())):
+            # a row's floors ascend
+            margins += [max(0, -min(r[0] for r in floor)), max(0, max(r[-1] for r in floor))]
+            slot, derived[axis + "_runs"] = _corner_runs(floor)
+            slots.append(slot)
+        (c, nx), ny = self.x_floor.shape, self.y_floor.shape[1]
+        x_slot, y_slot = slots[0].reshape(c, nx, 2, 1, 1), slots[1].reshape(c, 1, 1, ny, 2)
+        derived["corner_index"] = (np.arange(0, c * 2 * ny, 2 * ny).reshape(c, 1, 1, 1, 1)
+                                   + y_slot) * (2 * nx) + x_slot
+        derived["margins"] = tuple(margins)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def tap_weights(self) -> np.ndarray:
         """(C, nx, ny, 2, 2): site (ix, iy)'s weight on lattice corner

@@ -137,8 +137,12 @@ def cmd_export_boxes(args) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 2
     svg = render_boxes_svg(boxes)
-    with open(args.out, "w") as f:
-        f.write(svg)
+    try:
+        with open(args.out, "w") as f:
+            f.write(svg)
+    except OSError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return 2
     sys.stdout.write(f"wrote {args.out} ({len(boxes)} boxes)\n")
     return 0
 
@@ -149,9 +153,13 @@ def cmd_train(args) -> int:
     except (OSError, ConfigError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    result, summary = run_task(cfg)
     outdir = cfg.out or os.path.splitext(args.config)[0] + "_run"
-    os.makedirs(outdir, exist_ok=True)
+    try:  # before the run, which a directory it cannot write would waste
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:
+        sys.stderr.write(f"error: {outdir}: {e}\n")
+        return 2
+    result, summary = run_task(cfg)
     write_log_csv(os.path.join(outdir, "log.csv"), result.log_rows)
     if result.model is not None:
         write_checkpoint(outdir, result.model)

@@ -3,39 +3,52 @@
 One box per channel, all of one variant and window size. The layer keeps
 its boxes as (C, ...) arrays and compiles them in one boxes.compile_plan
 call into one plan: every channel's cell floors, fractions and folded site
-coefficients as arrays, and its taps factored into terms. Inputs are
-(C, H, W) or a batch (N, C, H, W); every sample is computed exactly as it
-would be on its own. A box's compiled lattice taps read a summed-area
-table, and they factor exactly into a few terms of x taps times y taps.
-Forward applies them one axis at a time and never builds the table: in
-strips of input rows, it takes each row's prefix sums along x, applies
-each term's x taps, runs the column sums of those values down the strip
-(carrying the last row over from the strip before), and adds each y tap
-into the output rows it reaches. Every output pixel's sample coordinates
-share their fractional parts, so the tap weights are constant over the
-whole plane. This is a stride-1 filter; a strided layer keeps every
-stride-th row and column of its output. Out-of-range reads are resolved by
-edge replication: a zero left margin and the row total right of the prefix
-sums, no rows above the first and the final column sums below the last,
-which reproduces zero-padding of the source exactly. The y taps reach
-every output pixel in one fixed (offset, term) order, so the output does
-not depend on the strip height. The column sums grow with a box's width,
-not with the whole plane's, so the four-corner differences lose far less
-precision than on a table. A channel whose row prefix sums or column sums
-are not finite (NaN or inf in the input, or sums that overflow float64) is
-rejected: one bad pixel would spoil every output below it whose box
-reaches its column.
+coefficients as arrays, its taps factored into terms, its y taps in the
+order they are added, and the layer's table margins. Inputs are (C, H, W)
+or a batch (N, C, H, W); every sample is computed exactly as it would be
+on its own. A box's compiled lattice taps read a summed-area table, and
+they factor exactly into a few terms of x taps times y taps.
+
+The layer works in channel blocks: as many channels' planes, over all
+samples, as fit in STRIP_BYTES (a keypoint layer of 4 x 4 x 32^2 is one
+block), or one channel of as many samples as fit, or, where a single plane
+does not fit (256^2 and up), one plane in strips of input rows. Per block
+go the prefix sums, the column-sum scan, the finiteness checks, the
+cotangent's table and its edge pad, and the corner products; only the x
+and y tap passes go per channel, since each box has its own offsets. Each
+row of a per-channel array holds the block's samples' rows side by side,
+each with its margins, so a tap is one flat, contiguous pass over whole
+padded rows of all samples.
+
+Forward applies the taps one axis at a time and never builds the table:
+it takes each input row's prefix sums along x, applies each term's x taps,
+runs the column sums of those values down the rows in one scan over every
+term and sample of the block (a strip carries its last row over to the
+next), and adds each y tap into the output rows it reaches. Every output
+pixel's sample coordinates share their fractional parts, so the tap
+weights are constant over the whole plane. This is a stride-1 filter; a
+strided layer keeps every stride-th row and column of its output.
+Out-of-range reads are resolved by edge replication: a zero left margin
+and the row total right of the prefix sums, no rows above the first and
+the final column sums below the last, which reproduces zero-padding of the
+source exactly. The y taps reach every output pixel in one fixed (offset,
+term) order, so the output does not depend on the block or strip layout.
+The column sums grow with a box's width, not with the whole plane's, so
+the four-corner differences lose far less precision than on a table. A
+channel whose row prefix sums or column sums are not finite (NaN or inf in
+the input, or sums that overflow float64) is rejected, by name: one bad
+pixel would spoil every output below it whose box reaches its column.
 
 Backward is box forward run on the cotangent, read through flipped views.
 Placed on the input grid (stride-spaced, zeros between) and flipped along
-both axes, each channel's cotangent gets one summed-area table T, built
-into an edge-replicated buffer shared by all channels of the call. The
-mirrored box filter of the cotangent, which is the input gradient, is then
-the plan's terms applied to T: each term's x taps on a strip of T's rows,
-whose entries already are column sums, then the same y-tap pass as
-forward's, into one plane that is copied once into a flipped view of the
-channel's input gradient. Forward keeps only its input for backward. Three
-gradient families come out:
+both axes, each block's cotangent gets its summed-area tables T, built in
+one call into an edge-replicated buffer. The mirrored box filter of the
+cotangent, which is the input gradient, is then the plan's terms applied to
+T: each term's x taps on T's rows, whose entries already are column sums,
+then the same y-tap pass as forward's, written over the rows of T the x
+taps have read and copied once into a flipped view of the input gradient.
+Forward keeps only its input for backward. Three gradient families come
+out:
 
 * input: the x then y taps on T, as above;
 * box coordinates: every sample site's value and coordinate derivatives
@@ -44,8 +57,9 @@ gradient families come out:
   Each such product equals the inner product of the flipped input with T
   read at the same corner, so backward takes one product per sample and
   distinct lattice corner of the plan's cells (sites sharing a corner
-  share it), as one dot product per row. It then blends them, for all
-  channels at once, with each site's constant interpolation fractions;
+  share it), as one dot product per row, one matmul per run of adjacent
+  corners into one array summed once per block. It then blends them, for
+  all channels at once, with each site's constant interpolation fractions;
   the site derivative, weighted by its folded coefficient, moves exactly
   one normalized parameter, with the window half-width as chain factor.
   Sites whose reads fall in the replicated margin see equal corner
@@ -59,6 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -66,16 +81,11 @@ from .boxes import BoxParams, CornerSamplePlan, box_arrays, compile_plan
 from .fmap import DimensionError, as_feature_map
 from .sat import build_sat, sat_backward  # sat_backward: only perfbench's tracer reads it here
 
-# Bytes of rows, over all samples, per strip: input rows in forward, rows of
-# the cotangent's table in backward. With each term's buffer rows and the
-# output rows a strip's y taps reach (about one box height more), its
-# working set stays inside a 2 MB L2 cache on 1024-wide planes.
+# Bytes of input planes per block, or of input rows per strip of a plane
+# too large for it. With each term's buffer rows and the output rows a
+# strip's y taps reach (about one box height more), a strip's working set
+# stays inside a 2 MB L2 cache on 1024-wide planes.
 STRIP_BYTES = 256 * 1024
-
-# Strip rows of fewer values than this (over samples and terms) get their
-# column sums from one np.cumsum; longer ones from one add per row, which
-# runs at about a third of np.cumsum's cost per value.
-_ROW_ADD_MIN = 256
 
 
 @dataclass
@@ -120,15 +130,20 @@ class BoxConvSaved:
     plan: CornerSamplePlan
 
 
-def _margins(floor):
-    """Lattice entries a table axis of n+1 entries lacks before and after it.
+def _blocks(n, c, h, w):
+    """Samples and channels per block, and input rows per strip, for n samples
+    of c (h, w) planes.
 
-    floor holds the cell floors of the sites on that axis (one channel's, or
-    an array of several); output i < n reads entries floor + i and
-    floor + 1 + i, so what lies past the last entry does not depend on n.
+    A block holds as many channels' planes, over all samples, as fit in
+    STRIP_BYTES, and at least one. Where one channel's planes do not fit, a
+    block holds one channel of as many samples' planes as fit; a block of
+    whole planes is one strip. A single plane too large for the budget goes
+    alone, in strips of the rows that fit.
     """
-    lo = floor.ravel().tolist()
-    return max(0, -min(lo)), max(0, max(lo))
+    plane = 8 * h * w
+    g = max(1, min(n, STRIP_BYTES // plane))
+    b = max(1, min(c, STRIP_BYTES // (g * plane)))
+    return g, b, h if g * plane <= STRIP_BYTES else max(1, min(h, STRIP_BYTES // (8 * w)))
 
 
 def _edge_pad(padded, top, left, h, w):
@@ -144,146 +159,206 @@ def _edge_pad(padded, top, left, h, w):
 def _site_terms(q, plan):
     """Site values and coordinate derivatives, blended from corner products.
 
-    q is (2 nx, 2 ny, ..., C): q[2 ix + i, 2 iy + j] is the product at the
-    corner (x0 + i, y0 + j) of x cell ix and y cell iy, one per sample and
-    channel. Returns every site's value (nx, ny, ..., C) and the
-    coefficient-weighted derivative sums per x site (nx, ..., C) and per y
-    site (ny, ..., C), each summed in site order.
+    q is (n, C, nx, 2, ny, 2): q[..., c, ix, i, iy, j] is the product at the
+    corner (x0 + i, y0 + j) of channel c's x cell ix and y cell iy, per
+    sample. Returns every site's value (n, C, nx, ny) and the
+    coefficient-weighted derivative sums per x site (n, C, nx) and per y
+    site (n, C, ny), each summed in site order.
     """
-    extra = (1,) * (q.ndim - 3) + plan.coeffs.shape[:1]
-    a = plan.x_frac.T.reshape((-1, 1) + extra)
-    b = plan.y_frac.T.reshape((1, -1) + extra)
-    coeff = np.moveaxis(plan.coeffs, 0, -1).reshape(a.shape[:1] + b.shape[1:2] + extra)
-    q00, q10, q01, q11 = q[::2, ::2], q[1::2, ::2], q[::2, 1::2], q[1::2, 1::2]
-    values = (1 - a) * (1 - b) * q00 + a * (1 - b) * q10 + (1 - a) * b * q01 + a * b * q11
-    dx = coeff * ((1 - b) * (q10 - q00) + b * (q11 - q01))
-    dy = coeff * ((1 - a) * (q01 - q00) + a * (q11 - q10))
-    return values, sum(dx[:, j] for j in range(b.shape[1])), sum(dy[i] for i in range(a.shape[0]))
+    c, nx, ny = plan.coeffs.shape
+    a, b = plan.x_frac.reshape(c, nx, 1, 1, 1), plan.y_frac.reshape(c, 1, 1, ny, 1)
+    wx, wy = np.concatenate((1 - a, a), axis=2), np.concatenate((1 - b, b), axis=4)
+    p = wx * wy * q  # the products (1 - a) * (1 - b) * q00, a * (1 - b) * q10, ...
+    values = p[..., 0, :, 0] + p[..., 1, :, 0] + p[..., 0, :, 1] + p[..., 1, :, 1]
+    t = wy[:, :, 0] * (q[..., 1, :, :] - q[..., 0, :, :])  # (1 - b) * (q10 - q00), b * (q11 - q01)
+    dx = plan.coeffs * (t[..., 0] + t[..., 1])
+    t = wx[..., 0] * (q[..., 1] - q[..., 0])  # (1 - a) * (q01 - q00), a * (q11 - q10)
+    dy = plan.coeffs * (t[..., 0, :] + t[..., 1, :])
+    return values, sum(dx[..., j] for j in range(ny)), sum(dy[..., i, :] for i in range(nx))
 
 
-def _rows_outer(shape):
-    """Zeros of shape (..., rows, cols) with the rows axis outermost in memory.
+def _x_pass(xs, src, s0, dst, d0, m, left, w):
+    """Columns 0..w of dst rows d0 .. d0 + m get the x taps xs, (dx, weight)
+    in order, of src rows s0 .., each tap read from column left + dx.
 
-    Returns the array and the view of it with the rows axis moved to -2.
+    src and dst are (rows, n, width) arrays: each row holds the n samples'
+    rows side by side. Arrays of one width go as one flat run of entries,
+    from the first row's first sample to the last row's last, which also
+    covers the columns past w of every sample's row but the last: one
+    contiguous pass. Arrays of two widths go as strided slices.
     """
-    a = np.zeros(shape[-2:-1] + shape[:-2] + shape[-1:])
-    return a, a.transpose(*range(1, a.ndim - 1), 0, a.ndim - 1)
+    rows, n, width = dst.shape
+    if src.shape[-1] == width:
+        row = n * width
+        size = (m - 1) * row + (n - 1) * width + w
+        u = dst.reshape(-1)[d0 * row : d0 * row + size]
+        flat, start = src.reshape(-1), s0 * row + left
+        taps = [(flat[start + dx : start + dx + size], wt) for dx, wt in xs]
+    else:
+        u = dst[d0 : d0 + m, :, :w]
+        taps = [(src[s0 : s0 + m, :, left + dx : left + dx + w], wt) for dx, wt in xs]
+    (r, wt), *rest = taps
+    np.multiply(r, wt, out=u)
+    for r, wt in rest:
+        u += wt * r
 
 
-class _YTaps:
-    """Channel c's y taps, from per-term buffers of x-tapped table rows into out.
+def _y_pass(taps, src, dst, p0, n, h, last, w):
+    """Add one channel's y taps of the table rows new in a strip into its output.
 
-    The table has h + 1 rows, row 0 all zero. out is (..., h, width), or any
-    view of it, and is zeroed here; output row i reads the table rows around
-    i. A strip's buffer csum[t] holds term t's x taps of table rows p0 ..
-    p0 + n in its rows 0..n, with room for `below` more. add() adds each y
-    tap (offset dy) of the rows new in the strip to the output rows i with
-    i + dy in p0 + 1 .. p0 + n; rows above the table are zero and are
-    skipped, and rows below it, reached only from the last strip, repeat its
-    final row. The taps run in (offset, term) order in every strip, so each
-    pixel gets the same sums in the same order at any strip height.
+    The table has h + 1 rows, row 0 all zero; the strip's new rows are
+    p0 + 1 .. p0 + n. src[t] holds term t's x-tapped table row p0 + j at its
+    row j, and in the last strip the final row repeated below, as far as
+    the taps reach. Output row i is row i of dst and gets each tap (dy, t,
+    weight) of table row i + dy once, from the strip that holds that row;
+    rows above the table are zero and are skipped. The taps run in
+    (offset, term) order in every strip, so each pixel gets the same sums
+    in the same order at any strip height. src[t] and dst are (rows,
+    samples, width) arrays of one width: a tap is one flat run, as in
+    _x_pass.
     """
-
-    def __init__(self, plan, c, h, out):
-        self.h, self.out = h, out
-        self.below = _margins(plan.y_floor[c])[1]  # table rows past the last
-        self.taps = sorted((dy, t, wt) for t, (_, ys) in enumerate(plan.terms[c]) for dy, wt in ys)
-        out[...] = 0.0
-
-    def add(self, csum, p0, n):
-        end = p0 + n + 1  # table rows p0 + 1 .. end - 1 are new in this strip
-        if end > self.h:
-            csum[..., n + 1 :, :] = csum[..., n : n + 1, :]
-            end += self.below
-        for dy, t, wt in self.taps:
-            i0, i1 = max(0, p0 + 1 - dy), min(self.h, end - dy)
-            if i0 < i1:
-                j0 = i0 + dy - p0  # the strip row output row i0 reads
-                self.out[..., i0:i1, :] += wt * csum[t, ..., j0 : j0 + i1 - i0, :]
+    rows, g, width = dst.shape
+    row = g * width
+    out, flat = dst.reshape(-1), src.reshape(src.shape[0], math.prod(src.shape[1:]))
+    for dy, t, wt in taps:
+        i0 = max(0, p0 + 1 - dy)
+        i1 = h if last else min(h, p0 + n + 1 - dy)
+        if i0 < i1:
+            size, j = (i1 - i0 - 1) * row + (g - 1) * width + w, i0 + dy - p0
+            out[i0 * row : i0 * row + size] += wt * flat[t, j * row : j * row + size]
 
 
-def _separable_channel(x, plan, c, out) -> bool:
-    """Box-filter channel c's (..., H, W) planes x into out, by strips.
+def _forward_block(x, plan, c0, out, rows) -> bool:
+    """Box-filter the (n, b, H, W) planes x of channels c0 .. c0 + b - 1 into out.
 
-    out is the channel's (..., H, W) output, or any view of it. A strip
-    holds the input rows that fill STRIP_BYTES over all samples. Their
-    prefix sums along x go into a buffer with the zero left margin and the
-    edge-replicated right margin of a table row. Each term's x taps read it
-    and write one row per input row into that term's buffer, whose row 0
-    carries the column sums of the table row above the strip; the running
-    sums then turn row j into the column sums of table row p0 + j, and
-    _YTaps adds them into the output. The buffers keep a strip row's values
-    adjacent over samples and terms, so each row-wise add is one contiguous
-    pass.
+    Every per-channel array below is (rows, n, width): each row holds the
+    n samples' rows side by side. The block goes by strips of the given
+    input rows. Their prefix sums along x go into rsum, with a table row's
+    zero left margin and edge-replicated right margin. Each term's x taps
+    read them and write into the term's cs array, below its row 0, which
+    carries the column sums of the table row above the strip. One scan down
+    the rows, one row-wise add for every term and sample of the block,
+    turns the rows into the column sums of the strip's table rows, and the
+    y taps add them into the output. A block of whole planes gives cs
+    rsum's width, and its y taps write into rsum once the x taps have read
+    it, so that every tap is one flat pass over whole padded rows; a block
+    of several strips (one plane) writes straight into out.
 
     Returns False, before any y tap reads them, as soon as a strip's row
     totals (its last prefix sums) or its last column sums are not finite. A
     running sum stays non-finite once it is, so those values are finite
     exactly when every prefix and column sum so far is.
     """
-    lead, (h, w) = x.shape[:-2], x.shape[-2:]
-    left, right = _margins(plan.x_floor[c])
-    terms = plan.terms[c]
-    ytaps = _YTaps(plan, c, h, out)
-    rows = max(1, min(h, STRIP_BYTES // (8 * w * math.prod(lead))))
-    _, rsum = _rows_outer(lead + (rows, left + w + 1 + right))
-    # crow[j] is the strip's row j over all terms and samples; csum views it per term
-    crow, csum = _rows_outer((len(terms),) + lead + (rows + 1 + ytaps.below, w))
-    row_adds = crow[0].size >= _ROW_ADD_MIN
+    n, b, h, w = x.shape
+    left, right, _, bottom = plan.margins
+    whole = rows == h
+    shape = (1 + rows + bottom, n, left + w + 1 + right)
+    terms = plan.terms[c0 : c0 + b]
+    first = np.cumsum([0] + [len(ts) for ts in terms]).tolist()  # each channel's first term array
+    # out's width where the y taps write straight into out
+    cs = np.zeros((first[-1],) + shape[:-1] + (shape[-1] if whole else w,))
+    # the column sums run down rows of every term and sample: contiguous
+    # rows, in a copy where the block has several, made in rsum's memory
+    # once the x taps have read it
+    scan = (rows + 1,) + cs.shape[:1] + (n, w)
+    rsum = (b, rows) + shape[1:]
+    buffer = np.zeros(max(math.prod(rsum), whole * math.prod(scan)))
+    scan = buffer[: math.prod(scan)].reshape(scan) if whole else cs[..., :w].transpose(1, 0, 2, 3)
+    rsum = buffer[: math.prod(rsum)].reshape(rsum)
+    # the y taps of a block of whole planes write into rsum, spent by then
+    plane = rsum if whole else out.transpose(1, 2, 0, 3)
     for p0 in range(0, h, rows):
-        n = min(rows, h - p0)
-        r = rsum[..., :n, :]
-        np.cumsum(x[..., p0 : p0 + n, :], axis=-1, dtype=np.float64,
-                  out=r[..., left + 1 : left + w + 1])
+        m = min(rows, h - p0)
+        last = p0 + m == h
+        r = rsum[:, :m]
+        np.cumsum(x[:, :, p0 : p0 + m], axis=-1, dtype=np.float64,
+                  out=r[..., left + 1 : left + w + 1].transpose(2, 0, 1, 3))
         if not np.isfinite(r[..., left + w]).all():
             return False
         r[..., left + w + 1 :] = r[..., left + w : left + w + 1]
-        for t, (xs, _) in enumerate(terms):
-            u = csum[t, ..., 1 : n + 1, :]
-            (dx, wt), *rest = xs
-            np.multiply(r[..., left + dx : left + dx + w], wt, out=u)
-            for dx, wt in rest:
-                u += wt * r[..., left + dx : left + dx + w]
-        if row_adds:
-            for j in range(n):
-                crow[j + 1] += crow[j]
+        if p0:
+            cs[:, 0, :, :w] = cs[:, rows, :, :w]
+        for i, channel in enumerate(terms):
+            for t, (xs, _) in enumerate(channel):
+                _x_pass(xs, rsum[i], 0, cs[first[i] + t], 1, m, left, w)
+        if whole:
+            scan[...] = cs[:, : m + 1, :, :w].transpose(1, 0, 2, 3)
+            for j in range(m):
+                scan[j + 1] += scan[j]
+            cs[:, 1 : m + 1, :, :w] = scan[1:].transpose(1, 0, 2, 3)
         else:
-            np.cumsum(crow[: n + 1], axis=0, out=crow[: n + 1])
-        if not np.isfinite(crow[n]).all():
+            for j in range(m):
+                scan[j + 1] += scan[j]
+        if not np.isfinite(cs[:, m, :, :w]).all():
             return False
-        ytaps.add(csum, p0, n)
-        crow[0] = crow[n]
+        if last:
+            cs[:, m + 1 : m + 1 + bottom] = cs[:, m : m + 1]
+        if not p0:
+            plane[...] = 0.0
+        for i in range(b):
+            _y_pass(plan.y_taps[c0 + i], cs[first[i] : first[i + 1]], plane[i], p0, m, h, last, w)
+    if whole:
+        out[...] = rsum[..., :w].transpose(2, 0, 1, 3)
     return True
 
 
-def _table_channel(padded, top, left, plan, c, out):
-    """Channel c's terms on (..., H+1, W+1) tables, by strips, into out.
+def _table_block(tables, plan, c0, rows):
+    """Channels c0 .. c0 + b - 1's terms on their tables, written over them.
 
-    padded holds the tables edge-replicated, entry (0, 0) at (top, left),
-    with every column the x taps read and a row to spare below the last.
-    out is (..., H, width), width being padded's: its first W columns get
-    the result. A strip's x taps read table rows p0 + 1 .. p0 + n, which
-    already hold the column sums forward runs down its strips. Each x tap
-    is one flat pass over whole rows of padded width into the
-    term's buffer, and each y tap one pass over whole rows of it: a row
-    runs on into the margin and the next row, read only by cut-off columns.
+    tables is (b, rows, n, width): each row holds the n samples' table rows
+    side by side, edge-replicated, entry (0, 0) at (top, left) of the plan's
+    margins, with every row and column the taps read. A strip's x taps read
+    table rows p0 + 1 .., which already hold the column sums forward runs
+    down its strips, and in the last strip the rows of the bottom margin
+    too. Output row i goes to row i, columns 0..W, of the channel's tables:
+    rows the x taps have read, zeroed strip by strip. A strip's y taps
+    reach output rows at most `top` past its last table row, and table row
+    r sits in row top + r, so no strip writes a row that a later strip
+    reads.
     """
-    lead, (h, width) = out.shape[:-2], out.shape[-2:]
-    terms = plan.terms[c]
-    ytaps = _YTaps(plan, c, h, out)
-    rows = max(1, min(h, STRIP_BYTES // (8 * width * math.prod(lead))))
-    csum = np.zeros((len(terms),) + lead + (rows + 1 + ytaps.below, width))
-    flat = padded.reshape(lead + (-1,))
-    for p0 in range(0, h, rows):
-        n = min(rows, h - p0)
-        start, size = (top + p0 + 1) * width + left, n * width
-        for t, (xs, _) in enumerate(terms):
-            u = csum[t, ..., 1 : n + 1, :].reshape(lead + (size,))
-            (dx, wt), *rest = xs
-            np.multiply(flat[..., start + dx : start + dx + size], wt, out=u)
-            for dx, wt in rest:
-                u += wt * flat[..., start + dx : start + dx + size]
-        ytaps.add(csum, p0, n)
+    b, hp, n, wp = tables.shape
+    left, right, top, bottom = plan.margins
+    h, w = hp - top - 1 - bottom, wp - left - 1 - right
+    xt = np.zeros((max(len(ts) for ts in plan.terms[c0 : c0 + b]), 1 + rows + bottom, n, wp))
+    for i in range(b):
+        spent = 0  # rows of the channel's tables that no later x tap reads
+        for p0 in range(0, h, rows):
+            m = min(rows, h - p0)
+            last = p0 + m == h
+            for t, (xs, _) in enumerate(plan.terms[c0 + i]):
+                _x_pass(xs, tables[i], top + 1 + p0, xt[t], 1, m + bottom * last, left, w)
+            tables[i, spent : top + p0 + m + 1 + bottom * last] = 0.0
+            spent = top + p0 + m + 1
+            _y_pass(plan.y_taps[c0 + i], xt, tables[i], p0, m, h, last, w)
+
+
+def _corner_products(x, tables, plan, c0, prods):
+    """Products of the flipped input with the tables read at cell corners.
+
+    x is (n, b, H, W), the input of channels c0 .., and tables their (b,
+    rows, n, width) tables as in _table_block. prods[:, i, ky, kx] gets, per
+    sample, channel c0 + i's product at its distinct corner (x number kx, y
+    number ky): the sum of H row dots, one matmul per pair of runs of
+    consecutive corners. Each dot is one BLAS call over W values: that skips
+    the margins, and keeps each dot below the 10000 values past which
+    OpenBLAS splits it over threads (its sums then depend on the thread
+    count; on a 2-core host an idle pool took 6 ms to wake).
+    """
+    n, b, h, w = x.shape
+    left, _, top, _ = plan.margins
+    sb, sr, sn, sc = tables.strides
+    xf = np.empty((n, h, 1, w))  # the flipped input, one row per dot product
+    # zero: a channel with fewer distinct corners leaves the rest unwritten
+    dots = np.zeros((n,) + prods.shape[2:] + (h, 1, 1))
+    for i in range(b):
+        xf[:, :, 0] = x[:, i, ::-1, ::-1]
+        for ky, y0, ly in plan.y_runs[c0 + i]:
+            for kx, x0, lx in plan.x_runs[c0 + i]:
+                corners = np.ndarray((n, ly, lx, h, w, 1), tables.dtype, tables,
+                                     i * sb + (top + y0) * sr + (left + x0) * sc,
+                                     (sn, sr, sc, sr, sc, sc))
+                np.matmul(xf[:, None, None], corners, out=dots[:, ky : ky + ly, kx : kx + lx])
+        np.sum(dots[..., 0, 0], axis=-1, out=prods[:, i])
 
 
 class BoxConvLayer:
@@ -345,67 +420,73 @@ class BoxConvLayer:
         if x.shape[-3] != self.channels:
             raise DimensionError(f"input has {x.shape[-3]} channels, layer has {self.channels}")
         plan, s = self.plan, self.stride
-        out = np.empty(x.shape, dtype=np.float64)
-        for c in range(self.channels):
-            if not _separable_channel(x[..., c, :, :], plan, c, out[..., c, :, :]):
+        xb = x.reshape((-1,) + x.shape[-3:])  # a rank-3 input is one sample
+        n, c, h, w = xb.shape
+        out = np.empty(xb.shape)
+        bn, bc, rows = _blocks(n, c, h, w)
+        for c0, n0 in product(range(0, c, bc), range(0, n, bn)):
+            block = (slice(n0, n0 + bn), slice(c0, c0 + bc))
+            if not _forward_block(xb[block], plan, c0, out[block], rows):
+                # several channels share a block only when it holds every sample:
+                # name the block's first channel that fails on its own
+                bad = next(k for k in range(c0, min(c, c0 + bc)) if not _forward_block(
+                    xb[n0 : n0 + bn, k : k + 1], plan, k, out[n0 : n0 + bn, k : k + 1], rows))
                 raise ValueError(
-                    f"channel {c}: input holds NaN or inf, or its sums overflow float64"
+                    f"channel {bad}: input holds NaN or inf, or its sums overflow float64"
                 )
         saved = BoxConvSaved(x=x, out_shape=self.out_shape(x.shape), stride=s, plan=plan)
         # the stride-1 filter, subsampled: no copy at stride 1
-        return np.ascontiguousarray(out[..., ::s, ::s], dtype=x.dtype), saved
+        return np.ascontiguousarray(out.reshape(x.shape)[..., ::s, ::s], dtype=x.dtype), saved
 
     def backward(self, saved: BoxConvSaved, grad_output) -> LayerGradients:
         g = np.asarray(grad_output, dtype=np.float64)
         if g.shape != saved.out_shape:
             raise DimensionError(f"grad_output shape {g.shape} != forward output {saved.out_shape}")
         x, s, plan = saved.x, saved.stride, saved.plan
-        lead, (h, w) = x.shape[:-3], x.shape[-2:]
+        xb, gb = x.reshape((-1,) + x.shape[-3:]), g.reshape((-1,) + g.shape[-3:])
+        n, c, h, w = xb.shape
         # before the buffers below: allocated after them, it let the peak RSS
         # of boxconv_train_256 grow by 8 MB in 5 of 10 runs (heap layout)
-        grad_input = np.empty(x.shape)
-        # margins for every channel's corner reads, and a spare row below
-        left, right = _margins(plan.x_floor)
-        top, bottom = _margins(plan.y_floor)
-        width = left + w + 1 + right
-        padded = np.empty(lead + (top + h + 2 + bottom, width))
-        plane = np.empty(lead + (h, width))
-        xf = np.empty(lead + (h, 1, w))  # the flipped input, one row per dot product
-        gs = np.zeros(lead + (h, w)) if s > 1 else None  # zero off the stride grid
-        (n, nx), ny = plan.x_floor.shape, plan.y_floor.shape[1]
-        q = np.empty((2 * nx, 2 * ny) + lead + (n,))
-        for c in range(n):
-            # the cotangent placed on the input grid, and the table of its flip
-            gc = g[..., c, :, :]
+        grad_input = np.empty(xb.shape)
+        left, right, top, bottom = plan.margins
+        bn, bc, rows = _blocks(n, c, h, w)
+        shape = (top + h + 1 + bottom, left + w + 1 + right)
+        padded = np.empty(bn * bc * math.prod(shape))  # flat: a block of fewer samples slices it
+        gs = np.zeros((bn, bc, h, w)) if s > 1 else None  # zero off the stride grid
+        prods = np.empty((n, c, 2 * plan.y_floor.shape[1], 2 * plan.x_floor.shape[1]))
+        for c0, n0 in product(range(0, c, bc), range(0, n, bn)):
+            k, m = min(bc, c - c0), min(bn, n - n0)  # channels and samples in the block
+            # the cotangent placed on the input grid, and the tables of its flip
+            gc = gb[n0 : n0 + m, c0 : c0 + k]
             if gs is not None:
-                gs[..., ::s, ::s] = gc
-                gc = gs
-            build_sat(gc[..., ::-1, ::-1], out=padded[..., top : top + h + 1, left : left + w + 1])
-            _edge_pad(padded, top, left, h, w)
-
-            # input path: the channel's terms on the table, flipped back
-            _table_channel(padded, top, left, plan, c, plane)
-            grad_input[..., c, ::-1, ::-1] = plane[..., :w]
+                gs[:m, :k, ::s, ::s] = gc
+                gc = gs[:m, :k]
+            # each row holds the block's samples side by side
+            tables = padded[: k * m * math.prod(shape)].reshape((k, shape[0], m, shape[1]))
+            build_sat(gc[..., ::-1, ::-1],
+                      out=tables.transpose(2, 0, 1, 3)[..., top : top + h + 1, left : left + w + 1])
+            _edge_pad(tables.transpose(0, 2, 1, 3), top, left, h, w)
 
             # parameter path: <flip(x), table read at (dx, dy)> per sample and
-            # distinct corner of the channel's cells, one BLAS dot per row: that
-            # skips the margins, and keeps each dot below the 10000 values past
-            # which OpenBLAS splits it over threads (its sums then depend on the
-            # thread count; on a 2-core host an idle pool took 6 ms to wake)
-            xf[..., 0, :] = x[..., c, ::-1, ::-1]
-            xc = [x0 + i for x0 in plan.x_floor[c].tolist() for i in (0, 1)]
-            yc = [y0 + j for y0 in plan.y_floor[c].tolist() for j in (0, 1)]
-            prods = {(dx, dy): np.matmul(
-                xf, padded[..., top + dy : top + dy + h, left + dx : left + dx + w, None]
-            )[..., 0, 0].sum(axis=-1) for dx in set(xc) for dy in set(yc)}
-            q[..., c] = [[prods[dx, dy] for dy in yc] for dx in xc]
+            # corner of each channel's cells, summed over the rows
+            _corner_products(xb[n0 : n0 + m, c0 : c0 + k], tables, plan, c0,
+                             prods[n0 : n0 + m, c0 : c0 + k])
 
-        values, gx_sites, gy_sites = _site_terms(q, plan)
+            # input path: each channel's terms on its tables, flipped back
+            _table_block(tables, plan, c0, rows)
+            grad_input[n0 : n0 + m, c0 : c0 + k, ::-1, ::-1] = (
+                tables[:, :h, :, :w].transpose(2, 0, 1, 3))
+
+        # every cell corner's product, per sample, in _site_terms' order
+        q = prods.reshape(n, -1)[:, plan.corner_index]
+        values, gx, gy = _site_terms(q, plan)
         r = (plan.max_kernel - 1) / 2
-        theta = np.stack([gx_sites[0], gx_sites[-1], gy_sites[0], gy_sites[-1]], axis=-1) * r
+        theta = np.stack([gx[..., 0], gx[..., -1], gy[..., 0], gy[..., -1]], axis=-1) * r
         # a split line is the middle site on its axis
-        split = [sites[1] * r for sites in (gx_sites, gy_sites) if len(sites) == 3]
-        sw = np.stack([values[ixh, iyh] - values[ixl, iyh] - values[ixh, iyl] + values[ixl, iyl]
-                       for ixl, ixh, iyl, iyh in plan.sub_boxes], axis=-1)
+        split = [sites[..., 1] * r for sites in (gx, gy) if sites.shape[-1] == 3]
+        sw = np.stack([values[..., ixh, iyh] - values[..., ixl, iyh] - values[..., ixh, iyl]
+                       + values[..., ixl, iyl] for ixl, ixh, iyl, iyh in plan.sub_boxes], axis=-1)
         split = np.stack(split, axis=-1) if split else np.zeros(theta.shape[:-1] + (0,))
-        return LayerGradients(grad_input.astype(x.dtype, copy=False), BoxGrads(theta, split, sw))
+        lead = x.shape[:-3]  # () for a rank-3 input: its one sample's gradients
+        grads = BoxGrads(*(a.reshape(lead + a.shape[1:]) for a in (theta, split, sw)))
+        return LayerGradients(grad_input.reshape(x.shape).astype(x.dtype, copy=False), grads)

@@ -150,6 +150,30 @@ def test_export_boxes_bad_checkpoint(tmp_path, capsys):
     assert "error" in err
 
 
+def test_export_boxes_unwritable_output(tmp_path, capsys):
+    ckpt = tmp_path / "boxes.txt"
+    save_boxes(ckpt, [BoxParams(-1, 1, -1, 1, 9)])
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # a path below a regular file cannot be opened, even by root
+    code, out, err = run_cli(capsys, "export-boxes", str(ckpt), str(blocker / "o.svg"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_train_unwritable_out_fails_before_running(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tmp_path / "mini.cfg"
+    cfg.write_text(f"task keypoints\nsteps 2\nout {blocker / 'run'}\n")
+    monkeypatch.setattr("satconv.cli.run_task", lambda cfg: pytest.fail("the run started"))
+    code, out, err = run_cli(capsys, "train", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {blocker / 'run'}: ")
+
+
 def test_train_minimal_config(tmp_path, capsys):
     cfg = tmp_path / "mini.cfg"
     cfg.write_text(

@@ -230,6 +230,55 @@ def test_forward_rejects_overflowing_sums(rng):
     assert np.isfinite(out).all()
 
 
+def _layer_bytes(layer, x, g):
+    y, saved = layer.forward(x)
+    grads = layer.backward(saved, g)
+    b = grads.boxes
+    return [a.tobytes() for a in (y, grads.grad_input, b.theta, b.split, b.weight)]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("rank4", [False, True])
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_channel_blocks_match_one_channel_blocks(rng, monkeypatch, variant, rank4, stride):
+    """A layer evaluated as one block of all its channels, as one-channel
+    blocks and as one-sample, one-channel blocks gives the same bytes:
+    forward output, input gradient and every box gradient."""
+    n, c, h, w = 3 if rank4 else 1, 4, 12, 11
+    shape = ((n,) if rank4 else ()) + (c, h, w)
+    for k in (3, 5, 13, 41, 129):
+        boxes = [init_params(k, variant, rng) for _ in range(c - 1)]
+        boxes.append(BoxParams(-1.0, 1.0, -1.0, 1.0, k, variant, _EDGE_SPLITS[variant],
+                               boxes[0].split_weights))
+        if variant != BoxVariant.SINGLE:
+            boxes = [replace(p, split_weights=tuple(rng.uniform(-1.5, 1.5, len(p.split_weights))))
+                     for p in boxes]
+        layer = BoxConvLayer(boxes, stride=stride)
+        x = rng.normal(size=shape)
+        g = rng.normal(size=layer.out_shape(shape))
+        runs = []
+        for budget, blocks in ((None, (n, c, h)), (8 * n * h * w, (n, 1, h)),
+                               (8 * h * w, (1, 1, h))):
+            if budget is not None:
+                monkeypatch.setattr(satconv.layer, "STRIP_BYTES", budget)
+            assert satconv.layer._blocks(n, c, h, w) == blocks
+            runs.append(_layer_bytes(layer, x, g))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        monkeypatch.undo()
+
+
+def test_non_finite_channel_in_a_block_is_named(rng):
+    layer = BoxConvLayer([init_params(9, rng=rng) for _ in range(4)])
+    assert satconv.layer._blocks(2, 4, 16, 16)[1] == 4  # one block
+    x = rng.normal(size=(2, 4, 16, 16))
+    x[1, 2, 5, 7] = np.nan
+    with pytest.raises(ValueError, match="channel 2:"):
+        layer.forward(x)
+    x[0, 3, 0, 0] = np.inf  # a later channel's bad pixel does not hide it
+    with pytest.raises(ValueError, match="channel 2:"):
+        layer.forward(x)
+
+
 # Boxes whose sample sites sit exactly on the lattice (k=9 maps theta to
 # 4 * theta px), and boxes whose every site reads the replicated margin
 # (k=41 on an 8x7 image: every site lies at least 3 px beyond the table for
@@ -371,16 +420,15 @@ _EDGE_SPLITS = {
 
 def _table_taps(x, plan, c):
     """backward's input-path routine for channel c on the edge-padded table of planes x,
-    at stride 1."""
-    h, w = x.shape[-2:]
-    left, right = satconv.layer._margins(plan.x_floor[c])
-    top, bottom = satconv.layer._margins(plan.y_floor[c])
-    padded = np.empty(x.shape[:-2] + (top + h + 2 + bottom, left + w + 1 + right))
-    build_sat(x, out=padded[..., top : top + h + 1, left : left + w + 1])
+    at stride 1, as a block of that one channel."""
+    n, h, w = x.shape
+    left, right, top, bottom = plan.margins
+    tables = np.empty((1, top + h + 1 + bottom, n, left + w + 1 + right))
+    padded = tables.transpose(0, 2, 1, 3)  # (1, n, rows, width)
+    build_sat(x, out=padded[0, :, top : top + h + 1, left : left + w + 1])
     satconv.layer._edge_pad(padded, top, left, h, w)
-    out = np.empty(x.shape[:-1] + padded.shape[-1:])
-    satconv.layer._table_channel(padded, top, left, plan, c, out)
-    return out[..., :w]
+    satconv.layer._table_block(tables, plan, c, satconv.layer._blocks(n, 1, h, w)[2])
+    return padded[0, :, :h, :w]
 
 
 # Planes of several strips, a batch among them, and a k=129 window whose
