@@ -294,7 +294,8 @@ class CornerSamplePlan:
     (first number, first offset, length), and corner_index (C, nx, 2, ny, 2)
     says where the product at corner (x0 + i, y0 + j) of channel c's cells
     ix and iy lies among the (C, 2 ny, 2 nx) products at distinct corners,
-    flattened.
+    flattened. bands holds the layer's banded matrices of this plan, per
+    plane size, built on first use.
     """
 
     x_floor: np.ndarray
@@ -310,9 +311,10 @@ class CornerSamplePlan:
     x_runs: list = field(init=False, repr=False)
     y_runs: list = field(init=False, repr=False)
     corner_index: np.ndarray = field(init=False, repr=False)
+    bands: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        derived = {"y_taps": [tuple(sorted((dy, t, wt) for t, (_, ys) in enumerate(channel)
+        derived = {"bands": {}, "y_taps": [tuple(sorted((dy, t, wt) for t, (_, ys) in enumerate(channel)
                                            for dy, wt in ys)) for channel in self.terms]}
         margins, slots = [], []
         for axis, floor in (("x", self.x_floor.tolist()), ("y", self.y_floor.tolist())):

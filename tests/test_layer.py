@@ -213,7 +213,9 @@ def test_forward_rejects_non_finite_input(rng, where, bad):
         layer.forward(x)
 
 
-def test_forward_rejects_overflowing_sums(rng):
+def test_forward_rejects_overflowing_sums(rng, monkeypatch):
+    # the table engine's running sums; tests/test_banded.py has the banded route's
+    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)
     layer = BoxConvLayer([init_params(9, rng=rng) for _ in range(2)])
     x = rng.normal(size=(2, 6, 6))
     x[0] = 1e308  # every pixel finite, every row sum overflows
@@ -241,9 +243,10 @@ def _layer_bytes(layer, x, g):
 @pytest.mark.parametrize("rank4", [False, True])
 @pytest.mark.parametrize("variant", list(BoxVariant))
 def test_channel_blocks_match_one_channel_blocks(rng, monkeypatch, variant, rank4, stride):
-    """A layer evaluated as one block of all its channels, as one-channel
-    blocks and as one-sample, one-channel blocks gives the same bytes:
-    forward output, input gradient and every box gradient."""
+    """A layer evaluated by the table engine as one block of all its
+    channels, as one-channel blocks and as one-sample, one-channel blocks
+    gives the same bytes: forward output, input gradient and every box
+    gradient."""
     n, c, h, w = 3 if rank4 else 1, 4, 12, 11
     shape = ((n,) if rank4 else ()) + (c, h, w)
     for k in (3, 5, 13, 41, 129):
@@ -257,6 +260,7 @@ def test_channel_blocks_match_one_channel_blocks(rng, monkeypatch, variant, rank
         x = rng.normal(size=shape)
         g = rng.normal(size=layer.out_shape(shape))
         runs = []
+        monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)
         for budget, blocks in ((None, (n, c, h)), (8 * n * h * w, (n, 1, h)),
                                (8 * h * w, (1, 1, h))):
             if budget is not None:
@@ -267,7 +271,8 @@ def test_channel_blocks_match_one_channel_blocks(rng, monkeypatch, variant, rank
         monkeypatch.undo()
 
 
-def test_non_finite_channel_in_a_block_is_named(rng):
+def test_non_finite_channel_in_a_block_is_named(rng, monkeypatch):
+    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)  # the table engine's blocks
     layer = BoxConvLayer([init_params(9, rng=rng) for _ in range(4)])
     assert satconv.layer._blocks(2, 4, 16, 16)[1] == 4  # one block
     x = rng.normal(size=(2, 4, 16, 16))
@@ -438,6 +443,7 @@ def _table_taps(x, plan, c):
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("variant", list(BoxVariant))
 def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, variant):
+    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)  # the table engine's strips
     inner = init_params(k, variant, rng)
     if variant != BoxVariant.SINGLE:
         inner = replace(inner, split_weights=tuple(rng.uniform(0.5, 1.5, len(inner.split_weights))))
