@@ -173,12 +173,13 @@ _THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
 from satconv.boxes import init_params
-from satconv.layer import BoxConvLayer
+from satconv.layer import BANDED_MAX_SIDE, BoxConvLayer
 rng = np.random.default_rng(5)
 digest = hashlib.sha256()
-for k in (9, 13):
-    layer = BoxConvLayer([init_params(k, rng=rng) for _ in range(4)])
-    x = rng.normal(size=(4, 4, 32, 32))
+side = BANDED_MAX_SIDE
+for k, shape in ((9, (4, 4, 32, 32)), (13, (4, 4, 32, 32)), (13, (2, 2, side, side))):
+    layer = BoxConvLayer([init_params(k, rng=rng) for _ in range(shape[1])])
+    x = rng.normal(size=shape)
     y, saved = layer.forward(x)
     grads = layer.backward(saved, rng.normal(size=y.shape))
     for a in (y, grads.grad_input, grads.boxes.theta, grads.boxes.split, grads.boxes.weight):
@@ -189,8 +190,8 @@ print(digest.hexdigest())
 
 def test_results_do_not_depend_on_blas_threads():
     """satconv train and the tests leave the BLAS thread count as it is: a
-    keypoint layer's results are the same bytes with one thread, two, and
-    the library's default."""
+    keypoint layer's results, and those of the largest banded planes, are
+    the same bytes with one thread, two, and the library's default."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2", None):
