@@ -15,37 +15,14 @@ products, larger ones the table engine. Both are stride-1 filters; a
 strided layer keeps every stride-th row and column of its output, and its
 backward places the cotangent on that grid, zeros between.
 
-The banded route reads a box as an integrated 1-D filter on each axis
-(Heckbert, "Filtering by Repeated Integration", 1986) and lowers it to
-matrix products (Chellapilla, Puri and Simard, "High Performance
-Convolutional Neural Networks for Document Processing", 2006). A sample
-site at coordinate v reads the prefix sums at v, interpolated: it weighs
-the value e pixels past an output pixel by min(max(v - e, 0), 1), and a
-read clamped to the plane's edge adds nothing. On an h x w plane that is
-exactly a Toeplitz matrix, and zero padding comes out exactly. A sub-box
-spans one interval between consecutive sites on each axis; grouped by
-their y interval g, the sub-boxes give out = sum_g Y_g X B_g^T, with Y_g
-the (h, h) matrix of the interval and B_g the (w, w) matrix of their x
-intervals, weighted: one term for single and split_v boxes, two for
-split_h and split_4. The input gradient is sum_g Y_g^T G B_g. Per sample,
-K = G^T (Y_g X) holds in its diagonal at offset e the cotangent's inner
-product with Y_g X shifted e columns, so an x site's derivative is its
-coefficients times the diagonal at its floor, and a sub-box weight's
-gradient the diagonals' dot product with its x interval's profile; G (X
-P_g^T)^T per x interval matrix P_g gives the y sites' derivatives. A site
-off the plane reads no diagonal and gets zero, as clamped coordinates do.
-Every product is one batched np.matmul over all samples and channels, two
-in forward and nine in backward, and no table is built. A channel whose
-input holds NaN or inf, or whose output overflows float64, is rejected
-by name. The matrices are
-built with array operations once per plan and plane size (plan.bands),
-and recompile() builds those of every plane size the old plan has run at.
-The products cost O(h + w) multiply-adds per output pixel, flat in the
-window size but not in the plane's. Measured with one BLAS thread on 4
-samples of 4 k=9 channels, forward plus backward took 0.34 ms on the
-banded route against 1.2 ms on the table engine at 32^2, 6.5 against
-9.2 ms at 96^2, and 11.4 against 9.9 ms at 112^2; hence BANDED_MAX_SIDE.
-Up to 128^2 the results do not depend on the BLAS thread count.
+The banded route is banded.py. Its products cost O(h + w) multiply-adds
+per output pixel, against the table engine's fixed count, but far fewer
+NumPy calls. Measured with one BLAS thread on 4 samples of 4 k=9
+channels, forward plus backward took 0.34 ms on the banded route against
+1.2 ms on the table engine at 32^2, 6.5 against 9.2 ms at 96^2, and 11.4
+against 9.9 ms at 112^2; hence BANDED_MAX_SIDE. A channel whose input
+holds NaN or inf, or whose banded output overflows float64, is rejected
+by name.
 
 The table engine works in channel blocks: as many channels' planes, over all
 samples, as fit in STRIP_BYTES (a keypoint layer of 4 x 4 x 32^2 is one
@@ -113,6 +90,7 @@ from itertools import product
 
 import numpy as np
 
+from . import banded
 from .boxes import BoxParams, CornerSamplePlan, box_arrays, compile_plan
 from .fmap import DimensionError, as_feature_map
 from .sat import build_sat, sat_backward  # sat_backward: only perfbench's tracer reads it here
@@ -417,7 +395,7 @@ def _table_forward(xb, plan):
 
 
 def _table_backward(xb, gb, s, plan):
-    """_banded_backward's results by the table engine, of the input xb and
+    """banded.backward's results by the table engine, of the input xb and
     the cotangent gb of its stride-s output, block by block."""
     n, c, h, w = xb.shape
     # before the buffers below: allocated after them, it let the peak RSS
@@ -463,157 +441,16 @@ def _non_finite(c):
     return ValueError(f"channel {c}: input holds NaN or inf, or its sums overflow float64")
 
 
-def _toeplitz(profiles, n):
-    """(C, T, n, n) matrices M[c, t, i, j] = P_ct(j - i), a view of the
-    (C, T, 2n - 1) profiles P, which hold offsets -(n - 1) .. n - 1."""
-    p = np.ascontiguousarray(profiles)
-    s0, s1, s2 = p.strides
-    return np.ndarray(p.shape[:2] + (n, n), p.dtype, p, (n - 1) * s2, (s0, s1, -s2, s2))
-
-
-def _site_profiles(floor, frac, n):
-    """(C, S, 2n - 1): each site's interpolated prefix read, as a profile of
-    offsets e = -(n - 1) .. n - 1: 1 before floor, frac at floor, then 0,
-    that is min(max(floor + frac - e, 0), 1). A read past either end of the
-    prefix sums is clamped, which adds nothing."""
-    return np.minimum(np.maximum((floor + frac)[..., None] - np.arange(1 - n, n), 0.0), 1.0)
-
-
-def _site_weights(coeffs, floor, band):
-    """(C, G, hi - lo + 1, S) for band (lo, hi): coeffs[c, s, g] at row
-    floor[c, s] - lo of column s, where the band holds it."""
-    at = np.arange(band[0], band[1] + 1)[:, None] == floor[:, None]  # (C, band, S)
-    return at[:, None] * coeffs.transpose(0, 2, 1)[:, :, None]
-
-
-class _Bands:
-    """A plan's banded matrices on (h, w) planes, and what backward reads
-    with them, built once per plan and plane size (plan.bands).
-
-    A site's interpolated prefix read weighs the value e pixels past an
-    output pixel by its profile (_site_profiles), so on a plane it is a
-    Toeplitz matrix. A sub-box spans one interval between consecutive
-    sites on each axis, and its profile there is the difference of the two
-    sites'. With Y_g (h, h) the matrix of the y interval g and B_g (w, w)
-    that of the x profiles of the sub-boxes of interval g, weighted and
-    summed, the box filter is sum_g Y_g X B_g^T: one term for single and
-    split_v boxes, two for split_h and split_4.
-
-    The matrices lie side by side as the products read them: yg
-    (c, G h, h) [(g, j), i] = Y_g[j, i] and yt [(g, i), j] = Y_g[j, i], bt
-    (c, G w, w) [(g, i), j] = B_g[j, i] and bg [(g, j), i], and xg
-    (c, w, G_x w) [i, (g, j)] = P_g[j, i] for the x intervals' matrices
-    P_g. Sites lie within the window, so backward needs only the diagonal
-    sums at offsets x_band = (lo, hi), -r .. r + 1 for a window half-width
-    r, as far as the plane reaches; wx (c, G (hi - lo + 1), n_x + S) turns
-    the y intervals' sums into the x sites' derivatives and the sub-box
-    weights' gradients. An x site reads the sum at the offset of its
-    floor, weighted by its coefficients summed over the sub-boxes of each
-    interval, and nothing off the plane; a sub-box weight reads the sums
-    of its y interval through its x interval's profile. y_band and wy
-    (c, G_x (.), n_y) do the same for the y sites.
-    """
-
-    def __init__(self, plan, h, w):
-        c, nx = plan.x_floor.shape
-        n = max(h, w)
-        sites = _site_profiles(np.concatenate((plan.x_floor, plan.y_floor), axis=1),
-                               np.concatenate((plan.x_frac, plan.y_frac), axis=1), n)
-        # offsets -(w - 1) .. w - 1 and -(h - 1) .. h - 1 of the profiles
-        sx, sy = sites[:, :nx, n - w : n + w - 1], sites[:, nx:, n - h : n + h - 1]
-        px, py = sx[:, 1:] - sx[:, :-1], sy[:, 1:] - sy[:, :-1]
-        # a site's coefficients summed over the sub-boxes of the other axis's
-        # interval g: minus their running sum up to g
-        cx = -np.cumsum(plan.coeffs, axis=2)[:, :, :-1]
-        cy = -np.cumsum(plan.coeffs, axis=1)[:, :-1].transpose(0, 2, 1)
-        ym = _toeplitz(py, h)
-        bm = _toeplitz(np.matmul(cx.transpose(0, 2, 1), sx), w)
-        self.yg, self.yt = ym.reshape(c, -1, h), ym.transpose(0, 1, 3, 2).reshape(c, -1, h)
-        self.bg, self.bt = bm.reshape(c, -1, w), bm.transpose(0, 1, 3, 2).reshape(c, -1, w)
-        self.xg = _toeplitz(px, w).transpose(0, 3, 1, 2).reshape(c, w, -1)
-        r = (plan.max_kernel - 1) // 2
-        self.x_band, self.y_band = ((max(-r, 1 - m), min(r + 1, m - 1)) for m in (w, h))
-        ixl, _, iyl, _ = np.array(plan.sub_boxes).T
-        lo, hi = self.x_band
-        sub = (px[:, ixl, lo + w - 1 : hi + w].transpose(0, 2, 1)[:, None]
-               * (np.arange(py.shape[1])[:, None] == iyl)[:, None])
-        self.wx = np.concatenate((_site_weights(cx, plan.x_floor, self.x_band), sub),
-                                 axis=-1).reshape(c, -1, nx + len(ixl))
-        self.wy = _site_weights(cy, plan.y_floor, self.y_band).reshape(c, -1, cy.shape[1])
-
-
-def _bands(plan, h, w) -> _Bands:
-    bands = plan.bands.get((h, w))
-    if bands is None:
-        bands = plan.bands[h, w] = _Bands(plan, h, w)
-    return bands
-
-
-def _side_by_side(u, g):
-    """(..., g h, w) [(k, i), j] as (..., h, g w) [i, (k, j)]."""
-    *lead, gh, w = u.shape
-    if g > 1:
-        u = np.swapaxes(u.reshape(*lead, g, gh // g, w), -2, -3)
-    return u.reshape(*lead, gh // g, g * w)
-
-
-def _diagonal_sums(a, b, band):
-    """(..., hi - lo + 1): the sums of the diagonals of the (m, m) products
-    a @ b at offsets (column minus row) lo .. hi, band = (lo, hi) with
-    -m < lo <= 0 <= hi < m."""
-    (lo, hi), m = band, a.shape[-2]
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    # each product after p zeros and with p zeros after each row: the entries
-    # of a diagonal lie m + p + 1 apart, and its reads past the product are zero
-    p = max(-lo, hi)
-    buffer = np.zeros(lead + (p + m * (m + p),))
-    s = buffer.strides[:-1] + (8 * (m + p), 8)
-    np.matmul(a, b, out=np.ndarray(lead + (m, m), buffer.dtype, buffer, 8 * p, s))
-    diagonals = np.ndarray(lead + (m, hi - lo + 1), buffer.dtype, buffer, 8 * (p + lo),
-                           s[:-2] + (8 * (m + p + 1), 8))
-    return np.matmul(np.ones(m), diagonals)
-
-
 def _banded_forward(xb, plan):
-    """The (n, c, h, w) planes xb box-filtered as sum_g Y_g X B_g^T: two
-    BLAS products per plane."""
-    n, c, h, w = xb.shape
-    bands = _bands(plan, h, w)
+    """banded.forward, rejecting a channel whose input is not finite or
+    whose output overflows float64."""
     ok = np.isfinite(xb).all(axis=(0, 2, 3))
     if ok.all():
-        # sums that overflow are found below, by channel
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.matmul(_side_by_side(np.matmul(bands.yg, xb), bands.yg.shape[1] // h),
-                            bands.bt)
+        out = banded.forward(xb, plan)
         ok = np.isfinite(out).all(axis=(0, 2, 3))
     if not ok.all():
         raise _non_finite(int(np.argmin(ok)))
     return out
-
-
-def _banded_backward(xb, gs, plan):
-    """_table_backward's results by banded matrix products, given the
-    cotangent gs on the input grid.
-
-    With V_g = Y_g^T G, the input gradient is sum_g V_g B_g, and per sample
-    K = V_g^T X = G^T (Y_g X) holds in its diagonal at offset e the inner
-    product of G with Y_g X shifted e columns: an x site's derivative is the
-    diagonal at its floor, weighted, and a sub-box weight's gradient the
-    diagonals' dot product with its x interval profile. The same with the
-    axes swapped, G (X P_g^T)^T per x interval matrix P_g, gives the y
-    sites' derivatives.
-    """
-    n, c, h, w = xb.shape
-    bands = _bands(plan, h, w)
-    dx = _diagonal_sums(gs[:, :, None], np.matmul(xb, bands.xg).reshape(n, c, h, -1, w)
-                        .transpose(0, 1, 3, 4, 2), bands.y_band)
-    v = np.matmul(bands.yt, gs)
-    g = v.shape[2] // h
-    dy = _diagonal_sums(np.swapaxes(v.reshape(n, c, g, h, w), -1, -2), xb[:, :, None], bands.x_band)
-    gx = np.matmul(dy.reshape(n, c, 1, -1), bands.wx)[:, :, 0]
-    gy = np.matmul(dx.reshape(n, c, 1, -1), bands.wy)[:, :, 0]
-    nx = plan.x_floor.shape[1]
-    return np.matmul(_side_by_side(v, g), bands.bg), gx[..., :nx], gy, gx[..., nx:]
 
 
 class BoxConvLayer:
@@ -658,7 +495,7 @@ class BoxConvLayer:
         sizes = list(self.plan.bands) if hasattr(self, "plan") else []
         self.plan = compile_plan(self.theta, self.split, self.weight, self.max_kernel, self.variant)
         for h, w in sizes:
-            _bands(self.plan, h, w)
+            banded.bands(self.plan, h, w)
 
     def out_shape(self, in_shape):
         """Output shape for a (C, H, W) or (N, C, H, W) input shape."""
@@ -681,8 +518,8 @@ class BoxConvLayer:
             raise DimensionError(f"input has {x.shape[-3]} channels, layer has {self.channels}")
         plan, s = self.plan, self.stride
         xb = x.reshape((-1,) + x.shape[-3:])  # a rank-3 input is one sample
-        banded = max(xb.shape[-2:]) <= BANDED_MAX_SIDE
-        out = (_banded_forward if banded else _table_forward)(xb, plan)
+        small = max(xb.shape[-2:]) <= BANDED_MAX_SIDE
+        out = (_banded_forward if small else _table_forward)(xb, plan)
         saved = BoxConvSaved(x=x, out_shape=self.out_shape(x.shape), stride=s, plan=plan)
         # the stride-1 filter, subsampled: no copy at stride 1
         return np.ascontiguousarray(out.reshape(x.shape)[..., ::s, ::s], dtype=x.dtype), saved
@@ -698,7 +535,7 @@ class BoxConvLayer:
             if s > 1:  # the cotangent on the input grid, zero between
                 gb, placed = np.zeros(xb.shape), gb
                 gb[..., ::s, ::s] = placed
-            grad_input, gx, gy, sw = _banded_backward(xb, gb, plan)
+            grad_input, gx, gy, sw = banded.backward(xb, gb, plan)
         else:
             grad_input, gx, gy, sw = _table_backward(xb, gb, s, plan)
         r = (plan.max_kernel - 1) / 2

@@ -70,17 +70,15 @@ def _cases(rng):
     from 1x1 up to just past BANDED_MAX_SIDE; rank 3 and 4; strides 1 and 2;
     boxes wholly off a tiny plane."""
     side = satconv.layer.BANDED_MAX_SIDE
+    cases = ((3, "init", (1, 1)), (5, "lattice", (2, 7)), (9, "init", (13, 11)),
+             (9, "lattice", (12, 9)), (13, "wide", (32, 32)), (41, "wide", (20, 33)),
+             (129, "wide", (9, 17)), (129, "off", (3, 4)), (33, "off", (2, 2)),
+             (13, "init", (side, side + 1)), (5, "wide", (side + 1, 6)))
     for i, variant in enumerate(BoxVariant):
-        for k, kind, (h, w) in ((3, "init", (1, 1)), (5, "lattice", (2, 7)), (9, "init", (13, 11)),
-                                (9, "lattice", (12, 9)), (13, "wide", (32, 32)),
-                                (41, "wide", (20, 33)), (129, "wide", (9, 17)),
-                                (129, "off", (3, 4)), (33, "off", (2, 2)),
-                                (13, "init", (side, side + 1)), (5, "wide", (side + 1, 6))):
-            c = 3
-            boxes = [_box(rng, k, variant, kind) for _ in range(c)]
-            stride = 1 + (i + k) % 2
-            lead = (2,) if (i + h) % 2 else ()
-            yield boxes, stride, lead + (c, h, w)
+        for j, (k, kind, (h, w)) in enumerate(cases):
+            boxes = [_box(rng, k, variant, kind) for _ in range(3)]
+            lead = (2,) if (i + j // 2) % 2 else ()
+            yield boxes, 1 + (i + j) % 2, lead + (3, h, w)
 
 
 def test_routes_match_oracle_and_each_other(rng, monkeypatch):
@@ -136,21 +134,20 @@ def test_route_by_plane_size(monkeypatch):
         assert taken == [want], (h, w)
 
 
-def test_non_finite_channel_is_named_on_both_routes(rng, route):
+def test_banded_route_names_non_finite_channel(rng, monkeypatch):
+    """As on the table engine (tests/test_layer.py): a NaN in channel 2 is
+    named, and an inf in a later channel does not hide it; a channel whose
+    filtered values overflow float64 is named, and the same values at a
+    finite scale pass."""
+    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", ROUTES["banded"])
     layer = BoxConvLayer([init_params(9, rng=rng) for _ in range(4)])
     x = rng.normal(size=(2, 4, 16, 16))
     x[1, 2, 5, 7] = np.nan
     with pytest.raises(ValueError, match="channel 2:"):
         layer.forward(x)
-    x[0, 3, 0, 0] = np.inf  # a later channel's bad pixel does not hide it
+    x[0, 3, 0, 0] = np.inf
     with pytest.raises(ValueError, match="channel 2:"):
         layer.forward(x)
-
-
-def test_banded_route_rejects_overflowing_output(rng, monkeypatch):
-    """A channel whose filtered values overflow float64 is named; the same
-    values at a finite scale pass."""
-    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", ROUTES["banded"])
     layer = BoxConvLayer([init_params(9, rng=rng), BoxParams(-0.5, 0.5, -0.5, 0.5, 9)])
     x = rng.normal(size=(2, 6, 6))
     x[1] = 1e308  # a 5x5 box sums 25 of them
