@@ -61,12 +61,12 @@ def _site_weights(coeffs, floor, band):
 class _Bands:
     """A plan's matrices on (h, w) planes, and what backward reads with them.
 
-    They lie side by side as the products read them: yg (c, G h, h)
-    [(g, j), i] = Y_g[j, i] and yt [(g, i), j] = Y_g[j, i]; bt (c, G w, w)
-    [(g, i), j] = B_g[j, i] and bg [(g, j), i]; xg (c, w, G_x w)
-    [i, (g, j)] = P_g[j, i]. Sites lie within the window, so backward needs
-    only the diagonal sums at offsets x_band = (lo, hi), -r .. r + 1 for a
-    window half-width r, as far as the plane reaches. wx (c, G (hi - lo +
+    They lie as the products read them: y (c, G, h, h) [g, j, i] =
+    Y_g[j, i]; bt (c, G w, w) [(g, i), j] = B_g[j, i] and bg [(g, j), i],
+    side by side; xg (c, w, G_x w) [i, (g, j)] = P_g[j, i]. Sites lie
+    within the window, so backward needs only the diagonal sums at offsets
+    x_band = (lo, hi), -r .. r + 1 for a window half-width r, as far as the
+    plane reaches. wx (c, G (hi - lo +
     1), n_x + S) turns the y intervals' sums into the x sites' derivatives,
     each the sum at the offset of its floor weighted by its coefficients
     summed over the sub-boxes of the interval, and into the sub-box
@@ -88,7 +88,7 @@ class _Bands:
         cy = -np.cumsum(plan.coeffs, axis=1)[:, :-1].transpose(0, 2, 1)
         ym = _toeplitz(py, h)
         bm = _toeplitz(np.matmul(cx.transpose(0, 2, 1), sx), w)
-        self.yg, self.yt = ym.reshape(c, -1, h), ym.transpose(0, 1, 3, 2).reshape(c, -1, h)
+        self.y = ym.copy()
         self.bg, self.bt = bm.reshape(c, -1, w), bm.transpose(0, 1, 3, 2).reshape(c, -1, w)
         self.xg = _toeplitz(px, w).transpose(0, 3, 1, 2).reshape(c, w, -1)
         r = (plan.max_kernel - 1) // 2
@@ -139,10 +139,10 @@ def _diagonal_sums(a, b, band):
 def forward(x, plan):
     """The (n, c, h, w) planes x box-filtered, sum_g Y_g X B_g^T. Sums that
     overflow float64 come out as inf or NaN, without a warning."""
-    h = x.shape[-2]
+    c, h = x.shape[1:3]
     b = bands(plan, h, x.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.matmul(_side_by_side(np.matmul(b.yg, x), b.yg.shape[1] // h), b.bt)
+        return np.matmul(_side_by_side(np.matmul(b.y.reshape(c, -1, h), x), b.y.shape[1]), b.bt)
 
 
 def backward(x, gs, plan):
@@ -158,10 +158,10 @@ def backward(x, gs, plan):
     b = bands(plan, h, w)
     dx = _diagonal_sums(gs[:, :, None], np.matmul(x, b.xg).reshape(n, c, h, -1, w)
                         .transpose(0, 1, 3, 4, 2), b.y_band)
-    v = np.matmul(b.yt, gs)
-    g = v.shape[2] // h
-    dy = _diagonal_sums(np.swapaxes(v.reshape(n, c, g, h, w), -1, -2), x[:, :, None], b.x_band)
+    v = np.matmul(np.swapaxes(b.y, -1, -2), gs[:, :, None])  # (n, c, G, h, w)
+    dy = _diagonal_sums(np.swapaxes(v, -1, -2), x[:, :, None], b.x_band)
     gx = np.matmul(dy.reshape(n, c, 1, -1), b.wx)[:, :, 0]
     gy = np.matmul(dx.reshape(n, c, 1, -1), b.wy)[:, :, 0]
     nx = plan.x_floor.shape[1]
-    return np.matmul(_side_by_side(v, g), b.bg), gx[..., :nx], gy, gx[..., nx:]
+    gi = np.matmul(_side_by_side(v.reshape(n, c, -1, w), v.shape[2]), b.bg)
+    return gi, gx[..., :nx], gy, gx[..., nx:]
