@@ -24,16 +24,15 @@ against 9.9 ms at 112^2; hence BANDED_MAX_SIDE. A channel whose input
 holds NaN or inf, or whose banded output overflows float64, is rejected
 by name.
 
-The table engine works in channel blocks: as many channels' planes, over all
-samples, as fit in STRIP_BYTES (a keypoint layer of 4 x 4 x 32^2 is one
-block), or one channel of as many samples as fit, or, where a single plane
-does not fit (256^2 and up), one plane in strips of input rows. Per block
-go the prefix sums, the column-sum scan, the finiteness checks, the
-cotangent's table and its edge pad, and the corner products; only the x
-and y tap passes go per channel, since each box has its own offsets. Each
-row of a per-channel array holds the block's samples' rows side by side,
-each with its margins, so a tap is one flat, contiguous pass over whole
-padded rows of all samples.
+The table engine works in channel blocks: as many channels' planes, over
+all samples, as fit in STRIP_BYTES, or one channel of as many samples as
+fit, or, where a single plane does not fit (256^2 and up), one plane in
+strips of input rows. Per block go the prefix sums, the column-sum scan,
+the finiteness checks, the cotangent's table and its edge pad, and the
+corner products; only the x and y tap passes go per channel, since each
+box has its own offsets. Each row of a per-channel array holds the
+block's samples' rows side by side, each with its margins, so a tap is
+one flat, contiguous pass over whole padded rows of all samples.
 
 Forward applies the taps one axis at a time and never builds the table:
 it takes each input row's prefix sums along x, applies each term's x taps,
@@ -44,8 +43,9 @@ pixel's sample coordinates share their fractional parts, so the tap
 weights are constant over the whole plane. Out-of-range reads are resolved
 by edge replication: a zero left margin and the row total right of the
 prefix sums, no rows above the first and the final column sums below the
-last, which reproduces zero-padding of the source exactly. The y taps reach every output pixel in one fixed (offset,
-term) order, so the output does not depend on the block or strip layout.
+last, which reproduces zero-padding of the source exactly. The y taps
+reach every output pixel in one fixed (offset, term) order, so the output
+does not depend on the block or strip layout.
 The column sums grow with a box's width, not with the whole plane's, so
 the four-corner differences lose far less precision than on a table. A
 channel whose row prefix sums or column sums are not finite (NaN or inf in
@@ -506,8 +506,9 @@ class BoxConvLayer:
         """The paper's lattice-tap count: multiply-adds of the folded taps.
 
         This is the 16-per-pixel cost model of a single box, excluding the
-        prefix sums. Forward applies the same taps factored, as x taps then
-        y taps (CornerSamplePlan.terms).
+        prefix sums. The table engine applies the same taps factored, as x
+        taps then y taps (CornerSamplePlan.terms); the banded route's
+        products cost more per pixel, but far fewer NumPy calls.
         """
         *lead, _, out_h, out_w = self.out_shape(in_shape)
         return int(np.prod(lead, dtype=np.int64)) * out_h * out_w * int(self.plan.n_taps.sum())
