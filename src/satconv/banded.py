@@ -24,7 +24,8 @@ do.
 
 Every product is one batched np.matmul over all samples and channels, two
 in forward and nine in backward; no table is built. The matrices are built
-with array operations once per plan and plane size (bands). They cost
+with array operations once per plan and plane size (bands), forward's on
+the first forward, the rest on the first backward. They cost
 O(h + w) multiply-adds per output pixel, flat in the window size but not
 in the plane's, which is why only small planes come here (see
 layer.BANDED_MAX_SIDE). Up to 128^2 the results do not depend on the BLAS
@@ -62,11 +63,12 @@ class _Bands:
     """A plan's matrices on (h, w) planes, and what backward reads with them.
 
     They lie as the products read them: y (c, G, h, h) [g, j, i] =
-    Y_g[j, i]; bt (c, G w, w) [(g, i), j] = B_g[j, i] and bg [(g, j), i],
-    side by side; xg (c, w, G_x w) [i, (g, j)] = P_g[j, i]. Sites lie
-    within the window, so backward needs only the diagonal sums at offsets
-    x_band = (lo, hi), -r .. r + 1 for a window half-width r, as far as the
-    plane reaches. wx (c, G (hi - lo +
+    Y_g[j, i] and bt (c, G w, w) [(g, i), j] = B_g[j, i], built at once;
+    the rest on backward's first call (backward_parts): bg (c, G w, w)
+    [(g, j), i] = B_g[j, i], side by side, and xg (c, w, G_x w)
+    [i, (g, j)] = P_g[j, i]. Sites lie within the window, so backward needs
+    only the diagonal sums at offsets x_band = (lo, hi), -r .. r + 1 for a
+    window half-width r, as far as the plane reaches. wx (c, G (hi - lo +
     1), n_x + S) turns the y intervals' sums into the x sites' derivatives,
     each the sum at the offset of its floor weighted by its coefficients
     summed over the sub-boxes of the interval, and into the sub-box
@@ -75,31 +77,40 @@ class _Bands:
     """
 
     def __init__(self, plan, h, w):
-        c, nx = plan.x_floor.shape
-        n = max(h, w)
+        self.h, self.w = h, w
+        nx, n = plan.x_floor.shape[1], max(h, w)
         sites = _site_profiles(np.concatenate((plan.x_floor, plan.y_floor), axis=1),
                                np.concatenate((plan.x_frac, plan.y_frac), axis=1), n)
         # offsets -(w - 1) .. w - 1 and -(h - 1) .. h - 1 of the profiles
-        sx, sy = sites[:, :nx, n - w : n + w - 1], sites[:, nx:, n - h : n + h - 1]
-        px, py = sx[:, 1:] - sx[:, :-1], sy[:, 1:] - sy[:, :-1]
+        self.sx, sy = sites[:, :nx, n - w : n + w - 1], sites[:, nx:, n - h : n + h - 1]
+        self.py = sy[:, 1:] - sy[:, :-1]
         # a site's coefficients summed over the sub-boxes of the other axis's
         # interval g: minus their running sum up to g
-        cx = -np.cumsum(plan.coeffs, axis=2)[:, :, :-1]
+        self.cx = -np.cumsum(plan.coeffs, axis=2)[:, :, :-1]
+        self.b = _toeplitz(np.matmul(self.cx.transpose(0, 2, 1), self.sx), w)
+        self.y = _toeplitz(self.py, h).copy()
+        self.bt = self.b.transpose(0, 1, 3, 2).reshape(len(self.b), -1, w)
+
+    def backward_parts(self, plan):
+        """Build bg, xg, the bands, wx and wy of plan, the plan these
+        matrices are of, once; returns self."""
+        if hasattr(self, "wx"):
+            return self
+        h, w, (c, nx) = self.h, self.w, plan.x_floor.shape
+        px = self.sx[:, 1:] - self.sx[:, :-1]
         cy = -np.cumsum(plan.coeffs, axis=1)[:, :-1].transpose(0, 2, 1)
-        ym = _toeplitz(py, h)
-        bm = _toeplitz(np.matmul(cx.transpose(0, 2, 1), sx), w)
-        self.y = ym.copy()
-        self.bg, self.bt = bm.reshape(c, -1, w), bm.transpose(0, 1, 3, 2).reshape(c, -1, w)
+        self.bg = self.b.reshape(c, -1, w)
         self.xg = _toeplitz(px, w).transpose(0, 3, 1, 2).reshape(c, w, -1)
         r = (plan.max_kernel - 1) // 2
         self.x_band, self.y_band = ((max(-r, 1 - m), min(r + 1, m - 1)) for m in (w, h))
         ixl, _, iyl, _ = np.array(plan.sub_boxes).T
         lo, hi = self.x_band
         sub = (px[:, ixl, lo + w - 1 : hi + w].transpose(0, 2, 1)[:, None]
-               * (np.arange(py.shape[1])[:, None] == iyl)[:, None])
-        self.wx = np.concatenate((_site_weights(cx, plan.x_floor, self.x_band), sub),
+               * (np.arange(self.py.shape[1])[:, None] == iyl)[:, None])
+        self.wx = np.concatenate((_site_weights(self.cx, plan.x_floor, self.x_band), sub),
                                  axis=-1).reshape(c, -1, nx + len(ixl))
         self.wy = _site_weights(cy, plan.y_floor, self.y_band).reshape(c, -1, cy.shape[1])
+        return self
 
 
 def bands(plan, h, w) -> _Bands:
@@ -155,7 +166,7 @@ def backward(x, gs, plan):
     sites' diagonals, K = V_g^T X = G^T (Y_g X) per sample.
     """
     n, c, h, w = x.shape
-    b = bands(plan, h, w)
+    b = bands(plan, h, w).backward_parts(plan)
     dx = _diagonal_sums(gs[:, :, None], np.matmul(x, b.xg).reshape(n, c, h, -1, w)
                         .transpose(0, 1, 3, 4, 2), b.y_band)
     v = np.matmul(np.swapaxes(b.y, -1, -2), gs[:, :, None])  # (n, c, G, h, w)

@@ -19,16 +19,17 @@ weight (C, w) the sub-box weights; TRAINED names those that train.
 project_params moves them back into their feasible set in place, and
 compile_plan folds them, for all channels at once, into each channel's
 lattice cells and folded site coefficients.
-Per channel, the plan holds the same taps factored: every sub-box is an x
-difference times a y difference, so the taps split exactly into a few
-terms of x taps times y taps, which the layer's forward applies one axis
-at a time. BoxParams is the record of one box, for box files, pictures
+For the layer's table engine, the plan derives on first use the same taps
+factored per channel: every sub-box is an x difference times a y
+difference, so the taps split exactly into a few terms of x taps times y
+taps, which the engine applies one axis at a time. BoxParams is the record of one box, for box files, pictures
 and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from itertools import islice
 
@@ -273,17 +274,20 @@ class CornerSamplePlan:
     A sample site at coordinate v reads the lattice cell (floor, floor + 1)
     with interpolation fraction v - floor. x_floor and x_frac are (C, nx),
     y_floor and y_frac (C, ny); coeffs (C, nx, ny) holds each site's folded
-    signed weight (corner sign pattern times sub-box weights). terms is,
-    per channel, the whole sum of lattice taps factored: a tuple of
+    signed weight (corner sign pattern times sub-box weights), and weight
+    (C, w) the sub-box weights it was folded from. bands holds the banded
+    route's matrices of this plan, per plane size, built on first use.
+
+    The table engine's fields are derived from those on first read, so a
+    plan that only ever runs on the banded route never builds them. terms
+    is, per channel, the whole sum of lattice taps factored: a tuple of
     (x_taps, y_taps) pairs, each a tuple of (offset, weight) pairs in
     offset order, whose outer products add up to the paper's 16-tap cost
     model (tap_weights). Taps whose folded weight is exactly zero are left
     out of the terms and of the tap count; the cells still name every
-    lattice corner the sites read.
-
-    Derived from those, once per plan: y_taps holds, per channel, every
-    term's y taps as (offset, term index, weight) in (offset, term) order,
-    the order in which the layer adds them; margins is (left, right, top,
+    lattice corner the sites read. y_taps holds, per channel, every term's
+    y taps as (offset, term index, weight) in (offset, term) order, the
+    order in which the layer adds them; margins is (left, right, top,
     bottom), the lattice entries a table axis lacks before and after it for
     every channel's reads: output i reads entries floor + i and
     floor + 1 + i, so what lies past the last entry does not depend on the
@@ -294,8 +298,7 @@ class CornerSamplePlan:
     (first number, first offset, length), and corner_index (C, nx, 2, ny, 2)
     says where the product at corner (x0 + i, y0 + j) of channel c's cells
     ix and iy lies among the (C, 2 ny, 2 nx) products at distinct corners,
-    flattened. bands holds the layer's banded matrices of this plan, per
-    plane size, built on first use.
+    flattened.
     """
 
     x_floor: np.ndarray
@@ -304,31 +307,50 @@ class CornerSamplePlan:
     y_frac: np.ndarray
     coeffs: np.ndarray
     sub_boxes: tuple
-    terms: list
+    weight: np.ndarray
+    variant: BoxVariant
     max_kernel: int
-    y_taps: list = field(init=False, repr=False)
-    margins: tuple = field(init=False)
-    x_runs: list = field(init=False, repr=False)
-    y_runs: list = field(init=False, repr=False)
-    corner_index: np.ndarray = field(init=False, repr=False)
-    bands: dict = field(init=False, repr=False, compare=False)
+    bands: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
-    def __post_init__(self):
-        derived = {"bands": {}, "y_taps": [tuple(sorted((dy, t, wt) for t, (_, ys) in enumerate(channel)
-                                           for dy, wt in ys)) for channel in self.terms]}
-        margins, slots = [], []
-        for axis, floor in (("x", self.x_floor.tolist()), ("y", self.y_floor.tolist())):
-            # a row's floors ascend
-            margins += [max(0, -min(r[0] for r in floor)), max(0, max(r[-1] for r in floor))]
-            slot, derived[axis + "_runs"] = _corner_runs(floor)
-            slots.append(slot)
+    @cached_property
+    def terms(self) -> list:
+        return _factor(np.concatenate((self.x_floor, self.y_floor), axis=1),
+                       np.concatenate((self.x_frac, self.y_frac), axis=1),
+                       self.weight, self.max_kernel, self.variant)
+
+    @cached_property
+    def y_taps(self) -> list:
+        return [tuple(sorted((dy, t, wt) for t, (_, ys) in enumerate(channel) for dy, wt in ys))
+                for channel in self.terms]
+
+    @cached_property
+    def margins(self) -> tuple:
+        margins = []
+        for floor in (self.x_floor, self.y_floor):  # a row's floors ascend
+            margins += [max(0, -int(floor[:, 0].min())), max(0, int(floor[:, -1].max()))]
+        return tuple(margins)
+
+    @cached_property
+    def _corners(self) -> tuple:
+        """x_runs, y_runs and corner_index."""
+        (x_slot, x_runs), (y_slot, y_runs) = (_corner_runs(f.tolist())
+                                              for f in (self.x_floor, self.y_floor))
         (c, nx), ny = self.x_floor.shape, self.y_floor.shape[1]
-        x_slot, y_slot = slots[0].reshape(c, nx, 2, 1, 1), slots[1].reshape(c, 1, 1, ny, 2)
-        derived["corner_index"] = (np.arange(0, c * 2 * ny, 2 * ny).reshape(c, 1, 1, 1, 1)
-                                   + y_slot) * (2 * nx) + x_slot
-        derived["margins"] = tuple(margins)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        x_slot, y_slot = x_slot.reshape(c, nx, 2, 1, 1), y_slot.reshape(c, 1, 1, ny, 2)
+        index = (np.arange(0, c * 2 * ny, 2 * ny).reshape(c, 1, 1, 1, 1) + y_slot) * (2 * nx) + x_slot
+        return x_runs, y_runs, index
+
+    @property
+    def x_runs(self) -> list:
+        return self._corners[0]
+
+    @property
+    def y_runs(self) -> list:
+        return self._corners[1]
+
+    @property
+    def corner_index(self) -> np.ndarray:
+        return self._corners[2]
 
     def tap_weights(self) -> np.ndarray:
         """(C, nx, ny, 2, 2): site (ix, iy)'s weight on lattice corner
@@ -422,10 +444,9 @@ def compile_plan(theta, split, weight, k: int, variant) -> CornerSamplePlan:
     floor = np.floor(sites)
     frac = sites - floor
     floor = floor.astype(np.int64)
-    terms = _factor(floor, frac, weight, k, BoxVariant(variant))
     nx = xs.shape[1]
     return CornerSamplePlan(floor[:, :nx], frac[:, :nx], floor[:, nx:], frac[:, nx:], coeffs, subs,
-                            terms, k)
+                            np.array(weight, dtype=np.float64), BoxVariant(variant), k)
 
 
 def save_boxes(path, boxes) -> None:

@@ -3,11 +3,13 @@
 One box per channel, all of one variant and window size. The layer keeps
 its boxes as (C, ...) arrays and compiles them in one boxes.compile_plan
 call into one plan: every channel's cell floors, fractions and folded site
-coefficients as arrays, its taps factored into terms, its y taps in the
-order they are added, and the layer's table margins. Inputs are (C, H, W)
-or a batch (N, C, H, W); every sample is computed exactly as it would be
-on its own. A box's compiled lattice taps read a summed-area table, and
-they factor exactly into a few terms of x taps times y taps.
+coefficients as arrays. Each route derives what it reads from those on
+first use and keeps it in the plan: the banded route its matrices, the
+table engine the taps factored into terms, its y taps in the order they
+are added, and the layer's table margins. Inputs are (C, H, W) or a batch
+(N, C, H, W); every sample is computed exactly as it would be on its own.
+A box's compiled lattice taps read a summed-area table, and they factor
+exactly into a few terms of x taps times y taps.
 
 Two routes compute the same filter, chosen by plane size: planes whose
 larger side is at most BANDED_MAX_SIDE pixels take banded matrix
@@ -490,12 +492,8 @@ class BoxConvLayer:
                 zip(self.theta.tolist(), self.split.tolist(), self.weight.tolist())]
 
     def recompile(self) -> None:
-        """Compile the arrays into a new plan, with the banded matrices of
-        every plane size the old plan has run at."""
-        sizes = list(self.plan.bands) if hasattr(self, "plan") else []
+        """Compile the arrays into a new plan."""
         self.plan = compile_plan(self.theta, self.split, self.weight, self.max_kernel, self.variant)
-        for h, w in sizes:
-            banded.bands(self.plan, h, w)
 
     def out_shape(self, in_shape):
         """Output shape for a (C, H, W) or (N, C, H, W) input shape."""

@@ -36,10 +36,12 @@ def _splits(rng, variant, lo, hi):
 
 def _box(rng, k, variant, kind):
     """A box of one of the kinds the routes must agree on: drawn by
-    init_params, wide with random edges (some at +-1), on the lattice, or
-    wholly past the right and bottom of a small plane."""
+    init_params, with its equal sub-box weights ("equal", which the table
+    engine folds into one term for split_4) or unequal ones ("init"), wide
+    with random edges (some at +-1), on the lattice, or wholly past the
+    right and bottom of a small plane."""
     r = (k - 1) / 2
-    if kind == "init":
+    if kind in ("init", "equal"):
         p = init_params(k, variant, rng)
     else:
         if kind == "wide":
@@ -53,7 +55,7 @@ def _box(rng, k, variant, kind):
         (xl, xh), (yl, yh) = t.tolist()
         p = BoxParams(xl, xh, yl, yh, k, variant, _splits(rng, variant, (xl, yl), (xh, yh)),
                       init_params(k, variant, rng).split_weights)
-    if variant != BoxVariant.SINGLE:
+    if variant != BoxVariant.SINGLE and kind != "equal":
         p = replace(p, split_weights=tuple(rng.uniform(-1.5, 1.5, len(p.split_weights))))
     return p
 
@@ -68,11 +70,12 @@ def _run(layer, x, g):
 def _cases(rng):
     """(boxes, stride, input shape): every variant; k from 3 to 129; planes
     from 1x1 up to just past BANDED_MAX_SIDE; rank 3 and 4; strides 1 and 2;
-    boxes wholly off a tiny plane."""
+    equal and unequal sub-box weights; boxes wholly off a tiny plane."""
     side = satconv.layer.BANDED_MAX_SIDE
     cases = ((3, "init", (1, 1)), (5, "lattice", (2, 7)), (9, "init", (13, 11)),
              (9, "lattice", (12, 9)), (13, "wide", (32, 32)), (41, "wide", (20, 33)),
              (129, "wide", (9, 17)), (129, "off", (3, 4)), (33, "off", (2, 2)),
+             (9, "equal", (13, 11)), (13, "equal", (32, 32)),
              (13, "init", (side, side + 1)), (5, "wide", (side + 1, 6)))
     for i, variant in enumerate(BoxVariant):
         for j, (k, kind, (h, w)) in enumerate(cases):
