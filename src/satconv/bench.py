@@ -3,12 +3,15 @@
 Times the box layer's forward and backward on one input, and compares its
 forward with other routes to the same depth-wise filtering job:
 
-* box_sat      - the layer's forward: the box taps applied as x taps on
-                 row prefix sums, then y taps on running column sums (cost
-                 independent of k); multadds counts the 16 lattice taps
+* box_sat      - the layer's forward: on planes up to
+                 layer.BANDED_MAX_SIDE px a side banded matrix products
+                 (O(h + w) multiply-adds per pixel), on larger ones the
+                 table engine, the box taps applied as x taps on row prefix
+                 sums, then y taps on running column sums (cost independent
+                 of k); multadds counts the 16 lattice taps either way
 * box_bwd      - the layer's backward on a fixed random cotangent (input
-                 and box gradients; cost independent of k); multadds 0,
-                 checksum the sum of the input gradient
+                 and box gradients), on the same route as box_sat;
+                 multadds 0, checksum the sum of the input gradient
 * box_sat_build- summed-area table construction alone, which backward
                  runs on the cotangent
 * naive_dense  - dense convolution with each box's effective kernel, the

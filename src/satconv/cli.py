@@ -95,7 +95,6 @@ def _is_size(hw) -> bool:
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-_positive_ints = _checked(_ints, lambda vs: min(vs) >= 1, "comma-separated integers >= 1")
 _kernel_sizes = _checked(_ints, lambda ks: all(k >= 3 and k % 2 for k in ks),
                          "comma-separated odd kernel sizes >= 3")
 _plane_sizes = _checked(_sizes, lambda ss: all(map(_is_size, ss)), "comma-separated HxW sizes")
@@ -108,7 +107,6 @@ def cmd_gradcheck(args) -> int:
         n_configs=args.configs,
         sizes=args.sizes,
         ks=args.k,
-        strides=args.strides,
         tolerance=args.tolerance,
     )
     adjoint = run_adjoint_check(seed=args.seed, tolerance=args.tolerance)
@@ -180,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--configs", type=_positive_int, default=100)
     g.add_argument("--sizes", type=_plane_sizes, default="8x8,12x16,16x11")
     g.add_argument("--k", type=_kernel_sizes, default="5,9,13")
-    g.add_argument("--strides", type=_positive_ints, default="1,2")
     g.add_argument("--tolerance", type=_tolerance, default=1e-5)
     g.set_defaults(fn=cmd_gradcheck)
 

@@ -88,10 +88,9 @@ def _nudge_theta(t: float, k: int, shift: float = 0.0) -> float:
     return min(max(t, -1.0), 1.0)
 
 
-def _draw_config(rng, ks, sizes, strides, variants):
+def _draw_config(rng, ks, sizes, variants):
     k = int(rng.choice(ks))
     h, w = sizes[int(rng.integers(len(sizes)))]
-    stride = int(rng.choice(strides))
     variant = variants[int(rng.integers(len(variants)))]
     while True:
         p = init_params(k, variant, rng)
@@ -108,7 +107,7 @@ def _draw_config(rng, ks, sizes, strides, variants):
     # the high edges' sample coordinates are one pixel past their offsets
     p = BoxParams(*(_nudge_theta(v, k, i % 2) for i, v in enumerate(t)), k, variant,
                   [_nudge_theta(s, k) for s in p.split_theta], weights)
-    return p, (h, w), stride
+    return p, (h, w)
 
 
 def _categories(name, variant):
@@ -122,7 +121,6 @@ def run_gradcheck(
     n_configs: int = 100,
     sizes=((8, 8), (12, 16), (16, 11)),
     ks=(5, 9, 13),
-    strides=(1, 2),
     tolerance: float = 1e-5,
     h: float = 1e-5,
 ) -> GradCheckReport:
@@ -132,13 +130,13 @@ def run_gradcheck(
     report = GradCheckReport(tolerance=tolerance, n_configs=n_configs)
 
     for ci in range(n_configs):
-        p, (hh, ww), stride = _draw_config(rng, ks, sizes, strides, variants)
+        p, (hh, ww) = _draw_config(rng, ks, sizes, variants)
         x = rng.normal(size=(1, hh, ww))
-        layer = BoxConvLayer([p], stride=stride)
-        g = rng.normal(size=layer.out_shape(x.shape))
+        layer = BoxConvLayer([p])
+        g = rng.normal(size=x.shape)
         _, saved = layer.forward(x)
         grads = layer.backward(saved, g)
-        where = f"config {ci} ({p.variant.value} k={p.max_kernel} stride={stride})"
+        where = f"config {ci} ({p.variant.value} k={p.max_kernel})"
 
         def loss(xin):
             return float(np.sum(layer.forward(xin)[0] * g))
@@ -174,10 +172,10 @@ def run_adjoint_check(seed: int = 0, trials: int = 50, h: float = 1e-5,
     variants = list(BoxVariant)
     report = GradCheckReport(tolerance=tolerance, n_configs=trials)
     for ti in range(trials):
-        p, (hh, ww), stride = _draw_config(rng, (5, 9, 13), ((8, 8), (12, 10)), (1, 2), variants)
+        p, (hh, ww) = _draw_config(rng, (5, 9, 13), ((8, 8), (12, 10)), variants)
         x = rng.normal(size=(1, hh, ww))
-        layer = BoxConvLayer([p], stride=stride)
-        g = rng.normal(size=layer.out_shape(x.shape))
+        layer = BoxConvLayer([p])
+        g = rng.normal(size=x.shape)
         _, saved = layer.forward(x)
         gin = layer.backward(saved, g).grad_input
         v = rng.normal(size=x.shape)

@@ -13,9 +13,7 @@ exactly into a few terms of x taps times y taps.
 
 Two routes compute the same filter, chosen by plane size: planes whose
 larger side is at most BANDED_MAX_SIDE pixels take banded matrix
-products, larger ones the table engine. Both are stride-1 filters; a
-strided layer keeps every stride-th row and column of its output, and its
-backward places the cotangent on that grid, zeros between.
+products, larger ones the table engine.
 
 The banded route is banded.py. Its products cost O(h + w) multiply-adds
 per output pixel, against the table engine's fixed count, but far fewer
@@ -26,28 +24,25 @@ against 9.9 ms at 112^2; hence BANDED_MAX_SIDE. A channel whose input
 holds NaN or inf, or whose banded output overflows float64, is rejected
 by name.
 
-The table engine works in channel blocks: as many channels' planes, over
-all samples, as fit in STRIP_BYTES, or one channel of as many samples as
-fit, or, where a single plane does not fit (256^2 and up), one plane in
-strips of input rows. Per block go the prefix sums, the column-sum scan,
-the finiteness checks, the cotangent's table and its edge pad, and the
-corner products; only the x and y tap passes go per channel, since each
-box has its own offsets. Each row of a per-channel array holds the
-block's samples' rows side by side, each with its margins, so a tap is
-one flat, contiguous pass over whole padded rows of all samples.
+The table engine works on one plane, one sample's channel, at a time, in
+strips of as many input rows as fit in STRIP_BYTES (a plane that fits is
+one strip; 256^2 and 1024^2 planes go in strips of 128 and 32 rows). Per
+plane go the prefix sums, the column-sum scan, the finiteness checks, the
+cotangent's table and its edge pad, the corner products, and the x and y
+tap passes of that channel's box.
 
 Forward applies the taps one axis at a time and never builds the table:
 it takes each input row's prefix sums along x, applies each term's x taps,
 runs the column sums of those values down the rows in one scan over every
-term and sample of the block (a strip carries its last row over to the
-next), and adds each y tap into the output rows it reaches. Every output
-pixel's sample coordinates share their fractional parts, so the tap
-weights are constant over the whole plane. Out-of-range reads are resolved
-by edge replication: a zero left margin and the row total right of the
-prefix sums, no rows above the first and the final column sums below the
-last, which reproduces zero-padding of the source exactly. The y taps
-reach every output pixel in one fixed (offset, term) order, so the output
-does not depend on the block or strip layout.
+term (a strip carries its last row over to the next), and adds each y tap
+into the output rows it reaches. Every output pixel's sample coordinates
+share their fractional parts, so the tap weights are constant over the
+whole plane. Out-of-range reads are resolved by edge replication: a zero
+left margin and the row total right of the prefix sums, no rows above the
+first and the final column sums below the last, which reproduces
+zero-padding of the source exactly. The y taps reach every output pixel
+in one fixed (offset, term) order, so the output does not depend on the
+strip height.
 The column sums grow with a box's width, not with the whole plane's, so
 the four-corner differences lose far less precision than on a table. A
 channel whose row prefix sums or column sums are not finite (NaN or inf in
@@ -55,25 +50,24 @@ the input, or sums that overflow float64) is rejected, by name: one bad
 pixel would spoil every output below it whose box reaches its column.
 
 Backward is box forward run on the cotangent, read through flipped views.
-Placed on the input grid (stride-spaced, zeros between) and flipped along
-both axes, each block's cotangent gets its summed-area tables T, built in
-one call into an edge-replicated buffer. The mirrored box filter of the
-cotangent, which is the input gradient, is then the plan's terms applied to
-T: each term's x taps on T's rows, whose entries already are column sums,
-then the same y-tap pass as forward's, written over the rows of T the x
-taps have read and copied once into a flipped view of the input gradient.
-Forward keeps only its input for backward. Three gradient families come
-out:
+Flipped along both axes, each plane's cotangent gets its summed-area table
+T, built in one call into an edge-replicated buffer. The mirrored box
+filter of the cotangent, which is the input gradient, is then the plan's
+terms applied to T: each term's x taps on T's rows, whose entries already
+are column sums, then the same y-tap pass as forward's, written over the
+rows of T the x taps have read and copied once into a flipped view of the
+input gradient. Forward keeps only its input for backward. Three gradient
+families come out:
 
 * input: the x then y taps on T, as above;
 * box coordinates: every sample site's value and coordinate derivatives
   are linear in four scalars, the inner products of the output cotangent
   with the input's table read at each corner of the site's lattice cell.
   Each such product equals the inner product of the flipped input with T
-  read at the same corner, so backward takes one product per sample and
+  read at the same corner, so backward takes one product per plane and
   distinct lattice corner of the plan's cells (sites sharing a corner
   share it), as one dot product per row, one matmul per run of adjacent
-  corners into one array summed once per block. It then blends them, for
+  corners, into one array summed once per plane. It then blends them, for
   all channels at once, with each site's constant interpolation fractions;
   the site derivative, weighted by its folded coefficient, moves exactly
   one normalized parameter, with the window half-width as chain factor.
@@ -86,9 +80,7 @@ out:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -97,10 +89,9 @@ from .boxes import BoxParams, CornerSamplePlan, box_arrays, compile_plan
 from .fmap import DimensionError, as_feature_map
 from .sat import build_sat, sat_backward  # sat_backward: only perfbench's tracer reads it here
 
-# Bytes of input planes per block, or of input rows per strip of a plane
-# too large for it. With each term's buffer rows and the output rows a
-# strip's y taps reach (about one box height more), a strip's working set
-# stays inside a 2 MB L2 cache on 1024-wide planes.
+# Bytes of input rows per strip of a plane. With each term's buffer rows
+# and the output rows a strip's y taps reach (about one box height more),
+# a strip's working set stays inside a 2 MB L2 cache on 1024-wide planes.
 STRIP_BYTES = 256 * 1024
 # Planes whose larger side is at most this many pixels take the banded
 # matrix route, larger ones the table engine; measured, see the module
@@ -145,35 +136,23 @@ class BoxConvSaved:
     """Forward state retained for the backward pass."""
 
     x: np.ndarray  # the input, (C, H, W) or (N, C, H, W)
-    out_shape: tuple
-    stride: int
     plan: CornerSamplePlan
 
 
-def _blocks(n, c, h, w):
-    """Samples and channels per block, and input rows per strip, for n samples
-    of c (h, w) planes.
-
-    A block holds as many channels' planes, over all samples, as fit in
-    STRIP_BYTES, and at least one. Where one channel's planes do not fit, a
-    block holds one channel of as many samples' planes as fit; a block of
-    whole planes is one strip. A single plane too large for the budget goes
-    alone, in strips of the rows that fit.
-    """
-    plane = 8 * h * w
-    g = max(1, min(n, STRIP_BYTES // plane))
-    b = max(1, min(c, STRIP_BYTES // (g * plane)))
-    return g, b, h if g * plane <= STRIP_BYTES else max(1, min(h, STRIP_BYTES // (8 * w)))
+def _strip_rows(h, w):
+    """Input rows per strip of an (h, w) plane: as many as fit in
+    STRIP_BYTES, at least one, all h where the whole plane fits."""
+    return max(1, min(h, STRIP_BYTES // (8 * w)))
 
 
 def _edge_pad(padded, top, left, h, w):
-    """Edge-replicate the (..., h+1, w+1) tables at (top, left) of padded into its margins."""
+    """Edge-replicate the (h+1, w+1) table at (top, left) of padded into its margins."""
     rows = slice(top, top + h + 1)
     # np.pad(mode="edge") makes the same array at several times the cost
-    padded[..., rows, :left] = padded[..., rows, left : left + 1]
-    padded[..., rows, left + w + 1 :] = padded[..., rows, left + w : left + w + 1]
-    padded[..., :top, :] = padded[..., top : top + 1, :]
-    padded[..., top + h + 1 :, :] = padded[..., top + h : top + h + 1, :]
+    padded[rows, :left] = padded[rows, left : left + 1]
+    padded[rows, left + w + 1 :] = padded[rows, left + w : left + w + 1]
+    padded[:top] = padded[top : top + 1]
+    padded[top + h + 1 :] = padded[top + h : top + h + 1]
 
 
 def _site_terms(q, plan):
@@ -201,236 +180,185 @@ def _x_pass(xs, src, s0, dst, d0, m, left, w):
     """Columns 0..w of dst rows d0 .. d0 + m get the x taps xs, (dx, weight)
     in order, of src rows s0 .., each tap read from column left + dx.
 
-    src and dst are (rows, n, width) arrays: each row holds the n samples'
-    rows side by side. Arrays of one width go as one flat run of entries,
-    from the first row's first sample to the last row's last, which also
-    covers the columns past w of every sample's row but the last: one
-    contiguous pass. Arrays of two widths go as strided slices.
+    Arrays of one width go as one flat run of entries, from the first row's
+    first column to the last row's column w, which also covers the columns
+    past w of every row but the last: one contiguous pass. Arrays of two
+    widths go as strided slices.
     """
-    rows, n, width = dst.shape
+    width = dst.shape[-1]
     if src.shape[-1] == width:
-        row = n * width
-        size = (m - 1) * row + (n - 1) * width + w
-        u = dst.reshape(-1)[d0 * row : d0 * row + size]
-        flat, start = src.reshape(-1), s0 * row + left
+        size = (m - 1) * width + w
+        u = dst.reshape(-1)[d0 * width : d0 * width + size]
+        flat, start = src.reshape(-1), s0 * width + left
         taps = [(flat[start + dx : start + dx + size], wt) for dx, wt in xs]
     else:
-        u = dst[d0 : d0 + m, :, :w]
-        taps = [(src[s0 : s0 + m, :, left + dx : left + dx + w], wt) for dx, wt in xs]
+        u = dst[d0 : d0 + m, :w]
+        taps = [(src[s0 : s0 + m, left + dx : left + dx + w], wt) for dx, wt in xs]
     (r, wt), *rest = taps
     np.multiply(r, wt, out=u)
     for r, wt in rest:
         u += wt * r
 
 
-def _y_pass(taps, src, dst, p0, n, h, last, w):
+def _y_pass(taps, src, dst, p0, m, h, last, w):
     """Add one channel's y taps of the table rows new in a strip into its output.
 
     The table has h + 1 rows, row 0 all zero; the strip's new rows are
-    p0 + 1 .. p0 + n. src[t] holds term t's x-tapped table row p0 + j at its
+    p0 + 1 .. p0 + m. src[t] holds term t's x-tapped table row p0 + j at its
     row j, and in the last strip the final row repeated below, as far as
     the taps reach. Output row i is row i of dst and gets each tap (dy, t,
     weight) of table row i + dy once, from the strip that holds that row;
     rows above the table are zero and are skipped. The taps run in
     (offset, term) order in every strip, so each pixel gets the same sums
-    in the same order at any strip height. src[t] and dst are (rows,
-    samples, width) arrays of one width: a tap is one flat run, as in
-    _x_pass.
+    in the same order at any strip height. src[t] and dst are of one
+    width: a tap is one flat run, as in _x_pass.
     """
-    rows, g, width = dst.shape
-    row = g * width
-    out, flat = dst.reshape(-1), src.reshape(src.shape[0], math.prod(src.shape[1:]))
+    width = dst.shape[-1]
+    out, flat = dst.reshape(-1), src.reshape(len(src), -1)
     for dy, t, wt in taps:
         i0 = max(0, p0 + 1 - dy)
-        i1 = h if last else min(h, p0 + n + 1 - dy)
+        i1 = h if last else min(h, p0 + m + 1 - dy)
         if i0 < i1:
-            size, j = (i1 - i0 - 1) * row + (g - 1) * width + w, i0 + dy - p0
-            out[i0 * row : i0 * row + size] += wt * flat[t, j * row : j * row + size]
+            size, j = (i1 - i0 - 1) * width + w, i0 + dy - p0
+            out[i0 * width : i0 * width + size] += wt * flat[t, j * width : j * width + size]
 
 
-def _forward_block(x, plan, c0, out, rows) -> bool:
-    """Box-filter the (n, b, H, W) planes x of channels c0 .. c0 + b - 1 into out.
+def _forward_plane(x, plan, c, out, rows) -> bool:
+    """Box-filter the (H, W) plane x of channel c into out, by strips of the
+    given input rows.
 
-    Every per-channel array below is (rows, n, width): each row holds the
-    n samples' rows side by side. The block goes by strips of the given
-    input rows. Their prefix sums along x go into rsum, with a table row's
-    zero left margin and edge-replicated right margin. Each term's x taps
-    read them and write into the term's cs array, below its row 0, which
-    carries the column sums of the table row above the strip. One scan down
-    the rows, one row-wise add for every term and sample of the block,
-    turns the rows into the column sums of the strip's table rows, and the
-    y taps add them into the output. A block of whole planes gives cs
-    rsum's width, and its y taps write into rsum once the x taps have read
-    it, so that every tap is one flat pass over whole padded rows; a block
-    of several strips (one plane) writes straight into out.
+    Each strip's prefix sums along x go into rsum, with a table row's zero
+    left margin and edge-replicated right margin. Each term's x taps read
+    them and write into the term's cs rows, below its row 0, which carries
+    the column sums of the table row above the strip. One scan down the
+    rows, one row-wise add for every term, turns the rows into the column
+    sums of the strip's table rows, and the y taps add them into out.
 
     Returns False, before any y tap reads them, as soon as a strip's row
     totals (its last prefix sums) or its last column sums are not finite. A
     running sum stays non-finite once it is, so those values are finite
     exactly when every prefix and column sum so far is.
     """
-    n, b, h, w = x.shape
+    h, w = x.shape
     left, right, _, bottom = plan.margins
-    whole = rows == h
-    shape = (1 + rows + bottom, n, left + w + 1 + right)
-    terms = plan.terms[c0 : c0 + b]
-    first = np.cumsum([0] + [len(ts) for ts in terms]).tolist()  # each channel's first term array
-    # out's width where the y taps write straight into out
-    cs = np.zeros((first[-1],) + shape[:-1] + (shape[-1] if whole else w,))
-    # the column sums run down rows of every term and sample: contiguous
-    # rows, in a copy where the block has several, made in rsum's memory
-    # once the x taps have read it
-    scan = (rows + 1,) + cs.shape[:1] + (n, w)
-    rsum = (b, rows) + shape[1:]
-    buffer = np.zeros(max(math.prod(rsum), whole * math.prod(scan)))
-    scan = buffer[: math.prod(scan)].reshape(scan) if whole else cs[..., :w].transpose(1, 0, 2, 3)
-    rsum = buffer[: math.prod(rsum)].reshape(rsum)
-    # the y taps of a block of whole planes write into rsum, spent by then
-    plane = rsum if whole else out.transpose(1, 2, 0, 3)
+    terms = plan.terms[c]
+    cs = np.zeros((len(terms), 1 + rows + bottom, w))
+    scan = cs.transpose(1, 0, 2)  # the column sums run down rows of every term
+    rsum = np.zeros((rows, left + w + 1 + right))
+    out[...] = 0.0
     for p0 in range(0, h, rows):
         m = min(rows, h - p0)
         last = p0 + m == h
-        r = rsum[:, :m]
-        np.cumsum(x[:, :, p0 : p0 + m], axis=-1, dtype=np.float64,
-                  out=r[..., left + 1 : left + w + 1].transpose(2, 0, 1, 3))
-        if not np.isfinite(r[..., left + w]).all():
+        r = rsum[:m]
+        np.cumsum(x[p0 : p0 + m], axis=-1, dtype=np.float64, out=r[:, left + 1 : left + w + 1])
+        if not np.isfinite(r[:, left + w]).all():
             return False
-        r[..., left + w + 1 :] = r[..., left + w : left + w + 1]
+        r[:, left + w + 1 :] = r[:, left + w : left + w + 1]
         if p0:
-            cs[:, 0, :, :w] = cs[:, rows, :, :w]
-        for i, channel in enumerate(terms):
-            for t, (xs, _) in enumerate(channel):
-                _x_pass(xs, rsum[i], 0, cs[first[i] + t], 1, m, left, w)
-        if whole:
-            scan[...] = cs[:, : m + 1, :, :w].transpose(1, 0, 2, 3)
-            for j in range(m):
-                scan[j + 1] += scan[j]
-            cs[:, 1 : m + 1, :, :w] = scan[1:].transpose(1, 0, 2, 3)
-        else:
-            for j in range(m):
-                scan[j + 1] += scan[j]
-        if not np.isfinite(cs[:, m, :, :w]).all():
+            cs[:, 0] = cs[:, rows]
+        for t, (xs, _) in enumerate(terms):
+            _x_pass(xs, rsum, 0, cs[t], 1, m, left, w)
+        for j in range(m):
+            scan[j + 1] += scan[j]
+        if not np.isfinite(cs[:, m]).all():
             return False
         if last:
             cs[:, m + 1 : m + 1 + bottom] = cs[:, m : m + 1]
-        if not p0:
-            plane[...] = 0.0
-        for i in range(b):
-            _y_pass(plan.y_taps[c0 + i], cs[first[i] : first[i + 1]], plane[i], p0, m, h, last, w)
-    if whole:
-        out[...] = rsum[..., :w].transpose(2, 0, 1, 3)
+        _y_pass(plan.y_taps[c], cs, out, p0, m, h, last, w)
     return True
 
 
-def _table_block(tables, plan, c0, rows):
-    """Channels c0 .. c0 + b - 1's terms on their tables, written over them.
+def _table_plane(table, plan, c, rows):
+    """Channel c's terms on its table, written over it.
 
-    tables is (b, rows, n, width): each row holds the n samples' table rows
-    side by side, edge-replicated, entry (0, 0) at (top, left) of the plan's
+    table is edge-replicated, entry (0, 0) at (top, left) of the plan's
     margins, with every row and column the taps read. A strip's x taps read
     table rows p0 + 1 .., which already hold the column sums forward runs
     down its strips, and in the last strip the rows of the bottom margin
-    too. Output row i goes to row i, columns 0..W, of the channel's tables:
-    rows the x taps have read, zeroed strip by strip. A strip's y taps
-    reach output rows at most `top` past its last table row, and table row
-    r sits in row top + r, so no strip writes a row that a later strip
-    reads.
+    too. Output row i goes to row i, columns 0..W, of the table: rows the x
+    taps have read, zeroed strip by strip. A strip's y taps reach output
+    rows at most `top` past its last table row, and table row r sits in row
+    top + r, so no strip writes a row that a later strip reads.
     """
-    b, hp, n, wp = tables.shape
+    hp, wp = table.shape
     left, right, top, bottom = plan.margins
     h, w = hp - top - 1 - bottom, wp - left - 1 - right
-    xt = np.zeros((max(len(ts) for ts in plan.terms[c0 : c0 + b]), 1 + rows + bottom, n, wp))
-    for i in range(b):
-        spent = 0  # rows of the channel's tables that no later x tap reads
-        for p0 in range(0, h, rows):
-            m = min(rows, h - p0)
-            last = p0 + m == h
-            for t, (xs, _) in enumerate(plan.terms[c0 + i]):
-                _x_pass(xs, tables[i], top + 1 + p0, xt[t], 1, m + bottom * last, left, w)
-            tables[i, spent : top + p0 + m + 1 + bottom * last] = 0.0
-            spent = top + p0 + m + 1
-            _y_pass(plan.y_taps[c0 + i], xt, tables[i], p0, m, h, last, w)
+    xt = np.zeros((len(plan.terms[c]), 1 + rows + bottom, wp))
+    spent = 0  # rows of the table that no later x tap reads
+    for p0 in range(0, h, rows):
+        m = min(rows, h - p0)
+        last = p0 + m == h
+        for t, (xs, _) in enumerate(plan.terms[c]):
+            _x_pass(xs, table, top + 1 + p0, xt[t], 1, m + bottom * last, left, w)
+        table[spent : top + p0 + m + 1 + bottom * last] = 0.0
+        spent = top + p0 + m + 1
+        _y_pass(plan.y_taps[c], xt, table, p0, m, h, last, w)
 
 
-def _corner_products(x, tables, plan, c0, prods):
-    """Products of the flipped input with the tables read at cell corners.
+def _corner_products(x, table, plan, c, prods):
+    """Products of the flipped input with the table read at cell corners.
 
-    x is (n, b, H, W), the input of channels c0 .., and tables their (b,
-    rows, n, width) tables as in _table_block. prods[:, i, ky, kx] gets, per
-    sample, channel c0 + i's product at its distinct corner (x number kx, y
-    number ky): the sum of H row dots, one matmul per pair of runs of
-    consecutive corners. Each dot is one BLAS call over W values: that skips
-    the margins, and keeps each dot below the 10000 values past which
-    OpenBLAS splits it over threads (its sums then depend on the thread
-    count; on a 2-core host an idle pool took 6 ms to wake).
+    x is the (H, W) input plane of channel c, and table its cotangent's
+    table as in _table_plane. prods[ky, kx] gets the product at channel c's
+    distinct corner (x number kx, y number ky): the sum of H row dots, one
+    matmul per pair of runs of consecutive corners. Each dot is one BLAS
+    call over W values: that skips the margins, and keeps each dot below
+    the 10000 values past which OpenBLAS splits it over threads (its sums
+    then depend on the thread count; on a 2-core host an idle pool took
+    6 ms to wake).
     """
-    n, b, h, w = x.shape
+    h, w = x.shape
     left, _, top, _ = plan.margins
-    sb, sr, sn, sc = tables.strides
-    xf = np.empty((n, h, 1, w))  # the flipped input, one row per dot product
+    sr, sc = table.strides
+    xf = np.empty((h, 1, w))  # the flipped input, one row per dot product
+    xf[:, 0] = x[::-1, ::-1]
     # zero: a channel with fewer distinct corners leaves the rest unwritten
-    dots = np.zeros((n,) + prods.shape[2:] + (h, 1, 1))
-    for i in range(b):
-        xf[:, :, 0] = x[:, i, ::-1, ::-1]
-        for ky, y0, ly in plan.y_runs[c0 + i]:
-            for kx, x0, lx in plan.x_runs[c0 + i]:
-                corners = np.ndarray((n, ly, lx, h, w, 1), tables.dtype, tables,
-                                     i * sb + (top + y0) * sr + (left + x0) * sc,
-                                     (sn, sr, sc, sr, sc, sc))
-                np.matmul(xf[:, None, None], corners, out=dots[:, ky : ky + ly, kx : kx + lx])
-        np.sum(dots[..., 0, 0], axis=-1, out=prods[:, i])
+    dots = np.zeros(prods.shape + (h, 1, 1))
+    for ky, y0, ly in plan.y_runs[c]:
+        for kx, x0, lx in plan.x_runs[c]:
+            corners = np.ndarray((ly, lx, h, w, 1), table.dtype, table,
+                                 (top + y0) * sr + (left + x0) * sc, (sr, sc, sr, sc, sc))
+            np.matmul(xf, corners, out=dots[ky : ky + ly, kx : kx + lx])
+    np.sum(dots[..., 0, 0], axis=-1, out=prods)
 
 
 def _table_forward(xb, plan):
-    """The (n, c, h, w) planes xb box-filtered by the table engine, block by block."""
+    """The (n, c, h, w) planes xb box-filtered by the table engine, plane by
+    plane, channels outer: a failing plane names the first bad channel."""
     n, c, h, w = xb.shape
     out = np.empty(xb.shape)
-    bn, bc, rows = _blocks(n, c, h, w)
-    for c0, n0 in product(range(0, c, bc), range(0, n, bn)):
-        block = (slice(n0, n0 + bn), slice(c0, c0 + bc))
-        if not _forward_block(xb[block], plan, c0, out[block], rows):
-            # several channels share a block only when it holds every sample:
-            # name the block's first channel that fails on its own
-            raise _non_finite(next(k for k in range(c0, min(c, c0 + bc)) if not _forward_block(
-                xb[n0 : n0 + bn, k : k + 1], plan, k, out[n0 : n0 + bn, k : k + 1], rows)))
+    rows = _strip_rows(h, w)
+    for k in range(c):
+        for i in range(n):
+            if not _forward_plane(xb[i, k], plan, k, out[i, k], rows):
+                raise _non_finite(k)
     return out
 
 
-def _table_backward(xb, gb, s, plan):
+def _table_backward(xb, gb, plan):
     """banded.backward's results by the table engine, of the input xb and
-    the cotangent gb of its stride-s output, block by block."""
+    the cotangent gb of its output, plane by plane."""
     n, c, h, w = xb.shape
     # before the buffers below: allocated after them, it let the peak RSS
     # of boxconv_train_256 grow by 8 MB in 5 of 10 runs (heap layout)
     grad_input = np.empty(xb.shape)
     left, right, top, bottom = plan.margins
-    bn, bc, rows = _blocks(n, c, h, w)
-    shape = (top + h + 1 + bottom, left + w + 1 + right)
-    padded = np.empty(bn * bc * math.prod(shape))  # flat: a block of fewer samples slices it
-    gs = np.zeros((bn, bc, h, w)) if s > 1 else None  # zero off the stride grid
+    rows = _strip_rows(h, w)
+    table = np.empty((top + h + 1 + bottom, left + w + 1 + right))
     prods = np.empty((n, c, 2 * plan.y_floor.shape[1], 2 * plan.x_floor.shape[1]))
-    for c0, n0 in product(range(0, c, bc), range(0, n, bn)):
-        k, m = min(bc, c - c0), min(bn, n - n0)  # channels and samples in the block
-        # the cotangent placed on the input grid, and the tables of its flip
-        gc = gb[n0 : n0 + m, c0 : c0 + k]
-        if gs is not None:
-            gs[:m, :k, ::s, ::s] = gc
-            gc = gs[:m, :k]
-        # each row holds the block's samples side by side
-        tables = padded[: k * m * math.prod(shape)].reshape((k, shape[0], m, shape[1]))
-        build_sat(gc[..., ::-1, ::-1],
-                  out=tables.transpose(2, 0, 1, 3)[..., top : top + h + 1, left : left + w + 1])
-        _edge_pad(tables.transpose(0, 2, 1, 3), top, left, h, w)
+    for k in range(c):
+        for i in range(n):
+            # the table of the flipped cotangent
+            build_sat(gb[i, k, ::-1, ::-1], out=table[top : top + h + 1, left : left + w + 1])
+            _edge_pad(table, top, left, h, w)
 
-        # parameter path: <flip(x), table read at (dx, dy)> per sample and
-        # corner of each channel's cells, summed over the rows
-        _corner_products(xb[n0 : n0 + m, c0 : c0 + k], tables, plan, c0,
-                         prods[n0 : n0 + m, c0 : c0 + k])
+            # parameter path: <flip(x), table read at (dx, dy)> per corner
+            # of the channel's cells, summed over the rows
+            _corner_products(xb[i, k], table, plan, k, prods[i, k])
 
-        # input path: each channel's terms on its tables, flipped back
-        _table_block(tables, plan, c0, rows)
-        grad_input[n0 : n0 + m, c0 : c0 + k, ::-1, ::-1] = (
-            tables[:, :h, :, :w].transpose(2, 0, 1, 3))
+            # input path: the channel's terms on its table, flipped back
+            _table_plane(table, plan, k, rows)
+            grad_input[i, k, ::-1, ::-1] = table[:h, :w]
 
     # every cell corner's product, per sample, in _site_terms' order
     values, gx, gy = _site_terms(prods.reshape(n, -1)[:, plan.corner_index], plan)
@@ -461,20 +389,17 @@ class BoxConvLayer:
     The layer owns its boxes as arrays, one row per channel: theta (C, 4),
     split (C, s) and weight (C, w), all of one window size max_kernel and
     one variant. Whoever changes them in place calls recompile() before the
-    next forward.
+    next forward. The output has the input's shape.
     """
 
-    def __init__(self, boxes, stride: int = 1):
+    def __init__(self, boxes):
         boxes = list(boxes)
         if not boxes:
             raise DimensionError("layer needs at least one box")
-        if int(stride) != stride or stride < 1:
-            raise ValueError(f"stride must be a positive integer, got {stride}")
         for field in ("max_kernel", "variant"):
             values = {getattr(p, field) for p in boxes}
             if len(values) != 1:
                 raise DimensionError(f"all boxes in a layer must share {field}, got {values}")
-        self.stride = int(stride)
         self.max_kernel, self.variant = boxes[0].max_kernel, boxes[0].variant
         self.theta, self.split, self.weight = box_arrays(boxes, self.variant)
         self.recompile()
@@ -495,11 +420,6 @@ class BoxConvLayer:
         """Compile the arrays into a new plan."""
         self.plan = compile_plan(self.theta, self.split, self.weight, self.max_kernel, self.variant)
 
-    def out_shape(self, in_shape):
-        """Output shape for a (C, H, W) or (N, C, H, W) input shape."""
-        *lead, c, h, w = in_shape
-        return (*lead, c, -(-h // self.stride), -(-w // self.stride))
-
     def multadd_count(self, in_shape) -> int:
         """The paper's lattice-tap count: multiply-adds of the folded taps.
 
@@ -508,35 +428,28 @@ class BoxConvLayer:
         taps then y taps (CornerSamplePlan.terms); the banded route's
         products cost more per pixel, but far fewer NumPy calls.
         """
-        *lead, _, out_h, out_w = self.out_shape(in_shape)
-        return int(np.prod(lead, dtype=np.int64)) * out_h * out_w * int(self.plan.n_taps.sum())
+        *lead, _, h, w = in_shape
+        return int(np.prod(lead, dtype=np.int64)) * h * w * int(self.plan.n_taps.sum())
 
     def forward(self, x):
         x = as_feature_map(x)
         if x.shape[-3] != self.channels:
             raise DimensionError(f"input has {x.shape[-3]} channels, layer has {self.channels}")
-        plan, s = self.plan, self.stride
+        plan = self.plan
         xb = x.reshape((-1,) + x.shape[-3:])  # a rank-3 input is one sample
         small = max(xb.shape[-2:]) <= BANDED_MAX_SIDE
         out = (_banded_forward if small else _table_forward)(xb, plan)
-        saved = BoxConvSaved(x=x, out_shape=self.out_shape(x.shape), stride=s, plan=plan)
-        # the stride-1 filter, subsampled: no copy at stride 1
-        return np.ascontiguousarray(out.reshape(x.shape)[..., ::s, ::s], dtype=x.dtype), saved
+        return (np.ascontiguousarray(out.reshape(x.shape), dtype=x.dtype),
+                BoxConvSaved(x=x, plan=plan))
 
     def backward(self, saved: BoxConvSaved, grad_output) -> LayerGradients:
+        x, plan = saved.x, saved.plan
         g = np.asarray(grad_output, dtype=np.float64)
-        if g.shape != saved.out_shape:
-            raise DimensionError(f"grad_output shape {g.shape} != forward output {saved.out_shape}")
-        x, s, plan = saved.x, saved.stride, saved.plan
+        if g.shape != x.shape:
+            raise DimensionError(f"grad_output shape {g.shape} != forward output {x.shape}")
         xb, gb = x.reshape((-1,) + x.shape[-3:]), g.reshape((-1,) + g.shape[-3:])
-        n, c, h, w = xb.shape
-        if max(h, w) <= BANDED_MAX_SIDE:
-            if s > 1:  # the cotangent on the input grid, zero between
-                gb, placed = np.zeros(xb.shape), gb
-                gb[..., ::s, ::s] = placed
-            grad_input, gx, gy, sw = banded.backward(xb, gb, plan)
-        else:
-            grad_input, gx, gy, sw = _table_backward(xb, gb, s, plan)
+        small = max(xb.shape[-2:]) <= BANDED_MAX_SIDE
+        grad_input, gx, gy, sw = (banded.backward if small else _table_backward)(xb, gb, plan)
         r = (plan.max_kernel - 1) / 2
         theta = np.stack([gx[..., 0], gx[..., -1], gy[..., 0], gy[..., -1]], axis=-1) * r
         # a split line is the middle site on its axis

@@ -5,8 +5,8 @@ border in row 0 and column 0, so entry (i, j) holds the sum of all source
 pixels strictly above row i and strictly left of column j. Four-corner
 differences then give rectangle sums without any index branching, and
 bilinear interpolation between table entries extends the lookup to
-continuous coordinates. The layer's backward builds one such table per
-channel from the flipped cotangent; the scalar readers (region sums,
+continuous coordinates. The layer's backward on the table engine builds
+one such table per plane from the flipped cotangent; the scalar readers (region sums,
 bilinear samples and their derivatives) live in oracle.py, which the tests
 check tables against.
 

@@ -93,7 +93,6 @@ def test_c03_analytic_gradients_match_finite_differences():
         n_configs=100,
         sizes=((8, 8), (12, 16), (16, 16)),
         ks=(5, 9, 13),
-        strides=(1, 2),
         tolerance=1e-5,
         h=1e-5,
     )

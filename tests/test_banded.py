@@ -68,9 +68,9 @@ def _run(layer, x, g):
 
 
 def _cases(rng):
-    """(boxes, stride, input shape): every variant; k from 3 to 129; planes
-    from 1x1 up to just past BANDED_MAX_SIDE; rank 3 and 4; strides 1 and 2;
-    equal and unequal sub-box weights; boxes wholly off a tiny plane."""
+    """(boxes, input shape): every variant; k from 3 to 129; planes from 1x1
+    up to just past BANDED_MAX_SIDE; rank 3 and 4; equal and unequal sub-box
+    weights; boxes wholly off a tiny plane."""
     side = satconv.layer.BANDED_MAX_SIDE
     cases = ((3, "init", (1, 1)), (5, "lattice", (2, 7)), (9, "init", (13, 11)),
              (9, "lattice", (12, 9)), (13, "wide", (32, 32)), (41, "wide", (20, 33)),
@@ -81,21 +81,21 @@ def _cases(rng):
         for j, (k, kind, (h, w)) in enumerate(cases):
             boxes = [_box(rng, k, variant, kind) for _ in range(3)]
             lead = (2,) if (i + j // 2) % 2 else ()
-            yield boxes, 1 + (i + j) % 2, lead + (3, h, w)
+            yield boxes, lead + (3, h, w)
 
 
 def test_routes_match_oracle_and_each_other(rng, monkeypatch):
-    for boxes, stride, shape in list(_cases(rng)):
-        layer = BoxConvLayer(boxes, stride=stride)
+    for boxes, shape in list(_cases(rng)):
+        layer = BoxConvLayer(boxes)
         x = rng.normal(size=shape)
-        g = rng.normal(size=layer.out_shape(shape))
+        g = rng.normal(size=shape)
         runs = []
         for name, side in ROUTES.items():
             monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", side)
             runs.append(_run(layer, x, g))
             y = runs[-1][0]
             for c, p in enumerate(layer.boxes):
-                want = conv2d(x[..., c, :, :], effective_kernel(p).weights)[..., ::stride, ::stride]
+                want = conv2d(x[..., c, :, :], effective_kernel(p).weights)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 err = float(np.max(np.abs(y[..., c, :, :] - want))) / scale
                 assert err < 1e-12, (name, shape, p, err)
@@ -105,7 +105,7 @@ def test_routes_match_oracle_and_each_other(rng, monkeypatch):
             if table.size:
                 scale = max(1.0, float(np.max(np.abs(table))))
                 err = float(np.max(np.abs(table - banded))) / scale
-                assert err < 1e-12, (field, shape, boxes[0], stride, err)
+                assert err < 1e-12, (field, shape, boxes[0], err)
 
 
 def test_boxes_off_a_tiny_plane_read_nothing(route):

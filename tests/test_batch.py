@@ -8,6 +8,7 @@ summed in sample order, which is how the training loop used to add them.
 import numpy as np
 import pytest
 
+import satconv.layer
 from satconv.boxes import BoxParams, BoxVariant, init_params
 from satconv.heatmap import gaussian_target, mse_loss
 from satconv.layer import BoxConvLayer
@@ -42,30 +43,34 @@ def _unequal_weights(p, rng):
 
 @pytest.mark.parametrize("variant", list(BoxVariant))
 @pytest.mark.parametrize("stride", [1, 2])
-def test_box_layer_batch_equals_samples(rng, variant, stride):
+def test_box_layer_batch_equals_samples(rng, monkeypatch, variant, stride):
+    """On both routes; the cotangent is that of a loss read on every
+    stride-th row and column, zero between."""
     boxes = [_unequal_weights(init_params(k, variant, rng), rng) for k in (9, 9, 9)]
-    layer = BoxConvLayer(boxes, stride=stride)
+    layer = BoxConvLayer(boxes)
     x = rng.normal(size=(N, 3, 13, 11))
-    y, saved = layer.forward(x)
-    g = rng.normal(size=y.shape)
-    grads = layer.backward(saved, g)
-    for n in range(N):
-        yn, saved_n = layer.forward(x[n])
-        gn = layer.backward(saved_n, g[n])
-        assert np.array_equal(y[n], yn)
-        assert np.array_equal(grads.grad_input[n], gn.grad_input)
-        for b, bn in zip(grads.grad_boxes, gn.grad_boxes):
-            assert np.array_equal(b.theta[n], bn.theta)
-            assert np.array_equal(b.split[n], bn.split)
-            assert np.array_equal(b.weight[n], bn.weight)
+    g = np.zeros(x.shape)
+    g[..., ::stride, ::stride] = rng.normal(size=g[..., ::stride, ::stride].shape)
+    for side in (satconv.layer.BANDED_MAX_SIDE, 0):  # banded route, then the table engine
+        monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", side)
+        y, saved = layer.forward(x)
+        grads = layer.backward(saved, g)
+        for n in range(N):
+            yn, saved_n = layer.forward(x[n])
+            gn = layer.backward(saved_n, g[n])
+            assert np.array_equal(y[n], yn)
+            assert np.array_equal(grads.grad_input[n], gn.grad_input)
+            for b, bn in zip(grads.grad_boxes, gn.grad_boxes):
+                assert np.array_equal(b.theta[n], bn.theta)
+                assert np.array_equal(b.split[n], bn.split)
+                assert np.array_equal(b.weight[n], bn.weight)
 
 
 def test_box_layer_shapes_accept_a_batch_axis(rng):
-    layer = BoxConvLayer([init_params(9, rng=rng)] * 2, stride=2)
-    assert layer.out_shape((5, 2, 9, 8)) == (5, 2, 5, 4)
+    layer = BoxConvLayer([init_params(9, rng=rng)] * 2)
     assert layer.multadd_count((5, 2, 9, 8)) == 5 * layer.multadd_count((2, 9, 8))
     y, _ = layer.forward(rng.normal(size=(5, 2, 9, 8)))
-    assert y.shape == layer.out_shape((5, 2, 9, 8))
+    assert y.shape == (5, 2, 9, 8)
 
 
 def _split_inner(rng):

@@ -76,7 +76,7 @@ def test_bench_csv_schema_and_equivalence(capsys):
     ("bench", "--k", "4"),
     ("gradcheck", "--sizes", "8"),
     ("gradcheck", "--k", "4"),
-    ("gradcheck", "--strides", "0"),
+    ("gradcheck", "--configs", "0"),
     ("gradcheck", "--tolerance", "nan"),  # every comparison with nan passes
     ("gradcheck", "--tolerance", "0"),
     ("bench", "--seed", "-1"),

@@ -41,31 +41,13 @@ def test_forward_matches_effective_kernel(rng, variant):
         assert np.max(np.abs(out[0] - want)) / scale < 1e-12
 
 
-def test_stride_subsamples_stride_one(rng):
-    """A stride-s layer is the stride-1 layer on the stride grid: forward
-    keeps every s-th row and column, and backward is the stride-1 backward
-    of the cotangent placed on that grid, zeros between."""
-    for variant in BoxVariant:
-        p = init_params(9, variant, rng)
-        if variant != BoxVariant.SINGLE:
-            p = replace(p, split_weights=tuple(rng.uniform(0.5, 1.5, len(p.split_weights))))
-        for lead in ((), (2,)):
-            x = rng.normal(size=lead + (1, 11, 13))
-            one = BoxConvLayer([p], stride=1)
-            full, saved_one = one.forward(x)
-            for s in (2, 3):
-                layer = BoxConvLayer([p], stride=s)
-                strided, saved = layer.forward(x)
-                assert strided.shape == lead + (1, -(-11 // s), -(-13 // s))
-                assert np.array_equal(strided, full[..., ::s, ::s])
-                g = rng.normal(size=strided.shape)
-                placed = np.zeros(full.shape)
-                placed[..., ::s, ::s] = g
-                got, want = layer.backward(saved, g), one.backward(saved_one, placed)
-                assert got.grad_input.tobytes() == want.grad_input.tobytes()
-                for field in ("theta", "split", "weight"):
-                    assert (getattr(got.boxes, field).tobytes()
-                            == getattr(want.boxes, field).tobytes())
+def _grid_cotangent(rng, shape, s):
+    """The cotangent of a loss read on every s-th output row and column:
+    random there, zero between. Tests parametrized by stride read their
+    losses so."""
+    g = np.zeros(shape)
+    g[..., ::s, ::s] = rng.normal(size=g[..., ::s, ::s].shape)
+    return g
 
 
 def test_backward_theta_xh_area_growth():
@@ -99,7 +81,7 @@ def test_exact_adjoint_identity(rng):
     """forward is linear in the input, so <backward g, v> == <g, forward v>."""
     for variant in BoxVariant:
         p = init_params(9, variant, rng)
-        layer = BoxConvLayer([p], stride=2)
+        layer = BoxConvLayer([p])
         x = rng.normal(size=(1, 10, 9))
         out, saved = layer.forward(x)
         g = rng.normal(size=out.shape)
@@ -170,8 +152,6 @@ def test_layer_validation(rng):
         BoxConvLayer([init_params(9, rng=rng), init_params(13, rng=rng)])
     with pytest.raises(DimensionError, match="variant"):
         BoxConvLayer([init_params(9, rng=rng), init_params(9, BoxVariant.SPLIT_4, rng)])
-    with pytest.raises(ValueError):
-        BoxConvLayer([init_params(9, rng=rng)], stride=0)
     layer = BoxConvLayer([init_params(9, rng=rng)])
     with pytest.raises(DimensionError):
         layer.forward(rng.normal(size=(2, 4, 4)))
@@ -232,23 +212,25 @@ def test_forward_rejects_overflowing_sums(rng, monkeypatch):
     assert np.isfinite(out).all()
 
 
-def _layer_bytes(layer, x, g):
+def _layer_arrays(layer, x, g):
     y, saved = layer.forward(x)
     grads = layer.backward(saved, g)
     b = grads.boxes
-    return [a.tobytes() for a in (y, grads.grad_input, b.theta, b.split, b.weight)]
+    return [y, grads.grad_input, b.theta, b.split, b.weight]
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("rank4", [False, True])
 @pytest.mark.parametrize("variant", list(BoxVariant))
 def test_channel_blocks_match_one_channel_blocks(rng, monkeypatch, variant, rank4, stride):
-    """A layer evaluated by the table engine as one block of all its
-    channels, as one-channel blocks and as one-sample, one-channel blocks
-    gives the same bytes: forward output, input gradient and every box
-    gradient."""
+    """The table engine runs a layer plane by plane, each with its channel's
+    share of the plan. Every channel of a four-channel layer gives the bytes
+    of a one-channel layer of its box: forward output, input gradient and
+    box gradients, whole planes and one-row strips alike."""
+    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)
     n, c, h, w = 3 if rank4 else 1, 4, 12, 11
     shape = ((n,) if rank4 else ()) + (c, h, w)
+    budgets = (satconv.layer.STRIP_BYTES, 8 * w)  # whole planes, one-row strips
     for k in (3, 5, 13, 41, 129):
         boxes = [init_params(k, variant, rng) for _ in range(c - 1)]
         boxes.append(BoxParams(-1.0, 1.0, -1.0, 1.0, k, variant, _EDGE_SPLITS[variant],
@@ -256,25 +238,23 @@ def test_channel_blocks_match_one_channel_blocks(rng, monkeypatch, variant, rank
         if variant != BoxVariant.SINGLE:
             boxes = [replace(p, split_weights=tuple(rng.uniform(-1.5, 1.5, len(p.split_weights))))
                      for p in boxes]
-        layer = BoxConvLayer(boxes, stride=stride)
+        layer = BoxConvLayer(boxes)
         x = rng.normal(size=shape)
-        g = rng.normal(size=layer.out_shape(shape))
-        runs = []
-        monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)
-        for budget, blocks in ((None, (n, c, h)), (8 * n * h * w, (n, 1, h)),
-                               (8 * h * w, (1, 1, h))):
-            if budget is not None:
-                monkeypatch.setattr(satconv.layer, "STRIP_BYTES", budget)
-            assert satconv.layer._blocks(n, c, h, w) == blocks
-            runs.append(_layer_bytes(layer, x, g))
-        assert runs[1] == runs[0] and runs[2] == runs[0]
-        monkeypatch.undo()
+        g = _grid_cotangent(rng, shape, stride)
+        for budget in budgets:
+            monkeypatch.setattr(satconv.layer, "STRIP_BYTES", budget)
+            got = _layer_arrays(layer, x, g)
+            for i, p in enumerate(boxes):
+                one = _layer_arrays(BoxConvLayer([p]), x[..., i : i + 1, :, :],
+                                    g[..., i : i + 1, :, :])
+                # the channel axis: -3 for output and input gradient, -2 for boxes
+                for j, (a, b) in enumerate(zip(got, one)):
+                    assert np.take(a, [i], axis=-3 if j < 2 else -2).tobytes() == b.tobytes()
 
 
 def test_non_finite_channel_in_a_block_is_named(rng, monkeypatch):
-    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)  # the table engine's blocks
+    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)  # the table engine
     layer = BoxConvLayer([init_params(9, rng=rng) for _ in range(4)])
-    assert satconv.layer._blocks(2, 4, 16, 16)[1] == 4  # one block
     x = rng.normal(size=(2, 4, 16, 16))
     x[1, 2, 5, 7] = np.nan
     with pytest.raises(ValueError, match="channel 2:"):
@@ -329,16 +309,16 @@ def test_position_gradients_on_lattice_and_in_margin(rng, kind, variant, stride)
     the slope up to rounding."""
     p, (h, w) = _edge_case_box(kind, variant)
     x = rng.normal(size=(1, h, w))
-    layer = BoxConvLayer([p], stride=stride)
+    layer = BoxConvLayer([p])
     out, saved = layer.forward(x)
-    g = rng.normal(size=out.shape)
+    g = _grid_cotangent(rng, out.shape, stride)
     bg = layer.backward(saved, g).grad_boxes[0]
     analytic = np.concatenate([bg.theta, bg.split])
     if kind == "margin":
         assert not analytic.any()
 
     def loss(q):
-        return float(np.sum(g * BoxConvLayer([q], stride=stride).forward(x)[0]))
+        return float(np.sum(g * BoxConvLayer([q]).forward(x)[0]))
 
     step = 0.25 / ((p.max_kernel - 1) / 2)
     coords = list(p.thetas) + list(p.split_theta)
@@ -362,14 +342,14 @@ def test_split_weight_gradient_is_sub_box_response(rng, variant, on_lattice, str
         p = BoxParams(*p.thetas, 9, variant, p.split_theta,
                       tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights))))
     x = rng.normal(size=(1, 11, 10))
-    layer = BoxConvLayer([p], stride=stride)
+    layer = BoxConvLayer([p])
     out, saved = layer.forward(x)
-    g = rng.normal(size=out.shape)
+    g = _grid_cotangent(rng, out.shape, stride)
     gw = layer.backward(saved, g).grad_boxes[0].weight
     n = len(p.split_weights)
     for bi in range(n):
         alone = BoxParams(*p.thetas, 9, variant, p.split_theta, tuple(np.eye(n)[bi]))
-        response = naive_conv(x[0], effective_kernel(alone))[::stride, ::stride]
+        response = naive_conv(x[0], effective_kernel(alone))
         want = float(np.sum(g[0] * response))
         assert abs(gw[bi] - want) <= 1e-10 * max(1.0, abs(want)), (bi, gw[bi], want)
 
@@ -404,14 +384,14 @@ def test_zero_weight_taps_pruned_without_changing_results(rng, stride, monkeypat
     plan = BoxConvLayer([clipped]).plan
     assert list(plan.n_taps) == [9] and _n_term_taps(_unpruned(plan)) > _n_term_taps(plan)
     for p in (equal_split, clipped):
-        pruned = BoxConvLayer([p], stride=stride)
-        full = BoxConvLayer([p], stride=stride)
+        pruned = BoxConvLayer([p])
+        full = BoxConvLayer([p])
         full.plan = _unpruned(full.plan)
         x = rng.normal(size=(2, 1, 12, 11))
         y, saved = pruned.forward(x)
         y_full, saved_full = full.forward(x)
         assert np.array_equal(y, y_full)
-        g = rng.normal(size=y.shape)
+        g = _grid_cotangent(rng, y.shape, stride)
         got, want = pruned.backward(saved, g), full.backward(saved_full, g)
         assert np.array_equal(got.grad_input, want.grad_input)
         for field in ("theta", "split", "weight"):
@@ -428,22 +408,25 @@ _EDGE_SPLITS = {
 
 
 def _table_taps(x, plan, c):
-    """backward's input-path routine for channel c on the edge-padded table of planes x,
-    at stride 1, as a block of that one channel."""
+    """backward's input-path routine for channel c on the edge-padded table
+    of each (h, w) plane of x, in the module's strips."""
     n, h, w = x.shape
     left, right, top, bottom = plan.margins
-    tables = np.empty((1, top + h + 1 + bottom, n, left + w + 1 + right))
-    padded = tables.transpose(0, 2, 1, 3)  # (1, n, rows, width)
-    build_sat(x, out=padded[0, :, top : top + h + 1, left : left + w + 1])
-    satconv.layer._edge_pad(padded, top, left, h, w)
-    satconv.layer._table_block(tables, plan, c, satconv.layer._blocks(n, 1, h, w)[2])
-    return padded[0, :, :h, :w]
+    out = np.empty(x.shape)
+    for i in range(n):
+        table = np.empty((top + h + 1 + bottom, left + w + 1 + right))
+        build_sat(x[i], out=table[top : top + h + 1, left : left + w + 1])
+        satconv.layer._edge_pad(table, top, left, h, w)
+        satconv.layer._table_plane(table, plan, c, satconv.layer._strip_rows(h, w))
+        out[i] = table[:h, :w]
+    return out
 
 
-# Planes of several strips, a batch among them, and a k=129 window whose
-# margin is wider than its 20x20 plane.
+# Planes of several strips, a batch among them, a k=129 window whose
+# margin is wider than its 20x20 plane, and a batch of 120x130 planes, each
+# one strip under the module's budget.
 @pytest.mark.parametrize("shape, k", [((1, 2, 300, 300), 13), ((3, 2, 200, 301), 13),
-                                      ((1, 2, 20, 20), 129)])
+                                      ((1, 2, 20, 20), 129), ((2, 2, 120, 130), 13)])
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("variant", list(BoxVariant))
 def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, variant):
@@ -454,24 +437,23 @@ def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, varia
     # every edge at the window border, so reads fall in all four margins
     edge = BoxParams(-1.0, 1.0, -1.0, 1.0, k, variant, _EDGE_SPLITS[variant],
                      inner.split_weights)
-    layer = BoxConvLayer([inner, edge], stride=stride)
+    layer = BoxConvLayer([inner, edge])
     x = rng.normal(size=shape)
-    g = rng.normal(size=layer.out_shape(shape))
-    n, out_w = shape[0], layer.out_shape(shape)[-1]
+    g = _grid_cotangent(rng, shape, stride)
     dense = [conv2d(x[:, c], effective_kernel(p).weights) for c, p in enumerate(layer.boxes)]
-    # the module's strip budget, then budgets of 7 output rows (7 input rows
-    # at stride 1; most heights are no multiple of it) and of 1 row
+    # the module's strip budget, then budgets of 7 rows of a plane (most
+    # heights are no multiple of it) and of 1 row
     outs, tables, grads = [], [], []
     for rows in (None, 7, 1):
         if rows is not None:
-            monkeypatch.setattr(satconv.layer, "STRIP_BYTES", 8 * n * out_w * rows)
+            monkeypatch.setattr(satconv.layer, "STRIP_BYTES", 8 * shape[-1] * rows)
         out, saved = layer.forward(x)
         outs.append(out.tobytes())
         for c in range(layer.channels):
-            want = dense[c][..., ::stride, ::stride]
+            want = dense[c]
             scale = max(1e-12, float(np.max(np.abs(want))))
             assert np.max(np.abs(out[:, c] - want)) / scale < 1e-12
-            if stride == 1:  # the table routine, which backward runs at stride 1 only
+            if stride == 1:  # the table routine reads no cotangent: once per shape
                 taps = _table_taps(x[:, c], layer.plan, c)
                 assert np.max(np.abs(taps - want)) / scale < 1e-12
                 tables.append(taps.tobytes())
@@ -523,12 +505,12 @@ def test_grad_input_is_exact_transposed_jacobian(rng, variant, stride):
                      inner(9).split_weights)
     margin = _edge_case_box("margin", variant)[0]
     for boxes in ([edge, inner(9)], [margin, inner(41)]):
-        layer = BoxConvLayer(boxes, stride=stride)
+        layer = BoxConvLayer(boxes)
         h, w = (int(v) for v in rng.integers(3, 10, size=2))
         for shape in ((2, h, w), (2, 2, h, w)):
             jac = _jacobian(layer, shape)
             y, saved = layer.forward(rng.normal(size=shape))
-            g = rng.normal(size=y.shape)
+            g = _grid_cotangent(rng, y.shape, stride)
             got = layer.backward(saved, g).grad_input.ravel()
             want = jac.T @ g.ravel()
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (boxes, shape)

@@ -45,35 +45,30 @@ def test_post_step_projects_and_compiles_once_per_layer(monkeypatch, variant):
     assert calls == ["project_params", "compile_plan"]
 
 
-def test_forward_builds_one_table_block_per_channel(monkeypatch):
+def test_backward_builds_one_table_per_plane_on_the_table_engine(monkeypatch):
     # sat.build_sat_calls_per_step counts calls through satconv.layer.build_sat.
     # Forward builds no table. Planes up to BANDED_MAX_SIDE a side take the
     # banded route, which builds none in backward either; on the table engine
-    # backward builds one per channel block, covering its channels' planes of
-    # every sample: the tables of the cotangent placed on the input grid. Small
-    # planes make one block of the whole layer, a 256x256 plane one block per
-    # channel.
+    # backward builds one per plane, the table of its flipped cotangent.
     calls = []
     build_sat = satconv.layer.build_sat
     monkeypatch.setattr(satconv.layer, "build_sat",
                         lambda plane, **kw: calls.append(np.shape(plane)) or build_sat(plane, **kw))
     rng = np.random.default_rng(0)
     side = satconv.layer.BANDED_MAX_SIDE
-    for stride in (1, 2):
-        layer = satconv.layer.BoxConvLayer([init_params(13, rng=rng) for _ in range(3)],
-                                           stride=stride)
-        for shape, tables, banded_max in (((3, 40, 50), [], side),
-                                          ((2, 3, 40, 50), [], side),
-                                          ((3, side, side), [], side),
-                                          ((3, 40, 50), [(1, 3, 40, 50)], 0),
-                                          ((2, 3, 40, 50), [(2, 3, 40, 50)], 0),
-                                          ((3, 256, 256), [(1, 1, 256, 256)] * 3, side)):
-            monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", banded_max)
-            calls.clear()
-            y, saved = layer.forward(rng.normal(size=shape))
-            assert calls == []
-            layer.backward(saved, rng.normal(size=y.shape))
-            assert calls == tables, shape
+    layer = satconv.layer.BoxConvLayer([init_params(13, rng=rng) for _ in range(3)])
+    for shape, tables, banded_max in (((3, 40, 50), [], side),
+                                      ((2, 3, 40, 50), [], side),
+                                      ((3, side, side), [], side),
+                                      ((3, 40, 50), [(40, 50)] * 3, 0),
+                                      ((2, 3, 40, 50), [(40, 50)] * 6, 0),
+                                      ((3, 256, 256), [(256, 256)] * 3, side)):
+        monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", banded_max)
+        calls.clear()
+        y, saved = layer.forward(rng.normal(size=shape))
+        assert calls == []
+        layer.backward(saved, rng.normal(size=y.shape))
+        assert calls == tables, shape
 
 
 def test_traced_keypoint_benchmark_runs_clean():
