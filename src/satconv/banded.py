@@ -13,14 +13,15 @@ sub-box spans one interval between consecutive sites on each axis. Grouped
 by their y interval g, the sub-boxes give out = sum_g Y_g X B_g^T, with
 Y_g the (h, h) matrix of the interval and B_g the (w, w) matrix of their x
 intervals, weighted: one term for single and split_v boxes, two for
-split_h and split_4. The input gradient is sum_g Y_g^T G B_g. Per sample,
-K = G^T (Y_g X) holds in its diagonal at offset e the cotangent's inner
-product with Y_g X shifted e columns, so an x site's derivative is its
-coefficients times the diagonal at its floor, and a sub-box weight's
-gradient the diagonals' dot product with its x interval's profile;
-G (X P_g^T)^T per x interval matrix P_g gives the y sites' derivatives. A
-site off the plane reads no diagonal and gets zero, as clamped coordinates
-do.
+split_h and split_4. The weights are the plan's factored form: B_g weighs
+the x sites' profiles by plan.cx[:, :, g]. The input gradient is
+sum_g Y_g^T G B_g. Per sample, K = G^T (Y_g X) holds in its diagonal at
+offset e the cotangent's inner product with Y_g X shifted e columns, so
+an x site's derivative is its plan.cx coefficients times the diagonal at
+its floor, and a sub-box weight's gradient the diagonals' dot product
+with its x interval's profile; G (X P_g^T)^T per x interval matrix P_g
+gives the y sites' derivatives, weighted by plan.cy. A site off the plane
+reads no diagonal and gets zero, as clamped coordinates do.
 
 Every product is one batched np.matmul over all samples and channels, two
 in forward and nine in backward; no table is built. The matrices are built
@@ -84,10 +85,7 @@ class _Bands:
         # offsets -(w - 1) .. w - 1 and -(h - 1) .. h - 1 of the profiles
         self.sx, sy = sites[:, :nx, n - w : n + w - 1], sites[:, nx:, n - h : n + h - 1]
         self.py = sy[:, 1:] - sy[:, :-1]
-        # a site's coefficients summed over the sub-boxes of the other axis's
-        # interval g: minus their running sum up to g
-        self.cx = -np.cumsum(plan.coeffs, axis=2)[:, :, :-1]
-        self.b = _toeplitz(np.matmul(self.cx.transpose(0, 2, 1), self.sx), w)
+        self.b = _toeplitz(np.matmul(plan.cx.transpose(0, 2, 1), self.sx), w)
         self.y = _toeplitz(self.py, h).copy()
         self.bt = self.b.transpose(0, 1, 3, 2).reshape(len(self.b), -1, w)
 
@@ -96,9 +94,8 @@ class _Bands:
         matrices are of, once; returns self."""
         if hasattr(self, "wx"):
             return self
-        h, w, (c, nx) = self.h, self.w, plan.x_floor.shape
+        h, w, (c, nx), ny = self.h, self.w, plan.x_floor.shape, plan.y_floor.shape[1]
         px = self.sx[:, 1:] - self.sx[:, :-1]
-        cy = -np.cumsum(plan.coeffs, axis=1)[:, :-1].transpose(0, 2, 1)
         self.bg = self.b.reshape(c, -1, w)
         self.xg = _toeplitz(px, w).transpose(0, 3, 1, 2).reshape(c, w, -1)
         r = (plan.max_kernel - 1) // 2
@@ -107,18 +104,18 @@ class _Bands:
         lo, hi = self.x_band
         sub = (px[:, ixl, lo + w - 1 : hi + w].transpose(0, 2, 1)[:, None]
                * (np.arange(self.py.shape[1])[:, None] == iyl)[:, None])
-        self.wx = np.concatenate((_site_weights(self.cx, plan.x_floor, self.x_band), sub),
+        self.wx = np.concatenate((_site_weights(plan.cx, plan.x_floor, self.x_band), sub),
                                  axis=-1).reshape(c, -1, nx + len(ixl))
-        self.wy = _site_weights(cy, plan.y_floor, self.y_band).reshape(c, -1, cy.shape[1])
+        self.wy = _site_weights(plan.cy, plan.y_floor, self.y_band).reshape(c, -1, ny)
         return self
 
 
 def bands(plan, h, w) -> _Bands:
     """plan's matrices on (h, w) planes, built on first use and kept in
-    plan.bands."""
-    b = plan.bands.get((h, w))
+    plan.cache."""
+    b = plan.cache.get((h, w))
     if b is None:
-        b = plan.bands[h, w] = _Bands(plan, h, w)
+        b = plan.cache[h, w] = _Bands(plan, h, w)
     return b
 
 

@@ -13,7 +13,9 @@ forward with other routes to the same depth-wise filtering job:
                  and box gradients), on the same route as box_sat;
                  multadds 0, checksum the sum of the input gradient
 * box_sat_build- summed-area table construction alone, which backward
-                 runs on the cotangent
+                 runs on the cotangent of planes over
+                 layer.BANDED_MAX_SIDE px a side (the banded route builds
+                 no table)
 * naive_dense  - dense convolution with each box's effective kernel, the
                  honest O(k^2) baseline producing identical output
 * dilated      - 4x4 dense kernel spaced to a matching receptive field

@@ -18,20 +18,20 @@ holds the edges (xl, xh, yl, yh), split (C, s) the split lines and
 weight (C, w) the sub-box weights; TRAINED names those that train.
 project_params moves them back into their feasible set in place, and
 compile_plan folds them, for all channels at once, into each channel's
-lattice cells and folded site coefficients.
-For the layer's table engine, the plan derives on first use the same taps
-factored per channel: every sub-box is an x difference times a y
-difference, so the taps split exactly into a few terms of x taps times y
-taps, which the engine applies one axis at a time. BoxParams is the record of one box, for box files, pictures
-and the oracle.
+lattice cells and folded site coefficients, and into the same
+coefficients factored per axis: every sub-box is an x difference times a
+y difference of the table (Heckbert, "Filtering by Repeated Integration",
+1986), so per interval between consecutive sites on one axis the plan
+holds the site coefficients on the other (cx, cy). Both of the layer's
+routes read that factored form: banded.py builds its matrices from it,
+table.py its terms of x taps times y taps. BoxParams is the record of one
+box, for box files, pictures and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from enum import Enum
-from itertools import islice
 
 import numpy as np
 
@@ -75,35 +75,6 @@ TRAINED = {v: ("theta",) + ("split",) * (N_SPLITS[v] > 0) + ("weight",) * (N_WEI
 SITE_EDGES = {v: tuple(np.array([lo, *(4 + j for j, e in enumerate(edges) if e == lo), lo + 1])
                        for lo in (0, 2))
               for v, edges in SPLIT_EDGES.items()}
-# Per variant, the x factors and then the y factors its terms are built from
-# (see _factor): each factor's weights on the intervals between consecutive
-# sample sites, as columns of [0, 1, w_0, w_1, ...] (column 2 + i reads
-# sub-box weight i). A site's coefficient is the weight of the interval
-# before it minus that of the interval after it, with weight 0 outside the box.
-FACTORS = {
-    BoxVariant.SINGLE: (((2,),), ((1,),)),
-    BoxVariant.SPLIT_V: (((2, 3),), ((1,),)),
-    BoxVariant.SPLIT_H: (((1,),), ((2, 3),)),
-    BoxVariant.SPLIT_4: (((2, 3), (4, 5)), ((1, 1), (1, 0), (0, 1))),
-}
-
-
-def _site_columns(x_factors, y_factors):
-    """(2, F, nx + ny): the columns of the intervals before, and after, each
-    x site, then each y site, per factor; a factor reads column 0 on the
-    other axis."""
-    nx, ny = len(x_factors[0]) + 1, len(y_factors[0]) + 1
-    before, after = [], []
-    for f in x_factors:
-        before.append((0, *f) + (0,) * ny)
-        after.append((*f, 0) + (0,) * ny)
-    for f in y_factors:
-        before.append((0,) * nx + (0, *f))
-        after.append((0,) * nx + (*f, 0))
-    return np.array([before, after])
-
-
-SITE_COLUMNS = {v: _site_columns(*factors) for v, factors in FACTORS.items()}
 FEASIBLE = "finite values, -1 <= lo <= hi <= 1 on each axis, each split line between its edges"
 
 
@@ -242,31 +213,6 @@ def box_geometry(theta, split, weight, k: int, variant):
     return xs, ys, SUB_BOXES[variant]
 
 
-def _corner_runs(floors):
-    """Each row's lattice corners on one axis, floor and floor + 1 per site.
-
-    floors is a list of rows of site floors, in site order, which is
-    ascending. Returns the numbers of each row's corners among its distinct
-    ones in order, as a (C, 2 S) array, and per row the distinct corners as
-    runs of consecutive offsets, each a (first number, first offset,
-    length) tuple. A site adds as many new corners as its floor lies above
-    the one before, at most 2, and its two corners are then the last two
-    distinct ones; it starts a run when its floor lies more than 2 above.
-    """
-    slots, runs = [], []
-    for row in floors:
-        slot, starts, d = [0, 1], [(0, row[0])], 2
-        for before, v in zip(row, row[1:]):
-            if v - before > 2:
-                starts.append((d, v))
-            d += min(2, v - before)
-            slot += [d - 2, d - 1]
-        slots.append(slot)
-        ends = [k for k, _ in starts[1:]] + [d]
-        runs.append(tuple((k, v, end - k) for (k, v), end in zip(starts, ends)))
-    return np.array(slots, dtype=np.intp), runs
-
-
 @dataclass(frozen=True)
 class CornerSamplePlan:
     """Compiled lattice taps for a layer's C boxes.
@@ -274,31 +220,18 @@ class CornerSamplePlan:
     A sample site at coordinate v reads the lattice cell (floor, floor + 1)
     with interpolation fraction v - floor. x_floor and x_frac are (C, nx),
     y_floor and y_frac (C, ny); coeffs (C, nx, ny) holds each site's folded
-    signed weight (corner sign pattern times sub-box weights), and weight
-    (C, w) the sub-box weights it was folded from. bands holds the banded
-    route's matrices of this plan, per plane size, built on first use.
+    signed weight (corner sign pattern times sub-box weights).
 
-    The table engine's fields are derived from those on first read, so a
-    plan that only ever runs on the banded route never builds them. terms
-    is, per channel, the whole sum of lattice taps factored: a tuple of
-    (x_taps, y_taps) pairs, each a tuple of (offset, weight) pairs in
-    offset order, whose outer products add up to the paper's 16-tap cost
-    model (tap_weights). Taps whose folded weight is exactly zero are left
-    out of the terms and of the tap count; the cells still name every
-    lattice corner the sites read. y_taps holds, per channel, every term's
-    y taps as (offset, term index, weight) in (offset, term) order, the
-    order in which the layer adds them; margins is (left, right, top,
-    bottom), the lattice entries a table axis lacks before and after it for
-    every channel's reads: output i reads entries floor + i and
-    floor + 1 + i, so what lies past the last entry does not depend on the
-    plane size. The cells read 2 nx lattice corners on the x axis and 2 ny
-    on the y axis (floor, then floor + 1, site by site), of which each
-    channel's distinct ones are numbered in order: x_runs and y_runs hold,
-    per channel, the distinct corners as runs of consecutive offsets
-    (first number, first offset, length), and corner_index (C, nx, 2, ny, 2)
-    says where the product at corner (x0 + i, y0 + j) of channel c's cells
-    ix and iy lies among the (C, 2 ny, 2 nx) products at distinct corners,
-    flattened.
+    cx (C, nx, ny - 1) holds the same taps factored: cx[:, :, g] weighs the
+    x sites of the sub-boxes over y interval g (between y sites g and
+    g + 1), each by the weight of the x interval before it minus that of
+    the one after it, 0 outside the box. cy (C, ny, nx - 1) weighs the y
+    sites per x interval alike. Differencing either along its intervals
+    gives coeffs, up to the rounding of the sums coeffs folds.
+
+    cache holds what a route derives from the plan, built on first use:
+    the banded route's matrices per plane size (h, w) and the table
+    engine's lowering under "table".
     """
 
     x_floor: np.ndarray
@@ -306,51 +239,12 @@ class CornerSamplePlan:
     y_floor: np.ndarray
     y_frac: np.ndarray
     coeffs: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
     sub_boxes: tuple
-    weight: np.ndarray
     variant: BoxVariant
     max_kernel: int
-    bands: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    @cached_property
-    def terms(self) -> list:
-        return _factor(np.concatenate((self.x_floor, self.y_floor), axis=1),
-                       np.concatenate((self.x_frac, self.y_frac), axis=1),
-                       self.weight, self.max_kernel, self.variant)
-
-    @cached_property
-    def y_taps(self) -> list:
-        return [tuple(sorted((dy, t, wt) for t, (_, ys) in enumerate(channel) for dy, wt in ys))
-                for channel in self.terms]
-
-    @cached_property
-    def margins(self) -> tuple:
-        margins = []
-        for floor in (self.x_floor, self.y_floor):  # a row's floors ascend
-            margins += [max(0, -int(floor[:, 0].min())), max(0, int(floor[:, -1].max()))]
-        return tuple(margins)
-
-    @cached_property
-    def _corners(self) -> tuple:
-        """x_runs, y_runs and corner_index."""
-        (x_slot, x_runs), (y_slot, y_runs) = (_corner_runs(f.tolist())
-                                              for f in (self.x_floor, self.y_floor))
-        (c, nx), ny = self.x_floor.shape, self.y_floor.shape[1]
-        x_slot, y_slot = x_slot.reshape(c, nx, 2, 1, 1), y_slot.reshape(c, 1, 1, ny, 2)
-        index = (np.arange(0, c * 2 * ny, 2 * ny).reshape(c, 1, 1, 1, 1) + y_slot) * (2 * nx) + x_slot
-        return x_runs, y_runs, index
-
-    @property
-    def x_runs(self) -> list:
-        return self._corners[0]
-
-    @property
-    def y_runs(self) -> list:
-        return self._corners[1]
-
-    @property
-    def corner_index(self) -> np.ndarray:
-        return self._corners[2]
+    cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def tap_weights(self) -> np.ndarray:
         """(C, nx, ny, 2, 2): site (ix, iy)'s weight on lattice corner
@@ -366,64 +260,6 @@ class CornerSamplePlan:
         return np.count_nonzero(self.tap_weights(), axis=(1, 2, 3, 4))
 
 
-# A site reads cells floor + _CELL_STEP with shares frac * _SHARE_SLOPE + _SHARE_AT_0,
-# that is 1 - frac and frac.
-_CELL_STEP = np.array([0, 1])
-_SHARE_SLOPE, _SHARE_AT_0 = np.array([-1.0, 1.0]), np.array([1.0, 0.0])
-
-
-def _lattice_taps(floor, frac, coefs, k):
-    """The lattice taps of factors sum_i coefs[i] * (site i's interpolated value).
-
-    floor and frac are the (C, S) site floors and fractions of C boxes in a
-    window of size k, coefs the (F, C, S) site coefficients of F factors.
-    Returns, factor by factor and box by box, a tuple of (offset, weight)
-    pairs: offsets in order, each weight summed from 0.0 in site order,
-    exact zeros dropped.
-    """
-    f, c, _ = coefs.shape
-    r, width = (k - 1) // 2, k + 2  # a site lies in [-r, r + 1], its upper cell at most r + 2
-    origin = np.arange(r, r + f * c * width, width).reshape(f, c, 1, 1)  # offset 0 of each row
-    acc = np.zeros(f * c * width)
-    # unbuffered, in index order: each cell adds its sites' shares in site order
-    np.add.at(acc, (origin + floor[..., None] + _CELL_STEP).ravel(),
-              (coefs[..., None] * (frac[..., None] * _SHARE_SLOPE + _SHARE_AT_0)).ravel())
-    nz = np.flatnonzero(acc)
-    row, col = np.divmod(nz, width)
-    taps = zip((col - r).tolist(), acc[nz].tolist())
-    return [tuple(islice(taps, n)) for n in np.bincount(row, minlength=f * c).tolist()]
-
-
-def _factor(floor, frac, weight, k, variant):
-    """Every box's taps as a sum of (x taps) x (y taps) terms.
-
-    floor and frac hold each box's x sites, then its y sites. Each sub-box
-    contributes weight * (x difference) x (y difference), so sub-boxes that
-    share an interval on one axis share one term, whose other factor folds
-    their weights per site (FACTORS), and equal weights on both sides of a
-    split line cancel exactly, as in the folded taps: 1 term for single,
-    split_h and split_v boxes, 2 for split_4 (1 when its top and bottom rows
-    fold to the same x factor, as with four equal weights). A term that
-    folds to no taps is left out. A factor's coefficients on the other
-    axis's sites are 0.0, whose shares leave every sum as it is.
-    """
-    c = len(weight)
-    columns = np.empty((c, 2 + weight.shape[1]))
-    columns[:, 0], columns[:, 1], columns[:, 2:] = 0.0, 1.0, weight
-    before_after = columns[:, SITE_COLUMNS[variant]]
-    coefs = (before_after[:, 0] - before_after[:, 1]).transpose(1, 0, 2)
-    taps = _lattice_taps(floor, frac, coefs, k)
-    n_x = len(FACTORS[variant][0]) * c
-    xt, yt = taps[:n_x], taps[n_x:]
-    if variant == BoxVariant.SPLIT_4:
-        same = (coefs[0] == coefs[1]).all(axis=1).tolist()
-        pairs = [((xt[i], yt[i]),) if s else ((xt[i], yt[c + i]), (xt[c + i], yt[2 * c + i]))
-                 for i, s in enumerate(same)]
-    else:
-        pairs = [((xs, ys),) for xs, ys in zip(xt, yt)]
-    return [tuple((xs, ys) for xs, ys in p if xs and ys) for p in pairs]
-
-
 def compile_plan(theta, split, weight, k: int, variant) -> CornerSamplePlan:
     """Fold a layer's feasible boxes into their corner-sample plan.
 
@@ -434,19 +270,25 @@ def compile_plan(theta, split, weight, k: int, variant) -> CornerSamplePlan:
     """
     xs, ys, subs = box_geometry(theta, split, weight, k, variant)
     coeffs = np.zeros(xs.shape + ys.shape[-1:])
+    # each sub-box's weight on its (x interval, y interval), with a zero
+    # interval before and after the box on each axis
+    cells = np.zeros((len(xs), xs.shape[1] + 1, ys.shape[1] + 1))
     for i, (ixl, ixh, iyl, iyh) in enumerate(subs):
         w = weight[:, i]
         coeffs[:, ixh, iyh] += w
         coeffs[:, ixl, iyl] += w
         coeffs[:, ixl, iyh] -= w
         coeffs[:, ixh, iyl] -= w
+        cells[:, ixl + 1, iyl + 1] = w
+    cx = cells[:, :-1, 1:-1] - cells[:, 1:, 1:-1]
+    cy = (cells[:, 1:-1, :-1] - cells[:, 1:-1, 1:]).transpose(0, 2, 1)
     sites = np.concatenate((xs, ys), axis=1)
     floor = np.floor(sites)
     frac = sites - floor
     floor = floor.astype(np.int64)
     nx = xs.shape[1]
-    return CornerSamplePlan(floor[:, :nx], frac[:, :nx], floor[:, nx:], frac[:, nx:], coeffs, subs,
-                            np.array(weight, dtype=np.float64), BoxVariant(variant), k)
+    return CornerSamplePlan(floor[:, :nx], frac[:, :nx], floor[:, nx:], frac[:, nx:], coeffs,
+                            cx, cy, subs, BoxVariant(variant), k)
 
 
 def save_boxes(path, boxes) -> None:

@@ -1,19 +1,7 @@
 import numpy as np
 import pytest
 
-from satconv.boxes import BoxVariant, init_params
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-def random_box(rng, k=None, variant=None):
-    k = k if k is not None else int(rng.choice([5, 9, 13]))
-    variant = variant if variant is not None else list(BoxVariant)[int(rng.integers(4))]
-    return init_params(k, variant, rng)
-
-
-def rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-8)

@@ -26,6 +26,7 @@ from satconv.boxes import (
 from satconv.layer import BoxConvLayer
 from satconv.oracle import sample_bilinear
 from satconv.sat import build_sat
+from satconv.table import lowering
 
 finite_theta = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -197,9 +198,10 @@ def test_plan_terms_multiply_out_to_taps(rng, variant):
                             tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights))))
         for q, n_terms in ((p, 1), (unequal, 2 if variant == BoxVariant.SPLIT_4 else 1)):
             plan = plan_of(q)
-            assert len(plan.terms[0]) == n_terms
+            terms = lowering(plan).terms[0]
+            assert len(terms) == n_terms
             product = {}
-            for xs, ys in plan.terms[0]:
+            for xs, ys in terms:
                 assert [o for o, _ in xs] == sorted({o for o, _ in xs})
                 assert all(wt != 0.0 for _, wt in xs + ys)
                 for dx, wx in xs:
@@ -279,10 +281,33 @@ def test_plan_terms_match_the_box_by_box_loop(variant):
     rng = np.random.default_rng(7)
     for k in (3, 5, 9, 13, 129):
         theta, split, weight = edge_case_arrays(rng, k, variant, 700)
-        plan = compile_plan(theta, split, weight, k, variant)
+        terms = lowering(compile_plan(theta, split, weight, k, variant)).terms
         for c, (t, s, w) in enumerate(zip(theta.tolist(), split.tolist(), weight.tolist())):
             p = BoxParams(*t, k, variant, s, w)
-            assert _bits(plan.terms[c]) == _bits(loop_terms(p)), p
+            assert _bits(terms[c]) == _bits(loop_terms(p)), p
+
+
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_factored_coefficients_difference_to_the_folded_ones(variant):
+    """cx holds each y interval's x-site coefficients and cy each x
+    interval's y-site coefficients. Differencing either along its intervals
+    (before minus after, 0 outside the box) gives coeffs: exactly for a
+    single box, and within a few ulps of the largest weight for split
+    boxes, whose coeffs add their sub-box weights in another order (the
+    roundings bound the difference by 7 ulps; 4 measured)."""
+    rng = np.random.default_rng(11)
+    pad = ((0, 0), (0, 0), (1, 1))
+    for k in (3, 5, 9, 13, 129):
+        theta, split, weight = edge_case_arrays(rng, k, variant, 700)
+        plan = compile_plan(theta, split, weight, k, variant)
+        cx, cy = np.pad(plan.cx, pad), np.pad(plan.cy, pad)
+        ulp = np.spacing(np.abs(weight).max(axis=1))[:, None, None]
+        for got in (cx[..., :-1] - cx[..., 1:], (cy[..., :-1] - cy[..., 1:]).transpose(0, 2, 1)):
+            assert got.shape == plan.coeffs.shape
+            if variant == BoxVariant.SINGLE:
+                assert np.array_equal(got, plan.coeffs)
+            else:
+                assert (np.abs(got - plan.coeffs) <= 8 * ulp).all()
 
 
 def _bits(terms):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import satconv.layer
-from satconv.boxes import BoxParams, BoxVariant, init_params
+import satconv.table
+from satconv.boxes import N_WEIGHTS, BoxParams, BoxVariant, init_params
 from satconv.dense import conv2d
 from satconv.fmap import DimensionError
 from satconv.layer import BoxConvLayer
@@ -230,7 +231,7 @@ def test_channel_blocks_match_one_channel_blocks(rng, monkeypatch, variant, rank
     monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)
     n, c, h, w = 3 if rank4 else 1, 4, 12, 11
     shape = ((n,) if rank4 else ()) + (c, h, w)
-    budgets = (satconv.layer.STRIP_BYTES, 8 * w)  # whole planes, one-row strips
+    budgets = (satconv.table.STRIP_BYTES, 8 * w)  # whole planes, one-row strips
     for k in (3, 5, 13, 41, 129):
         boxes = [init_params(k, variant, rng) for _ in range(c - 1)]
         boxes.append(BoxParams(-1.0, 1.0, -1.0, 1.0, k, variant, _EDGE_SPLITS[variant],
@@ -242,7 +243,7 @@ def test_channel_blocks_match_one_channel_blocks(rng, monkeypatch, variant, rank
         x = rng.normal(size=shape)
         g = _grid_cotangent(rng, shape, stride)
         for budget in budgets:
-            monkeypatch.setattr(satconv.layer, "STRIP_BYTES", budget)
+            monkeypatch.setattr(satconv.table, "STRIP_BYTES", budget)
             got = _layer_arrays(layer, x, g)
             for i, p in enumerate(boxes):
                 one = _layer_arrays(BoxConvLayer([p]), x[..., i : i + 1, :, :],
@@ -250,6 +251,25 @@ def test_channel_blocks_match_one_channel_blocks(rng, monkeypatch, variant, rank
                 # the channel axis: -3 for output and input gradient, -2 for boxes
                 for j, (a, b) in enumerate(zip(got, one)):
                     assert np.take(a, [i], axis=-3 if j < 2 else -2).tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_zero_weight_box_on_both_routes(rng, monkeypatch, variant):
+    """A box whose sub-box weights are all zero folds to no terms: its
+    output and input gradient are zero on both routes, and its weight
+    gradients, each <g, response of one sub-box>, agree between them."""
+    p = replace(init_params(9, variant, rng), split_weights=(0.0,) * N_WEIGHTS[variant])
+    layer = BoxConvLayer([p, init_params(9, variant, rng)])
+    x = rng.normal(size=(2, 2, 12, 11))
+    g = rng.normal(size=x.shape)
+    got = []
+    for side in (satconv.layer.BANDED_MAX_SIDE, 0):  # banded route, then the table engine
+        monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", side)
+        y, grad_input, *boxes = _layer_arrays(layer, x, g)
+        assert not y[:, 0].any() and not grad_input[:, 0].any()
+        got.append(boxes)
+    for a, b in zip(*got):  # a single box's split gradient is empty
+        assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(a).max(initial=1.0)
 
 
 def test_non_finite_channel_in_a_block_is_named(rng, monkeypatch):
@@ -362,15 +382,17 @@ def _unpruned(plan):
         return tuple((off, have.get(off, 0.0)) for off in sorted(corners | set(have)))
 
     terms = [tuple((fill(xs, xf), fill(ys, yf)) for xs, ys in channel_terms)
-             for channel_terms, xf, yf in zip(plan.terms, plan.x_floor.tolist(),
-                                               plan.y_floor.tolist())]
+             for channel_terms, xf, yf in zip(satconv.table.lowering(plan).terms,
+                                               plan.x_floor.tolist(), plan.y_floor.tolist())]
     full = replace(plan)
-    vars(full)["terms"] = terms  # read in place of the terms it would derive
+    # read in place of the lowering it would derive
+    full.cache["table"] = satconv.table._Lowering(full, terms)
     return full
 
 
 def _n_term_taps(plan):
-    return sum(len(xs) + len(ys) for channel_terms in plan.terms for xs, ys in channel_terms)
+    return sum(len(xs) + len(ys) for channel_terms in satconv.table.lowering(plan).terms
+               for xs, ys in channel_terms)
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -411,13 +433,14 @@ def _table_taps(x, plan, c):
     """backward's input-path routine for channel c on the edge-padded table
     of each (h, w) plane of x, in the module's strips."""
     n, h, w = x.shape
-    left, right, top, bottom = plan.margins
+    low = satconv.table.lowering(plan)
+    left, right, top, bottom = low.margins
     out = np.empty(x.shape)
     for i in range(n):
         table = np.empty((top + h + 1 + bottom, left + w + 1 + right))
         build_sat(x[i], out=table[top : top + h + 1, left : left + w + 1])
-        satconv.layer._edge_pad(table, top, left, h, w)
-        satconv.layer._table_plane(table, plan, c, satconv.layer._strip_rows(h, w))
+        satconv.table._edge_pad(table, top, left, h, w)
+        satconv.table._table_plane(table, low, c, satconv.table._strip_rows(h, w))
         out[i] = table[:h, :w]
     return out
 
@@ -446,7 +469,7 @@ def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, varia
     outs, tables, grads = [], [], []
     for rows in (None, 7, 1):
         if rows is not None:
-            monkeypatch.setattr(satconv.layer, "STRIP_BYTES", 8 * shape[-1] * rows)
+            monkeypatch.setattr(satconv.table, "STRIP_BYTES", 8 * shape[-1] * rows)
         out, saved = layer.forward(x)
         outs.append(out.tobytes())
         for c in range(layer.channels):
