@@ -2,11 +2,7 @@
 table engine for larger ones. Each test forces a route by setting
 layer.BANDED_MAX_SIDE; both must give the oracle's results and each other's."""
 
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,22 +184,11 @@ print(digest.hexdigest())
 """
 
 
-def test_results_do_not_depend_on_blas_threads():
+def test_results_do_not_depend_on_blas_threads(digests_by_blas_threads):
     """satconv train and the tests leave the BLAS thread count as it is: a
     keypoint layer's results, and those of the largest banded planes, are
     the same bytes with one thread, two, and the library's default."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = []
-    for threads in ("1", "2", None):
-        env = {key: v for key, v in os.environ.items()
-               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
+    digests = digests_by_blas_threads(_THREADS_SCRIPT)
     assert digests[0] == digests[1] == digests[2]
 
 

@@ -23,6 +23,9 @@ def test_tracer_finds_every_traced_name(monkeypatch):
     for name in ("build_sat", "sat_backward", "compile_plan"):
         assert (satconv.layer, name) in hooked
     assert (satconv.nets, "project_params") in hooked
+    # dense.conv2d_calls_per_step counts calls through these three names
+    for name in ("conv2d", "conv2d_input_grad", "conv2d_kernel_grad"):
+        assert (satconv.nets, name) in hooked
 
 
 @pytest.mark.parametrize("variant", list(BoxVariant))
