@@ -17,8 +17,11 @@ forward with other routes to the same depth-wise filtering job:
                  layer.BANDED_MAX_SIDE px a side (the banded route builds
                  no table)
 * naive_dense  - dense convolution with each box's effective kernel, the
-                 honest O(k^2) baseline producing identical output
-* dilated      - 4x4 dense kernel spaced to a matching receptive field
+                 honest O(k^2) baseline producing identical output: the
+                 oracle's tap loop (oracle.tap_conv) at every k
+* dilated      - 4x4 dense kernel spaced to a matching receptive field, by
+                 the same tap loop: the 16 taps per pixel that multadds
+                 counts, at every k
 
 Wall times are the median of `repeats` runs after two warm-ups; checksums
 (sums of the outputs) keep the work observable. Assertions about speed belong
@@ -34,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import init_params
-from .dense import conv2d
 from .layer import BoxConvLayer
-from .oracle import effective_kernels
+from .oracle import effective_kernels, tap_conv
 from .sat import build_sat
 
 CSV_HEADER = "method,k,channels,height,width,wall_ms,multadds,checksum"
@@ -118,18 +120,13 @@ def run_bench(k_list, height: int, width: int, channels: int = 1,
             0, float(sum(s.sum() for s in sats)),
         ))
 
-        ms, out = _median_ms(
-            lambda: np.stack([conv2d(x[c], kernels[c]) for c in range(channels)]), repeats
-        )
+        ms, out = _median_ms(lambda: tap_conv(x, kernels), repeats)
         results.append(BenchResult(
             "naive_dense", k, channels, height, width, ms,
             out_pixels * channels * (k + 1) * (k + 1), float(out.sum()),
         ))
 
-        ms, out = _median_ms(
-            lambda: np.stack([conv2d(x[c], dil_kernel, dilation=dil) for c in range(channels)]),
-            repeats,
-        )
+        ms, out = _median_ms(lambda: tap_conv(x, dil_kernel, dil), repeats)
         results.append(BenchResult(
             "dilated", k, channels, height, width, ms,
             out_pixels * channels * 16, float(out.sum()),

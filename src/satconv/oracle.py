@@ -2,11 +2,19 @@
 
 Nothing here is optimized, on purpose: the test strategy leans on these
 being easy to audit. naive_conv is a literal quadruple loop over plain
-Python floats; effective_kernels expands a layer's sub-pixel boxes, read
-from its theta, split and weight arrays, into the dense weight arrays they
-are equivalent to (effective_kernel does one BoxParams), built from 1-D
-coverage profiles with a closed form that never touches the table code it
-is used to check.
+Python floats. tap_conv is the benchmark's O(k^2) dense baseline, one
+multiply-add over the whole stack per kernel tap, the cost the paper sets
+box filters against. It lives here, with its own zero padding and nothing
+imported from dense.py, so that dense.py keeps one route and `satconv
+bench` (acceptance criterion 5) times the taps at every kernel size.
+dense.py's matrix products cannot stand in: from 8x8 to 22x22 kernels on a
+256^2 plane, one BLAS thread, their time grows 3.5-4.3x against the taps'
+7.2-8.8x, and criterion 5 asks the baseline for at least 4x.
+effective_kernels expands a layer's sub-pixel boxes, read from its theta,
+split and weight arrays, into the dense weight arrays they are equivalent
+to (effective_kernel does one BoxParams), built from 1-D coverage profiles
+with a closed form that likewise never touches the table code it is used
+to check.
 region_sum, sample_bilinear and sample_bilinear_grad read one value of a
 summed-area table (sat.build_sat) at a time, with the table's
 zero-padding convention spelled out by clamping.
@@ -79,6 +87,37 @@ def naive_conv(plane, kernel: DenseKernel) -> np.ndarray:
                         acc += wrow[v] * row[sx]
             out[y][x] = acc
     return np.array(out)
+
+
+def tap_conv(plane, kernel, dilation: int = 1) -> np.ndarray:
+    """naive_conv's result, one kernel tap at a time: O(k^2) per pixel.
+
+    Planes are (..., H, W) and kernels (..., kh, kw), their leading axes
+    broadcast. Taps (u, v) run in ascending order, each one multiply-add of
+    kernel[..., u, v] with the zero-padded plane read at (u d, v d) over
+    whole rows of the padded width, at one flat offset: an output row runs
+    on into the padding columns, which are cut off at the end, so every
+    output pixel gets the arithmetic of a 2-D window without a loop over
+    rows.
+    """
+    plane = np.asarray(plane, dtype=np.float64)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    h, w = plane.shape[-2:]
+    kh, kw = kernel.shape[-2:]
+    d = dilation
+    top, left = (kh - 1) // 2 * d, (kw - 1) // 2 * d
+    wp = w + (kw - 1) * d
+    # one spare zero row, so the last tap's run-on stays inside the buffer
+    padded = np.zeros(plane.shape[:-2] + (h + (kh - 1) * d + 1, wp))
+    padded[..., top : top + h, left : left + w] = plane
+    flat = padded.reshape(plane.shape[:-2] + (-1,))
+    lead = np.broadcast_shapes(plane.shape[:-2], kernel.shape[:-2])
+    out = np.zeros(lead + (h * wp,))
+    for u in range(kh):
+        for v in range(kw):
+            start = u * d * wp + v * d
+            out += kernel[..., u, v][..., None] * flat[..., start : start + h * wp]
+    return np.ascontiguousarray(out.reshape(lead + (h, wp))[..., :w])
 
 
 def coverage_profile(lo: float, hi: float, offsets) -> np.ndarray:

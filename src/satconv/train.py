@@ -159,6 +159,8 @@ def validate_config(cfg: TrainConfig, path="config") -> None:
 # ---------------------------------------------------------------------------
 # target kernels for the approximation task
 
+LOG_TARGET_SIZE = 9  # the Laplacian-of-Gaussian target's square support, in pixels
+
 
 def box_target_kernel(k: int, xl: int, xh: int, yl: int, yh: int) -> np.ndarray:
     """Integer-cornered all-ones box on the (k+1)-sized comparison grid."""
@@ -177,11 +179,11 @@ def target_kernel(cfg: TrainConfig) -> np.ndarray:
     return box_target_kernel(cfg.k, *cfg.target_box)
 
 
-def log_target_kernel(k: int, size: int = 9, sigma: float = 1.4) -> np.ndarray:
-    """Laplacian-of-Gaussian on a size x size support, embedded in the k+1 grid."""
-    if size > k:
-        raise ValueError(f"target support {size} exceeds window {k}")
-    half = (size - 1) // 2
+def log_target_kernel(k: int, sigma: float = 1.4) -> np.ndarray:
+    """Laplacian-of-Gaussian on a LOG_TARGET_SIZE square, embedded in the k+1 grid."""
+    if LOG_TARGET_SIZE > k:
+        raise ValueError(f"target support {LOG_TARGET_SIZE} exceeds window {k}")
+    half = (LOG_TARGET_SIZE - 1) // 2
     ax = np.arange(-half, half + 1, dtype=np.float64)
     r2 = ax[None, :] ** 2 + ax[:, None] ** 2
     log = (r2 / (2.0 * sigma ** 2) - 1.0) * np.exp(-r2 / (2.0 * sigma ** 2))

@@ -83,6 +83,7 @@ def _split_inner(rng):
 MODULES = {
     "dense3": lambda rng: DenseDepthwise(rng, 4, 3),
     "dense5": lambda rng: DenseDepthwise(rng, 4, 5),
+    "dense9": lambda rng: DenseDepthwise(rng, 4, 9),
     "pointwise": lambda rng: Pointwise(rng, 4, 3),
     "box": lambda rng: BoxDepthwise(rng, 4, 9),
     "shuffle": lambda rng: ShuffleHalfBlock(4, _split_inner(rng)),

@@ -3,9 +3,12 @@ import functools
 import numpy as np
 import pytest
 
+import satconv.bench
 import satconv.dense
+import satconv.oracle
+from satconv.bench import dilation_for, run_bench
 from satconv.dense import conv2d, conv2d_input_grad, conv2d_kernel_grad
-from satconv.oracle import DenseKernel, naive_conv
+from satconv.oracle import DenseKernel, naive_conv, tap_conv
 
 
 def test_conv2d_matches_loop_oracle(rng):
@@ -45,22 +48,21 @@ def test_conv2d_dilated_grads(rng):
     assert abs(float(np.sum(gin * v)) - float(np.sum(g * conv2d(v, k, dilation=2)))) < 1e-9
 
 
-# The two routes, chosen by the kernel's extent: banded matrix products up to
-# MATMUL_MAX_EXTENT, taps past it. Each test below forces a route by setting
-# that constant, and holds it to naive_conv; "strips" runs the products one
-# output row at a time, as on planes whose rows matrix passes STRIP_BYTES.
-ROUTES = {"taps": (0, None), "matmul": (10**9, None), "strips": (10**9, 0)}
+# What each case runs: "matmul" is dense.py's banded matrix products,
+# "strips" the same products one output row per strip, as on planes whose
+# rows matrix passes STRIP_BYTES, and "taps" the benchmark's O(k^2)
+# baseline, oracle.tap_conv, which has no gradients. Each is held to
+# naive_conv.
+ROUTES = ("taps", "matmul", "strips")
 WIDTHS = (1, 7, 15, 16, 17, 33, 40)  # below, at and past multiples of TILE = 16
-SIZES = range(1, 8)  # square kernels 1x1 to 7x7; the even ones anchor at size // 2 - 1
+SIZES = range(1, 11)  # square kernels 1x1 to 10x10; the even ones anchor at size // 2 - 1
 DILATIONS = (1, 2, 4)
 
 
-@pytest.fixture(params=list(ROUTES))
+@pytest.fixture(params=ROUTES)
 def route(request, monkeypatch):
-    max_extent, strip_bytes = ROUTES[request.param]
-    monkeypatch.setattr(satconv.dense, "MATMUL_MAX_EXTENT", max_extent)
-    if strip_bytes is not None:
-        monkeypatch.setattr(satconv.dense, "STRIP_BYTES", strip_bytes)
+    if request.param == "strips":
+        monkeypatch.setattr(satconv.dense, "STRIP_BYTES", 0)
     return request.param
 
 
@@ -96,12 +98,18 @@ def _case(w, size, d):
 
 @pytest.mark.parametrize("w", WIDTHS)
 def test_routes_match_naive_conv(route, w):
+    forward = tap_conv if route == "taps" else conv2d
     for size in SIZES:
         for d in DILATIONS:
             x, k, g, (want_maps, want_gk) = _case(w, size, d)
-            got = (conv2d(x, k, dilation=d), conv2d_input_grad(k, g, dilation=d))
-            for name, a, b in zip(("forward", "input grad"), got, want_maps):
-                assert a.shape == b.shape and np.max(np.abs(a - b)) < 1e-12, (name, size, d)
+            got = forward(x, k, dilation=d)
+            assert got.shape == want_maps[0].shape
+            assert np.max(np.abs(got - want_maps[0])) < 1e-12, ("forward", size, d)
+            if route == "taps":
+                continue
+            gin = conv2d_input_grad(k, g, dilation=d)
+            assert gin.shape == want_maps[1].shape
+            assert np.max(np.abs(gin - want_maps[1])) < 1e-12, ("input grad", size, d)
             gk = conv2d_kernel_grad(x, g, k.shape[-2:], dilation=d)
             assert gk.shape == want_gk.shape
             assert np.max(np.abs(gk - want_gk)) < 1e-12, ("kernel grad", size, d)
@@ -112,26 +120,43 @@ def test_stack_gets_each_planes_arithmetic(route, rng):
     # every plane the same bytes as a call on that plane alone
     x, g = rng.normal(size=(2, 3, 2, 9, 40))
     k = rng.normal(size=(2, 3, 3))
-    whole = (conv2d(x, k), conv2d_input_grad(k, g), conv2d_kernel_grad(x, g, (3, 3)))
-    for n, c in np.ndindex(3, 2):
-        alone = (conv2d(x[n, c], k[c]), conv2d_input_grad(k[c], g[n, c]),
-                 conv2d_kernel_grad(x[n, c], g[n, c], (3, 3)))
-        for a, b in zip(whole, alone):
-            assert np.array_equal(a[n, c], b), (n, c)
+    if route == "taps":
+        passes = (lambda x, g, k: tap_conv(x, k),)
+    else:
+        passes = (lambda x, g, k: conv2d(x, k), lambda x, g, k: conv2d_input_grad(k, g),
+                  lambda x, g, k: conv2d_kernel_grad(x, g, (3, 3)))
+    for run in passes:
+        whole = run(x, g, k)
+        for n, c in np.ndindex(3, 2):
+            assert np.array_equal(whole[n, c], run(x[n, c], g[n, c], k[c])), (n, c)
 
 
-def test_route_follows_the_kernel_extent(monkeypatch):
-    # extents up to MATMUL_MAX_EXTENT take the products, larger ones the
-    # taps; the benchmark's naive_dense kernels from k = 7 on (8x8) stay taps
-    calls = []
-    strips = satconv.dense._row_strips
-    monkeypatch.setattr(satconv.dense, "_row_strips", lambda *a: calls.append(a[2:]) or strips(*a))
+def test_bench_times_the_taps_and_dense_runs_products(monkeypatch):
+    # satconv bench's naive_dense and dilated rows call the tap baseline at
+    # every k; dense.py's three passes take the products at every extent and
+    # never call it
+    taps = []
+    monkeypatch.setattr(satconv.bench, "tap_conv",
+                        lambda x, k, d=1: taps.append((k.shape, d)) or tap_conv(x, k, d))
+    k_list = (3, 5, 7, 9, 13)
+    run_bench(k_list, 8, 8, channels=2, repeats=1)
+    assert set(taps) == ({((2, k + 1, k + 1), 1) for k in k_list}
+                         | {((4, 4), dilation_for(k)) for k in k_list})
+
+    taps.clear()
+    monkeypatch.setattr(satconv.oracle, "tap_conv", satconv.bench.tap_conv)
+    strips, row_strips = [], satconv.dense._row_strips
+    monkeypatch.setattr(satconv.dense, "_row_strips",
+                        lambda *a: strips.append(a[2:]) or row_strips(*a))
     x = np.zeros((5, 5))
-    for size, d, matmul in ((3, 1, True), (7, 1, True), (4, 2, True), (8, 1, False),
-                            (4, 3, False), (3, 4, False), (22, 1, False)):
-        calls.clear()
-        conv2d(x, np.ones((size, size)), dilation=d)
-        assert calls == ([(size, size, d)] if matmul else []), (size, d)
+    for size, d in ((8, 1), (4, 3), (3, 4), (22, 1)):
+        strips.clear()
+        k = np.ones((size, size))
+        conv2d(x, k, dilation=d)
+        conv2d_input_grad(k, x, dilation=d)
+        conv2d_kernel_grad(x, x, k.shape, dilation=d)
+        assert strips == [(size, size, d)] * 3, (size, d)
+    assert taps == []
 
 
 _THREADS_SCRIPT = """
@@ -141,7 +166,8 @@ from satconv.dense import conv2d, conv2d_input_grad, conv2d_kernel_grad
 rng = np.random.default_rng(7)
 digest = hashlib.sha256()
 for shape, size, d in (((4, 4, 32, 32), 3, 1), ((1, 16, 256, 256), 3, 1),
-                       ((4, 4, 32, 32), 7, 1), ((4, 4, 32, 32), 4, 2)):
+                       ((4, 4, 32, 32), 7, 1), ((4, 4, 32, 32), 4, 2),
+                       ((4, 4, 32, 32), 9, 1), ((1, 1, 16, 16), 10, 1)):
     x, g = rng.normal(size=(2,) + shape)
     k = rng.normal(size=(shape[1], size, size))
     for a in (conv2d(x, k, d), conv2d_input_grad(k, g, d),
@@ -152,7 +178,7 @@ print(digest.hexdigest())
 
 
 def test_results_do_not_depend_on_blas_threads(digests_by_blas_threads):
-    """The matrix route's forward, input gradient and kernel gradient are the
-    same bytes with one BLAS thread, two, and the library's default."""
+    """The forward, input gradient and kernel gradient are the same bytes
+    with one BLAS thread, two, and the library's default."""
     digests = digests_by_blas_threads(_THREADS_SCRIPT)
     assert digests[0] == digests[1] == digests[2]
