@@ -19,7 +19,6 @@ from .boxes import (
 )
 from .fmap import (
     DimensionError,
-    PointwiseWeights,
     as_feature_map,
     channel_concat,
     channel_shuffle,

@@ -18,14 +18,13 @@ holds the edges (xl, xh, yl, yh), split (C, s) the split lines and
 weight (C, w) the sub-box weights; TRAINED names those that train.
 project_params moves them back into their feasible set in place, and
 compile_plan folds them, for all channels at once, into each channel's
-lattice cells and folded site coefficients, and into the same
-coefficients factored per axis: every sub-box is an x difference times a
-y difference of the table (Heckbert, "Filtering by Repeated Integration",
-1986), so per interval between consecutive sites on one axis the plan
-holds the site coefficients on the other (cx, cy). Both of the layer's
-routes read that factored form: banded.py builds its matrices from it,
-table.py its terms of x taps times y taps. BoxParams is the record of one
-box, for box files, pictures and the oracle.
+lattice cells and site coefficients factored per axis: every sub-box is an
+x difference times a y difference of the table (Heckbert, "Filtering by
+Repeated Integration", 1986), so per interval between consecutive sites on
+one axis the plan holds the site coefficients on the other (cx, cy), its
+one stored box form. Both of the layer's routes read it: banded.py builds
+its matrices from it, table.py its terms of x taps times y taps. BoxParams
+is the record of one box, for box files, pictures and the oracle.
 """
 
 from __future__ import annotations
@@ -219,15 +218,15 @@ class CornerSamplePlan:
 
     A sample site at coordinate v reads the lattice cell (floor, floor + 1)
     with interpolation fraction v - floor. x_floor and x_frac are (C, nx),
-    y_floor and y_frac (C, ny); coeffs (C, nx, ny) holds each site's folded
-    signed weight (corner sign pattern times sub-box weights).
+    y_floor and y_frac (C, ny).
 
-    cx (C, nx, ny - 1) holds the same taps factored: cx[:, :, g] weighs the
-    x sites of the sub-boxes over y interval g (between y sites g and
-    g + 1), each by the weight of the x interval before it minus that of
-    the one after it, 0 outside the box. cy (C, ny, nx - 1) weighs the y
-    sites per x interval alike. Differencing either along its intervals
-    gives coeffs, up to the rounding of the sums coeffs folds.
+    cx (C, nx, ny - 1) holds the taps factored: cx[:, :, g] weighs the x
+    sites of the sub-boxes over y interval g (between y sites g and g + 1),
+    each by the weight of the x interval before it minus that of the one
+    after it, 0 outside the box. cy (C, ny, nx - 1) weighs the y sites per
+    x interval alike. coeffs, cx differenced along its intervals, is each
+    site's folded signed weight; cy differenced gives the same up to
+    rounding.
 
     cache holds what a route derives from the plan, built on first use:
     the banded route's matrices per plane size (h, w) and the table
@@ -238,13 +237,24 @@ class CornerSamplePlan:
     x_frac: np.ndarray
     y_floor: np.ndarray
     y_frac: np.ndarray
-    coeffs: np.ndarray
     cx: np.ndarray
     cy: np.ndarray
     sub_boxes: tuple
     variant: BoxVariant
     max_kernel: int
     cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """(C, nx, ny): cx differenced along its intervals, before minus
+        after, with a zero interval outside the box. A site whose sub-box
+        weights cancel, as on a split line between equal weights, folds to
+        exactly 0."""
+        c, nx, g = self.cx.shape
+        coeffs = np.zeros((c, nx, g + 1))
+        coeffs[..., 1:] = self.cx
+        coeffs[..., :-1] -= self.cx
+        return coeffs
 
     def tap_weights(self) -> np.ndarray:
         """(C, nx, ny, 2, 2): site (ix, iy)'s weight on lattice corner
@@ -269,17 +279,11 @@ def compile_plan(theta, split, weight, k: int, variant) -> CornerSamplePlan:
     split box) add nothing to any output.
     """
     xs, ys, subs = box_geometry(theta, split, weight, k, variant)
-    coeffs = np.zeros(xs.shape + ys.shape[-1:])
     # each sub-box's weight on its (x interval, y interval), with a zero
     # interval before and after the box on each axis
     cells = np.zeros((len(xs), xs.shape[1] + 1, ys.shape[1] + 1))
-    for i, (ixl, ixh, iyl, iyh) in enumerate(subs):
-        w = weight[:, i]
-        coeffs[:, ixh, iyh] += w
-        coeffs[:, ixl, iyl] += w
-        coeffs[:, ixl, iyh] -= w
-        coeffs[:, ixh, iyl] -= w
-        cells[:, ixl + 1, iyl + 1] = w
+    for i, (ixl, _, iyl, _) in enumerate(subs):
+        cells[:, ixl + 1, iyl + 1] = weight[:, i]
     cx = cells[:, :-1, 1:-1] - cells[:, 1:, 1:-1]
     cy = (cells[:, 1:-1, :-1] - cells[:, 1:-1, 1:]).transpose(0, 2, 1)
     sites = np.concatenate((xs, ys), axis=1)
@@ -287,8 +291,8 @@ def compile_plan(theta, split, weight, k: int, variant) -> CornerSamplePlan:
     frac = sites - floor
     floor = floor.astype(np.int64)
     nx = xs.shape[1]
-    return CornerSamplePlan(floor[:, :nx], frac[:, :nx], floor[:, nx:], frac[:, nx:], coeffs,
-                            cx, cy, subs, BoxVariant(variant), k)
+    return CornerSamplePlan(floor[:, :nx], frac[:, :nx], floor[:, nx:], frac[:, nx:], cx, cy,
+                            subs, BoxVariant(variant), k)
 
 
 def save_boxes(path, boxes) -> None:

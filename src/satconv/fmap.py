@@ -10,7 +10,6 @@ carried through unchanged. The binary file format holds one unbatched map.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,41 +35,19 @@ def as_feature_map(x, dtype=None) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-@dataclass(frozen=True)
-class PointwiseWeights:
-    """Per-pixel linear map across channels: (out_channels, in_channels) matrix plus bias."""
-
-    matrix: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if m.ndim != 2:
-            raise DimensionError(f"matrix must be rank 2, got shape {m.shape}")
-        if b.shape != (m.shape[0],):
-            raise DimensionError(
-                f"bias shape {b.shape} does not match {m.shape[0]} output channels"
-            )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "bias", b)
-
-    @property
-    def out_channels(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.matrix.shape[1]
-
-
-def pointwise_conv(x, w: PointwiseWeights) -> np.ndarray:
+def pointwise_conv(x, matrix, bias) -> np.ndarray:
+    """Per-pixel linear map across channels: the (out_channels, in_channels)
+    matrix times each pixel's channel vector, plus the (out_channels,) bias."""
     x = as_feature_map(x)
-    if x.shape[-3] != w.in_channels:
-        raise DimensionError(
-            f"input has {x.shape[-3]} channels, weights expect {w.in_channels}"
-        )
-    out = np.einsum("oc,...chw->...ohw", w.matrix, x) + w.bias[:, None, None]
+    m = np.asarray(matrix, dtype=np.float64)
+    b = np.asarray(bias, dtype=np.float64)
+    if m.ndim != 2:
+        raise DimensionError(f"matrix must be rank 2, got shape {m.shape}")
+    if b.shape != (m.shape[0],):
+        raise DimensionError(f"bias shape {b.shape} does not match {m.shape[0]} output channels")
+    if x.shape[-3] != m.shape[1]:
+        raise DimensionError(f"input has {x.shape[-3]} channels, matrix expects {m.shape[1]}")
+    out = np.einsum("oc,...chw->...ohw", m, x) + b[:, None, None]
     return out.astype(x.dtype, copy=False)
 
 

@@ -107,6 +107,7 @@ def _table_backward(xb, gb, plan):
     low, rows = table.lowering(plan), table._strip_rows(h, w)
     left, right, top, bottom = low.margins
     padded = np.empty((top + h + 1 + bottom, left + w + 1 + right))
+    taps = np.empty((h, padded.shape[1]))
     prods = np.empty((n, c, 2 * plan.y_floor.shape[1], 2 * plan.x_floor.shape[1]))
     for k in range(c):
         for i in range(n):
@@ -119,13 +120,11 @@ def _table_backward(xb, gb, plan):
             table._corner_products(xb[i, k], padded, low, k, prods[i, k])
 
             # input path: the channel's terms on its table, flipped back
-            table._table_plane(padded, low, k, rows)
-            grad_input[i, k, ::-1, ::-1] = padded[:h, :w]
+            table._table_plane(padded, low, k, rows, taps)
+            grad_input[i, k, ::-1, ::-1] = taps[:, :w]
 
     # every cell corner's product, per sample, in _site_terms' order
-    values, gx, gy = table._site_terms(prods.reshape(n, -1)[:, low.corner_index], plan)
-    sw = np.stack([values[..., ixh, iyh] - values[..., ixl, iyh] - values[..., ixh, iyl]
-                   + values[..., ixl, iyl] for ixl, ixh, iyl, iyh in plan.sub_boxes], axis=-1)
+    gx, gy, sw = table._site_terms(prods.reshape(n, -1)[:, low.corner_index], plan)
     return grad_input, gx, gy, sw
 
 

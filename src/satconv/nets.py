@@ -24,7 +24,6 @@ from .boxes import TRAINED, BoxVariant, init_params, project_params
 from .dense import conv2d, conv2d_input_grad, conv2d_kernel_grad
 from .fmap import (
     DimensionError,
-    PointwiseWeights,
     channel_concat,
     channel_shuffle,
     channel_split,
@@ -79,7 +78,7 @@ class Pointwise(Module):
         return p
 
     def forward(self, x):
-        y = pointwise_conv(x, PointwiseWeights(self.matrix, self.bias))
+        y = pointwise_conv(x, self.matrix, self.bias)
         return y, x
 
     def backward(self, ctx, g):

@@ -1,7 +1,7 @@
 """The box layer on large planes: the table engine.
 
 A box's lattice taps read a summed-area table, and they factor exactly
-into a few terms of x taps times y taps (_factor), which the engine
+into a few terms of x taps times y taps (_terms), which the engine
 applies one axis at a time. lowering derives the terms, and what the
 passes below read with them, on the engine's first use of a plan.
 
@@ -35,9 +35,9 @@ Flipped along both axes, each plane's cotangent gets its summed-area table
 T, built in one call into an edge-replicated buffer. The mirrored box
 filter of the cotangent, which is the input gradient, is then the terms
 applied to T: each term's x taps on T's rows, whose entries already are
-column sums, then the same y-tap pass as forward's, written over the rows
-of T the x taps have read and copied once into a flipped view of the
-input gradient. Forward keeps only its input for backward. Three gradient
+column sums, then the same y-tap pass as forward's, into a buffer of the
+plane's rows that is copied once into a flipped view of the input
+gradient. Forward keeps only its input for backward. Three gradient
 families come out:
 
 * input: the x then y taps on T, as above;
@@ -103,38 +103,28 @@ def _lattice_taps(floor, frac, coefs, k):
     return [tuple(islice(taps, n)) for n in np.bincount(row, minlength=f * c).tolist()]
 
 
-def _factor(plan):
+def _terms(plan):
     """Every box's taps as a sum of (x taps) x (y taps) terms.
 
     A sub-box is an x difference times a y difference, so the sub-boxes
     over one y interval make one term: the interval's x-site coefficients
-    (plan.cx) as x taps, times the unit difference across it as y taps. A
-    box whose intervals all have equal x coefficients (a split_4 box whose
-    rows fold, as with four equal weights) gets one term across the box; a
-    split_h box, with more y intervals than x intervals, one term of unit x
-    taps times plan.cy's y taps. Equal weights on both sides of a split
-    line cancel exactly, as in the folded taps. A term that folds to no
-    taps is left out.
+    (plan.cx) as x taps, times the unit difference across it as y taps.
+    That is banded.py's grouping: one term for a single or split_v box,
+    two for a split_h or split_4 box. A box whose intervals all have equal
+    x coefficients (its rows fold, as with equal weights) gets one term
+    across all of them instead, whose inner y sites cancel exactly, as in
+    the folded taps. A term that folds to no taps is left out.
     """
-    x, y, k = (plan.x_floor, plan.x_frac), (plan.y_floor, plan.y_frac), plan.max_kernel
-    if plan.cy.shape[2] < plan.cx.shape[2]:
-        return [tuple((xs, ys) for ys, xs in channel) for channel in _by_interval(y, plan.cy, x, k)]
-    return _by_interval(x, plan.cx, y, k)
-
-
-def _by_interval(sites, coefs, unit_sites, k):
-    """Per box, the terms of coefs (C, S, G) on sites, column g times the
-    unit difference across interval g of unit_sites' G + 1 sites: one term
-    per interval, or one across all of them where every column is equal."""
-    c, _, g = coefs.shape
+    (c, _, g), k = plan.cx.shape, plan.max_kernel
     units = np.eye(g, g + 1, 1) - np.eye(g, g + 1)  # row g: -1 at site g, +1 at site g + 1
     if g > 1:
         units = np.concatenate((units, units.sum(axis=0, keepdims=True)))
-    taps = _lattice_taps(*sites, coefs.transpose(2, 0, 1), k)
-    unit = _lattice_taps(*unit_sites, np.broadcast_to(units[:, None], (len(units), c, g + 1)), k)
+    taps = _lattice_taps(plan.x_floor, plan.x_frac, plan.cx.transpose(2, 0, 1), k)
+    unit = _lattice_taps(plan.y_floor, plan.y_frac,
+                         np.broadcast_to(units[:, None], (len(units), c, g + 1)), k)
     whole = (len(units) - 1) * c
     terms = []
-    for i, same in enumerate((coefs == coefs[:, :, :1]).all(axis=(1, 2)).tolist()):
+    for i, same in enumerate((plan.cx == plan.cx[:, :, :1]).all(axis=(1, 2)).tolist()):
         pairs = ([(taps[i], unit[whole + i])] if same
                  else [(taps[j * c + i], unit[j * c + i]) for j in range(g)])
         terms.append(tuple((a, b) for a, b in pairs if a and b))
@@ -144,33 +134,34 @@ def _by_interval(sites, coefs, unit_sites, k):
 def _corner_runs(floors):
     """Each row's lattice corners on one axis, floor and floor + 1 per site.
 
-    floors is a list of rows of site floors, in site order, which is
-    ascending. Returns the numbers of each row's corners among its distinct
-    ones in order, as a (C, 2 S) array, and per row the distinct corners as
-    runs of consecutive offsets, each a (first number, first offset,
-    length) tuple. A site adds as many new corners as its floor lies above
-    the one before, at most 2, and its two corners are then the last two
-    distinct ones; it starts a run when its floor lies more than 2 above.
+    floors is the (C, S) site floors of C rows. Returns the numbers of each
+    row's corners among its distinct ones in order, as a (C, 2 S) array,
+    and per row the distinct corners as runs of consecutive offsets, each a
+    (first number, first offset, length) tuple. Keyed apart by a gap of at
+    least 2 between rows, every row's corners go through one np.unique,
+    whose sorted keys break into runs wherever they step by more than 1.
     """
-    slots, runs = [], []
-    for row in floors:
-        slot, starts, d = [0, 1], [(0, row[0])], 2
-        for before, v in zip(row, row[1:]):
-            if v - before > 2:
-                starts.append((d, v))
-            d += min(2, v - before)
-            slot += [d - 2, d - 1]
-        slots.append(slot)
-        ends = [k for k, _ in starts[1:]] + [d]
-        runs.append(tuple((k, v, end - k) for (k, v), end in zip(starts, ends)))
-    return np.array(slots, dtype=np.intp), runs
+    c = len(floors)
+    corners = (floors[:, :, None] + _CELL_STEP).reshape(c, -1)
+    lo = corners.min()
+    span = corners.max() - lo + 2
+    keys, at = np.unique((corners - lo + span * np.arange(c)[:, None]).ravel(),
+                         return_inverse=True)
+    row, offset = np.divmod(keys, span)
+    first = np.searchsorted(row, np.arange(c))  # each row's first key
+    breaks = np.flatnonzero(np.diff(keys) != 1) + 1
+    starts, ends = np.concatenate(([0], breaks)), np.concatenate((breaks, [len(keys)]))
+    runs = zip((starts - first[row[starts]]).tolist(), (offset[starts] + lo).tolist(),
+               (ends - starts).tolist())
+    return (at.reshape(c, -1) - first[:, None],
+            [tuple(islice(runs, n)) for n in np.bincount(row[starts], minlength=c).tolist()])
 
 
 class _Lowering:
     """A plan's taps as the table engine reads them.
 
     terms is, per channel, the whole sum of lattice taps factored
-    (_factor): a tuple of (x_taps, y_taps) pairs, each a tuple of (offset,
+    (_terms): a tuple of (x_taps, y_taps) pairs, each a tuple of (offset,
     weight) pairs in offset order, whose outer products add up to the
     paper's 16-tap cost model (CornerSamplePlan.tap_weights), less the taps
     of exactly zero weight. y_taps holds, per channel, every term's y taps
@@ -197,7 +188,7 @@ class _Lowering:
         for floor in (plan.x_floor, plan.y_floor):  # a row's floors ascend
             margins += [max(0, -int(floor[:, 0].min())), max(0, int(floor[:, -1].max()))]
         self.margins = tuple(margins)
-        (x_slot, self.x_runs), (y_slot, self.y_runs) = (_corner_runs(f.tolist())
+        (x_slot, self.x_runs), (y_slot, self.y_runs) = (_corner_runs(f)
                                                         for f in (plan.x_floor, plan.y_floor))
         (c, nx), ny = plan.x_floor.shape, plan.y_floor.shape[1]
         x_slot, y_slot = x_slot.reshape(c, nx, 2, 1, 1), y_slot.reshape(c, 1, 1, ny, 2)
@@ -209,7 +200,7 @@ def lowering(plan) -> _Lowering:
     """plan's lowering, built on first use and kept in plan.cache."""
     low = plan.cache.get("table")
     if low is None:
-        low = plan.cache["table"] = _Lowering(plan, _factor(plan))
+        low = plan.cache["table"] = _Lowering(plan, _terms(plan))
     return low
 
 
@@ -228,20 +219,24 @@ def _site_terms(q, plan):
 
     q is (n, C, nx, 2, ny, 2): q[..., c, ix, i, iy, j] is the product at the
     corner (x0 + i, y0 + j) of channel c's x cell ix and y cell iy, per
-    sample. Returns every site's value (n, C, nx, ny) and the
-    coefficient-weighted derivative sums per x site (n, C, nx) and per y
-    site (n, C, ny), each summed in site order.
+    sample. Returns the coefficient-weighted derivative sums per x site
+    (n, C, nx) and per y site (n, C, ny), each summed in site order, and
+    each sub-box weight's gradient (n, C, n_weights): the four-corner
+    difference of the site values over the sub-box.
     """
-    c, nx, ny = plan.coeffs.shape
+    coeffs = plan.coeffs
+    c, nx, ny = coeffs.shape
     a, b = plan.x_frac.reshape(c, nx, 1, 1, 1), plan.y_frac.reshape(c, 1, 1, ny, 1)
     wx, wy = np.concatenate((1 - a, a), axis=2), np.concatenate((1 - b, b), axis=4)
     p = wx * wy * q  # the products (1 - a) * (1 - b) * q00, a * (1 - b) * q10, ...
     values = p[..., 0, :, 0] + p[..., 1, :, 0] + p[..., 0, :, 1] + p[..., 1, :, 1]
     t = wy[:, :, 0] * (q[..., 1, :, :] - q[..., 0, :, :])  # (1 - b) * (q10 - q00), b * (q11 - q01)
-    dx = plan.coeffs * (t[..., 0] + t[..., 1])
+    dx = coeffs * (t[..., 0] + t[..., 1])
     t = wx[..., 0] * (q[..., 1] - q[..., 0])  # (1 - a) * (q01 - q00), a * (q11 - q10)
-    dy = plan.coeffs * (t[..., 0, :] + t[..., 1, :])
-    return values, sum(dx[..., j] for j in range(ny)), sum(dy[..., i, :] for i in range(nx))
+    dy = coeffs * (t[..., 0, :] + t[..., 1, :])
+    sw = np.stack([values[..., ixh, iyh] - values[..., ixl, iyh] - values[..., ixh, iyl]
+                   + values[..., ixl, iyl] for ixl, ixh, iyl, iyh in plan.sub_boxes], axis=-1)
+    return sum(dx[..., j] for j in range(ny)), sum(dy[..., i, :] for i in range(nx)), sw
 
 
 def _x_pass(xs, src, s0, dst, d0, m, left, w):
@@ -337,31 +332,27 @@ def _forward_plane(x, low, c, out, rows) -> bool:
     return True
 
 
-def _table_plane(table, low, c, rows):
-    """Channel c's terms on its table, written over it.
+def _table_plane(table, low, c, rows, out):
+    """Channel c's terms on its table, into out.
 
     table is edge-replicated, entry (0, 0) at (top, left) of the lowering's
     margins, with every row and column the taps read. A strip's x taps read
     table rows p0 + 1 .., which already hold the column sums forward runs
     down its strips, and in the last strip the rows of the bottom margin
-    too. Output row i goes to row i, columns 0..W, of the table: rows the x
-    taps have read, zeroed strip by strip. A strip's y taps reach output
-    rows at most `top` past its last table row, and table row r sits in row
-    top + r, so no strip writes a row that a later strip reads.
+    too. out is (H, table width); output row i goes to its row i, columns
+    0..W.
     """
     hp, wp = table.shape
     left, right, top, bottom = low.margins
     h, w = hp - top - 1 - bottom, wp - left - 1 - right
     xt = np.zeros((len(low.terms[c]), 1 + rows + bottom, wp))
-    spent = 0  # rows of the table that no later x tap reads
+    out[...] = 0.0
     for p0 in range(0, h, rows):
         m = min(rows, h - p0)
         last = p0 + m == h
         for t, (xs, _) in enumerate(low.terms[c]):
             _x_pass(xs, table, top + 1 + p0, xt[t], 1, m + bottom * last, left, w)
-        table[spent : top + p0 + m + 1 + bottom * last] = 0.0
-        spent = top + p0 + m + 1
-        _y_pass(low.y_taps[c], xt, table, p0, m, h, last, w)
+        _y_pass(low.y_taps[c], xt, out, p0, m, h, last, w)
 
 
 def _corner_products(x, table, low, c, prods):

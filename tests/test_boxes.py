@@ -26,7 +26,7 @@ from satconv.boxes import (
 from satconv.layer import BoxConvLayer
 from satconv.oracle import sample_bilinear
 from satconv.sat import build_sat
-from satconv.table import lowering
+from satconv.table import _corner_runs, lowering
 
 finite_theta = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -190,13 +190,15 @@ def test_plan_integer_corners_collapse():
 @pytest.mark.parametrize("variant", list(BoxVariant))
 def test_plan_terms_multiply_out_to_taps(rng, variant):
     """The factored terms are the folded taps: their outer products add up
-    to the same weight at every lattice offset, with one term per box
-    (two for a split_4 box with unequal weights)."""
+    to the same weight at every lattice offset, with one term per y
+    interval of the box (two for a split_h or split_4 box with unequal
+    weights), or one where its rows fold (equal weights)."""
     for _ in range(20):
         p = init_params(int(rng.choice([5, 9, 13, 129])), variant, rng)
         unequal = BoxParams(*p.thetas, p.max_kernel, variant, p.split_theta,
                             tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights))))
-        for q, n_terms in ((p, 1), (unequal, 2 if variant == BoxVariant.SPLIT_4 else 1)):
+        two_rows = variant in (BoxVariant.SPLIT_H, BoxVariant.SPLIT_4)
+        for q, n_terms in ((p, 1), (unequal, 2 if two_rows else 1)):
             plan = plan_of(q)
             terms = lowering(plan).terms[0]
             assert len(terms) == n_terms
@@ -234,15 +236,13 @@ def loop_terms(p):
     splits = dict(zip(SPLIT_EDGES[p.variant], p.split_theta))
     xs, ys = ([t[lo] * r, *([splits[lo] * r] if lo in splits else []), t[lo + 1] * r + 1.0]
               for lo in (0, 2))
-    edge = (-1.0, 1.0)
     if p.variant == BoxVariant.SINGLE:
-        pairs = [((-w[0], w[0]), edge)]
+        pairs = [((-w[0], w[0]), (-1.0, 1.0))]
     elif p.variant == BoxVariant.SPLIT_V:
-        pairs = [((-w[0], w[0] - w[1], w[1]), edge)]
-    elif p.variant == BoxVariant.SPLIT_H:
-        pairs = [(edge, (-w[0], w[0] - w[1], w[1]))]
-    else:
-        top, bottom = (-w[0], w[0] - w[1], w[1]), (-w[2], w[2] - w[3], w[3])
+        pairs = [((-w[0], w[0] - w[1], w[1]), (-1.0, 1.0))]
+    else:  # a term per y interval, or one across both where the rows fold
+        top, bottom = ((-w[0], w[0]), (-w[1], w[1])) if p.variant == BoxVariant.SPLIT_H else (
+            (-w[0], w[0] - w[1], w[1]), (-w[2], w[2] - w[3], w[3]))
         pairs = ([(top, (-1.0, 0.0, 1.0))] if top == bottom
                  else [(top, (-1.0, 1.0, 0.0)), (bottom, (0.0, -1.0, 1.0))])
     terms = ((_loop_axis_taps(xs, xc), _loop_axis_taps(ys, yc)) for xc, yc in pairs)
@@ -291,23 +291,84 @@ def test_plan_terms_match_the_box_by_box_loop(variant):
 def test_factored_coefficients_difference_to_the_folded_ones(variant):
     """cx holds each y interval's x-site coefficients and cy each x
     interval's y-site coefficients. Differencing either along its intervals
-    (before minus after, 0 outside the box) gives coeffs: exactly for a
-    single box, and within a few ulps of the largest weight for split
-    boxes, whose coeffs add their sub-box weights in another order (the
-    roundings bound the difference by 7 ulps; 4 measured)."""
+    (before minus after, 0 outside the box) gives the folded coefficients:
+    coeffs is cx differenced, exactly; cy differenced matches it exactly for
+    a single box, and within a few ulps of the largest weight for split
+    boxes, whose two differences round in another order (three roundings
+    each, which bound the difference by 8 ulps; 4 measured)."""
     rng = np.random.default_rng(11)
     pad = ((0, 0), (0, 0), (1, 1))
     for k in (3, 5, 9, 13, 129):
         theta, split, weight = edge_case_arrays(rng, k, variant, 700)
         plan = compile_plan(theta, split, weight, k, variant)
         cx, cy = np.pad(plan.cx, pad), np.pad(plan.cy, pad)
-        ulp = np.spacing(np.abs(weight).max(axis=1))[:, None, None]
-        for got in (cx[..., :-1] - cx[..., 1:], (cy[..., :-1] - cy[..., 1:]).transpose(0, 2, 1)):
-            assert got.shape == plan.coeffs.shape
-            if variant == BoxVariant.SINGLE:
-                assert np.array_equal(got, plan.coeffs)
-            else:
-                assert (np.abs(got - plan.coeffs) <= 8 * ulp).all()
+        assert np.array_equal(cx[..., :-1] - cx[..., 1:], plan.coeffs)
+        got = (cy[..., :-1] - cy[..., 1:]).transpose(0, 2, 1)
+        assert got.shape == plan.coeffs.shape
+        if variant == BoxVariant.SINGLE:
+            assert np.array_equal(got, plan.coeffs)
+        else:
+            ulp = np.spacing(np.abs(weight).max(axis=1))[:, None, None]
+            assert (np.abs(got - plan.coeffs) <= 8 * ulp).all()
+
+
+def test_cancelling_split_costs_the_taps_of_the_box_it_folds_to():
+    """A split box whose sub-box weights cancel across a split line has
+    the 16-tap cost model's count of the box it folds to: split_4 with
+    weights (a, b, a, b) that of split_v (a, b) on the same edges and x
+    split, (a, a, b, b) that of split_h (a, b), and any split box with all
+    weights equal and nonzero that of the single box. The folded site
+    coefficients on the cancelled line are exactly 0, as in the table
+    engine's terms, not a rounding residue of the four sub-box weights."""
+    rng = np.random.default_rng(5)
+    n = 2000
+    for k in (3, 5, 9, 13, 129):
+        theta, split, _ = edge_case_arrays(rng, k, BoxVariant.SPLIT_4, n)
+        a, b = rng.normal(size=(2, n))
+        b[::7] = a[::7]  # some equal pairs too
+        a[::11] = 0.0
+        split_v = compile_plan(theta, split[:, :1], np.stack((a, b), 1), k, BoxVariant.SPLIT_V)
+        split_h = compile_plan(theta, split[:, 1:], np.stack((a, b), 1), k, BoxVariant.SPLIT_H)
+        for w, twin in (((a, b, a, b), split_v), ((a, a, b, b), split_h)):
+            plan = compile_plan(theta, split, np.stack(w, 1), k, BoxVariant.SPLIT_4)
+            assert np.array_equal(plan.n_taps, twin.n_taps)
+        a[a == 0.0] = 1.0
+        single = compile_plan(theta, split[:, :0], np.ones((n, 1)), k, BoxVariant.SINGLE)
+        for variant in (BoxVariant.SPLIT_V, BoxVariant.SPLIT_H, BoxVariant.SPLIT_4):
+            lines = split[:, [SPLIT_EDGES[BoxVariant.SPLIT_4].index(e)
+                              for e in SPLIT_EDGES[variant]]]
+            w = np.repeat(a[:, None], N_WEIGHTS[variant], axis=1)
+            plan = compile_plan(theta, lines, w, k, variant)
+            assert np.array_equal(plan.n_taps, single.n_taps), variant
+
+
+def _loop_corner_runs(row):
+    """One row's corner numbers and runs of consecutive corners, site by
+    site: a site adds as many new corners as its floor lies above the one
+    before, at most 2, and its two corners are then the last two distinct
+    ones; it starts a run when its floor lies more than 2 above."""
+    slot, starts, d = [0, 1], [(0, row[0])], 2
+    for before, v in zip(row, row[1:]):
+        if v - before > 2:
+            starts.append((d, v))
+        d += min(2, v - before)
+        slot += [d - 2, d - 1]
+    ends = [n for n, _ in starts[1:]] + [d]
+    return slot, tuple((n, v, end - n) for (n, v), end in zip(starts, ends))
+
+
+def test_corner_runs_match_the_site_by_site_loop():
+    """The table engine numbers every box's distinct cell corners with one
+    np.unique over the layer; the numbers and runs equal the per-site loop's."""
+    rng = np.random.default_rng(3)
+    for variant in BoxVariant:
+        for k in (3, 5, 9, 13, 129):
+            plan = compile_plan(*edge_case_arrays(rng, k, variant, 300), k, variant)
+            for floors in (plan.x_floor, plan.y_floor):
+                slots, runs = _corner_runs(floors)
+                want = [_loop_corner_runs(row) for row in floors.tolist()]
+                assert slots.tolist() == [slot for slot, _ in want]
+                assert runs == [r for _, r in want]
 
 
 def _bits(terms):

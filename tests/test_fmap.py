@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from satconv.fmap import (
     DimensionError,
-    PointwiseWeights,
     as_feature_map,
     channel_concat,
     channel_shuffle,
@@ -25,14 +24,12 @@ def test_as_feature_map_rejects_bad_shapes():
 
 def test_pointwise_identity(rng):
     x = rng.normal(size=(3, 5, 4))
-    w = PointwiseWeights(np.eye(3), np.zeros(3))
-    assert np.array_equal(pointwise_conv(x, w), x)
+    assert np.array_equal(pointwise_conv(x, np.eye(3), np.zeros(3)), x)
 
 
 def test_pointwise_sums_constant_channels():
     x = np.stack([np.full((4, 4), 2.5), np.full((4, 4), -1.0)])
-    w = PointwiseWeights([[1.0, 1.0]], [0.0])
-    out = pointwise_conv(x, w)
+    out = pointwise_conv(x, [[1.0, 1.0]], [0.0])
     assert out.shape == (1, 4, 4)
     assert np.allclose(out, 1.5)
 
@@ -41,7 +38,7 @@ def test_pointwise_matches_per_pixel_matvec(rng):
     x = rng.normal(size=(3, 4, 4))
     m = rng.normal(size=(2, 3))
     b = rng.normal(size=2)
-    out = pointwise_conv(x, PointwiseWeights(m, b))
+    out = pointwise_conv(x, m, b)
     for o in range(2):
         for y in range(4):
             for xx in range(4):
@@ -51,16 +48,29 @@ def test_pointwise_matches_per_pixel_matvec(rng):
 
 def test_pointwise_channel_mismatch(rng):
     with pytest.raises(DimensionError):
-        pointwise_conv(rng.normal(size=(3, 2, 2)), PointwiseWeights(np.eye(2), np.zeros(2)))
+        pointwise_conv(rng.normal(size=(3, 2, 2)), np.eye(2), np.zeros(2))
+
+
+def test_pointwise_rejects_a_matrix_not_of_rank_2(rng):
+    x = rng.normal(size=(2, 3, 3))
+    with pytest.raises(DimensionError, match="rank 2"):
+        pointwise_conv(x, np.ones((1, 2, 2)), np.zeros(1))
+
+
+def test_pointwise_rejects_a_bias_of_another_shape(rng):
+    x = rng.normal(size=(2, 3, 3))
+    for bias in (np.zeros(3), np.zeros((2, 1)), 0.0):
+        with pytest.raises(DimensionError, match="bias shape"):
+            pointwise_conv(x, np.ones((2, 2)), bias)
 
 
 def test_pointwise_linearity(rng):
-    w = PointwiseWeights(rng.normal(size=(3, 4)), np.zeros(3))
+    m = rng.normal(size=(3, 4))
     x = rng.normal(size=(4, 6, 5))
     y = rng.normal(size=(4, 6, 5))
     a, b = 0.7, -1.3
-    lhs = pointwise_conv(a * x + b * y, w)
-    rhs = a * pointwise_conv(x, w) + b * pointwise_conv(y, w)
+    lhs = pointwise_conv(a * x + b * y, m, np.zeros(3))
+    rhs = a * pointwise_conv(x, m, np.zeros(3)) + b * pointwise_conv(y, m, np.zeros(3))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

@@ -440,8 +440,11 @@ def _table_taps(x, plan, c):
         table = np.empty((top + h + 1 + bottom, left + w + 1 + right))
         build_sat(x[i], out=table[top : top + h + 1, left : left + w + 1])
         satconv.table._edge_pad(table, top, left, h, w)
-        satconv.table._table_plane(table, low, c, satconv.table._strip_rows(h, w))
-        out[i] = table[:h, :w]
+        read = table.copy()
+        taps = np.empty((h, table.shape[1]))
+        satconv.table._table_plane(table, low, c, satconv.table._strip_rows(h, w), taps)
+        assert np.array_equal(table, read)  # the table is read, never written
+        out[i] = taps[:, :w]
     return out
 
 
