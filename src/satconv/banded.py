@@ -24,9 +24,10 @@ gives the y sites' derivatives, weighted by plan.cy. A site off the plane
 reads no diagonal and gets zero, as clamped coordinates do.
 
 Every product is one batched np.matmul over all samples and channels, two
-in forward and nine in backward; no table is built. The matrices are built
-with array operations once per plan and plane size (bands), forward's on
-the first forward, the rest on the first backward. They cost
+in forward and nine in backward; no table is built. The matrices, and the
+weights backward reads with them, are built with array operations in one
+step per plan and plane size (bands), on its first use: every plan but a
+run's last evaluation is trained on, so backward reads them too. They cost
 O(h + w) multiply-adds per output pixel, flat in the window size but not
 in the plane's, which is why only small planes come here (see
 layer.BANDED_MAX_SIDE). Up to 128^2 the results do not depend on the BLAS
@@ -61,11 +62,11 @@ def _site_weights(coeffs, floor, band):
 
 
 class _Bands:
-    """A plan's matrices on (h, w) planes, and what backward reads with them.
+    """A plan's matrices on (h, w) planes, and what backward reads with them,
+    all built at once.
 
     They lie as the products read them: y (c, G, h, h) [g, j, i] =
-    Y_g[j, i] and bt (c, G w, w) [(g, i), j] = B_g[j, i], built at once;
-    the rest on backward's first call (backward_parts): bg (c, G w, w)
+    Y_g[j, i], bt (c, G w, w) [(g, i), j] = B_g[j, i], bg (c, G w, w)
     [(g, j), i] = B_g[j, i], side by side, and xg (c, w, G_x w)
     [i, (g, j)] = P_g[j, i]. Sites lie within the window, so backward needs
     only the diagonal sums at offsets x_band = (lo, hi), -r .. r + 1 for a
@@ -78,36 +79,26 @@ class _Bands:
     """
 
     def __init__(self, plan, h, w):
-        self.h, self.w = h, w
-        nx, n = plan.x_floor.shape[1], max(h, w)
+        (c, nx), ny, n = plan.x_floor.shape, plan.y_floor.shape[1], max(h, w)
         sites = _site_profiles(np.concatenate((plan.x_floor, plan.y_floor), axis=1),
                                np.concatenate((plan.x_frac, plan.y_frac), axis=1), n)
         # offsets -(w - 1) .. w - 1 and -(h - 1) .. h - 1 of the profiles
-        self.sx, sy = sites[:, :nx, n - w : n + w - 1], sites[:, nx:, n - h : n + h - 1]
-        self.py = sy[:, 1:] - sy[:, :-1]
-        self.b = _toeplitz(np.matmul(plan.cx.transpose(0, 2, 1), self.sx), w)
-        self.y = _toeplitz(self.py, h).copy()
-        self.bt = self.b.transpose(0, 1, 3, 2).reshape(len(self.b), -1, w)
-
-    def backward_parts(self, plan):
-        """Build bg, xg, the bands, wx and wy of plan, the plan these
-        matrices are of, once; returns self."""
-        if hasattr(self, "wx"):
-            return self
-        h, w, (c, nx), ny = self.h, self.w, plan.x_floor.shape, plan.y_floor.shape[1]
-        px = self.sx[:, 1:] - self.sx[:, :-1]
-        self.bg = self.b.reshape(c, -1, w)
+        sx, sy = sites[:, :nx, n - w : n + w - 1], sites[:, nx:, n - h : n + h - 1]
+        px, py = sx[:, 1:] - sx[:, :-1], sy[:, 1:] - sy[:, :-1]
+        b = _toeplitz(np.matmul(plan.cx.transpose(0, 2, 1), sx), w)
+        self.y = _toeplitz(py, h).copy()
+        self.bt = b.transpose(0, 1, 3, 2).reshape(c, -1, w)
+        self.bg = b.reshape(c, -1, w)
         self.xg = _toeplitz(px, w).transpose(0, 3, 1, 2).reshape(c, w, -1)
         r = (plan.max_kernel - 1) // 2
         self.x_band, self.y_band = ((max(-r, 1 - m), min(r + 1, m - 1)) for m in (w, h))
         ixl, _, iyl, _ = np.array(plan.sub_boxes).T
         lo, hi = self.x_band
         sub = (px[:, ixl, lo + w - 1 : hi + w].transpose(0, 2, 1)[:, None]
-               * (np.arange(self.py.shape[1])[:, None] == iyl)[:, None])
+               * (np.arange(py.shape[1])[:, None] == iyl)[:, None])
         self.wx = np.concatenate((_site_weights(plan.cx, plan.x_floor, self.x_band), sub),
                                  axis=-1).reshape(c, -1, nx + len(ixl))
         self.wy = _site_weights(plan.cy, plan.y_floor, self.y_band).reshape(c, -1, ny)
-        return self
 
 
 def bands(plan, h, w) -> _Bands:
@@ -163,7 +154,7 @@ def backward(x, gs, plan):
     sites' diagonals, K = V_g^T X = G^T (Y_g X) per sample.
     """
     n, c, h, w = x.shape
-    b = bands(plan, h, w).backward_parts(plan)
+    b = bands(plan, h, w)
     dx = _diagonal_sums(gs[:, :, None], np.matmul(x, b.xg).reshape(n, c, h, -1, w)
                         .transpose(0, 1, 3, 4, 2), b.y_band)
     v = np.matmul(np.swapaxes(b.y, -1, -2), gs[:, :, None])  # (n, c, G, h, w)

@@ -121,8 +121,8 @@ def conv2d_input_grad(kernel, grad_out, dilation: int = 1) -> np.ndarray:
     g = np.asarray(grad_out, dtype=np.float64)
     kh, kw = kernel.shape[-2:]
     ay, ax = (kh - 1) // 2, (kw - 1) // 2
-    # correlation with the flipped kernel: pad so index (kh-1-u)*d stays in range
-    pads = ((kh - 1 - ay) * dilation, ay * dilation), ((kw - 1 - ax) * dilation, ax * dilation)
+    # correlation with the flipped kernel, whose anchor is (kh-1-ay, kw-1-ax)
+    pads = _pads(kh, kw, kh - 1 - ay, kw - 1 - ax, dilation)
     return _banded_product(g, pads, kernel[..., ::-1, ::-1], dilation)
 
 

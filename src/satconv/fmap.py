@@ -1,10 +1,13 @@
 """Feature maps and channel plumbing.
 
-A feature map is a C-contiguous float ndarray of shape (channels, height,
-width), or a batch of them, (samples, channels, height, width). Everything
-spatial in this package assumes that layout: the channel axis is -3, rows
-are major within a channel, and a leading sample axis, when present, is
-carried through unchanged. The binary file format holds one unbatched map.
+A feature map is a C-contiguous float64 ndarray of shape (channels,
+height, width), or a batch of them, (samples, channels, height, width).
+Everything spatial in this package assumes that layout: the channel axis is
+-3, rows are major within a channel, and a leading sample axis, when
+present, is carried through unchanged. as_feature_map alone decides the
+dtype: every map, float32 and integer ones too, is float64 past it. The
+binary file format holds one unbatched map, written as float64; files of
+float32 scalars read as float64 too.
 """
 
 from __future__ import annotations
@@ -16,23 +19,24 @@ import numpy as np
 FMAP_MAGIC = b"SATFM1"
 
 _TAG_TO_DTYPE = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
-_DTYPE_TO_TAG = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 
 
 class DimensionError(ValueError):
     """Shape or channel-count mismatch between operands."""
 
 
-def as_feature_map(x, dtype=None) -> np.ndarray:
-    """Validate and normalize an array to ([samples,] channels, height, width) float layout."""
-    x = np.asarray(x, dtype=dtype)
+def as_feature_map(x) -> np.ndarray:
+    """Validate an array as a ([samples,] channels, height, width) map and
+    return it C-contiguous float64, converted only where it is not already.
+    A complex array is rejected: its imaginary part would be dropped."""
+    x = np.asarray(x)
     if x.ndim not in (3, 4):
         raise DimensionError(f"feature map must be rank 3 or 4, got shape {x.shape}")
     if min(x.shape) < 1:
         raise DimensionError(f"feature map axes must be >= 1, got shape {x.shape}")
-    if x.dtype not in (np.float64, np.float32):
-        x = x.astype(np.float64)
-    return np.ascontiguousarray(x)
+    if np.iscomplexobj(x):
+        raise TypeError(f"a feature map is real, got dtype {x.dtype}")
+    return np.ascontiguousarray(x, dtype=np.float64)
 
 
 def pointwise_conv(x, matrix, bias) -> np.ndarray:
@@ -47,8 +51,7 @@ def pointwise_conv(x, matrix, bias) -> np.ndarray:
         raise DimensionError(f"bias shape {b.shape} does not match {m.shape[0]} output channels")
     if x.shape[-3] != m.shape[1]:
         raise DimensionError(f"input has {x.shape[-3]} channels, matrix expects {m.shape[1]}")
-    out = np.einsum("oc,...chw->...ohw", m, x) + b[:, None, None]
-    return out.astype(x.dtype, copy=False)
+    return np.einsum("oc,...chw->...ohw", m, x) + b[:, None, None]
 
 
 def channel_shuffle(x, groups: int) -> np.ndarray:
@@ -79,18 +82,20 @@ def channel_concat(a, b) -> np.ndarray:
 
 
 def save_feature_map(path, x) -> None:
-    """Flat binary format: magic, u32 channels/height/width, u8 dtype tag, raw LE scalars."""
+    """Flat binary format: magic, u32 channels/height/width, u8 dtype tag
+    (always 0, float64), raw LE scalars."""
     x = as_feature_map(x)
     if x.ndim != 3:
         raise DimensionError(f"a feature map file holds one (C, H, W) map, got shape {x.shape}")
-    tag = _DTYPE_TO_TAG[x.dtype]
     with open(path, "wb") as f:
         f.write(FMAP_MAGIC)
-        f.write(struct.pack("<IIIB", *x.shape, tag))
-        f.write(x.astype(_TAG_TO_DTYPE[tag], copy=False).tobytes())
+        f.write(struct.pack("<IIIB", *x.shape, 0))
+        f.write(x.astype(_TAG_TO_DTYPE[0], copy=False).tobytes())
 
 
 def load_feature_map(path) -> np.ndarray:
+    """A feature map file's map, float64 whichever its tag: 0 for float64
+    scalars, 1 for float32."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[: len(FMAP_MAGIC)] != FMAP_MAGIC:
@@ -106,4 +111,4 @@ def load_feature_map(path) -> np.ndarray:
     if len(raw) - start != expected:
         raise ValueError(f"{path}: payload is {len(raw) - start} bytes, expected {expected}")
     data = np.frombuffer(raw, dtype=dt, offset=start).reshape(c, h, w)
-    return as_feature_map(data, dtype=dt.newbyteorder("="))
+    return as_feature_map(data)

@@ -200,8 +200,7 @@ class BoxConvLayer:
         xb = x.reshape((-1,) + x.shape[-3:])  # a rank-3 input is one sample
         small = max(xb.shape[-2:]) <= BANDED_MAX_SIDE
         out = (_banded_forward if small else _table_forward)(xb, plan)
-        return (np.ascontiguousarray(out.reshape(x.shape), dtype=x.dtype),
-                BoxConvSaved(x=x, plan=plan))
+        return out.reshape(x.shape), BoxConvSaved(x=x, plan=plan)
 
     def backward(self, saved: BoxConvSaved, grad_output) -> LayerGradients:
         x, plan = saved.x, saved.plan
@@ -218,4 +217,4 @@ class BoxConvLayer:
         split = np.stack(split, axis=-1) if split else np.zeros(theta.shape[:-1] + (0,))
         lead = x.shape[:-3]  # () for a rank-3 input: its one sample's gradients
         grads = BoxGrads(*(a.reshape(lead + a.shape[1:]) for a in (theta, split, sw)))
-        return LayerGradients(grad_input.reshape(x.shape).astype(x.dtype, copy=False), grads)
+        return LayerGradients(grad_input.reshape(x.shape), grads)

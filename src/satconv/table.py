@@ -239,30 +239,6 @@ def _site_terms(q, plan):
     return sum(dx[..., j] for j in range(ny)), sum(dy[..., i, :] for i in range(nx)), sw
 
 
-def _x_pass(xs, src, s0, dst, d0, m, left, w):
-    """Columns 0..w of dst rows d0 .. d0 + m get the x taps xs, (dx, weight)
-    in order, of src rows s0 .., each tap read from column left + dx.
-
-    Arrays of one width go as one flat run of entries, from the first row's
-    first column to the last row's column w, which also covers the columns
-    past w of every row but the last: one contiguous pass. Arrays of two
-    widths go as strided slices.
-    """
-    width = dst.shape[-1]
-    if src.shape[-1] == width:
-        size = (m - 1) * width + w
-        u = dst.reshape(-1)[d0 * width : d0 * width + size]
-        flat, start = src.reshape(-1), s0 * width + left
-        taps = [(flat[start + dx : start + dx + size], wt) for dx, wt in xs]
-    else:
-        u = dst[d0 : d0 + m, :w]
-        taps = [(src[s0 : s0 + m, left + dx : left + dx + w], wt) for dx, wt in xs]
-    (r, wt), *rest = taps
-    np.multiply(r, wt, out=u)
-    for r, wt in rest:
-        u += wt * r
-
-
 def _y_pass(taps, src, dst, p0, m, h, last, w):
     """Add one channel's y taps of the table rows new in a strip into its output.
 
@@ -274,8 +250,8 @@ def _y_pass(taps, src, dst, p0, m, h, last, w):
     rows above the table are zero and are skipped. The taps run in
     (offset, term) order in every strip, so each pixel gets the same sums
     in the same order at any strip height. src[t] and dst are of one
-    width: a tap is one flat run, as in _x_pass. A box of no terms (all
-    its sub-box weights zero) has no taps, and src no rows.
+    width: a tap is one flat run, as are _table_plane's x taps. A box of no
+    terms (all its sub-box weights zero) has no taps, and src no rows.
     """
     width = dst.shape[-1]
     out, flat = dst.reshape(-1), src.reshape(len(src), src.shape[1] * width)
@@ -292,11 +268,13 @@ def _forward_plane(x, low, c, out, rows) -> bool:
     given input rows, with the plan's lowering low.
 
     Each strip's prefix sums along x go into rsum, with a table row's zero
-    left margin and edge-replicated right margin. Each term's x taps read
-    them and write into the term's cs rows, below its row 0, which carries
-    the column sums of the table row above the strip. One scan down the
-    rows, one row-wise add for every term, turns the rows into the column
-    sums of the strip's table rows, and the y taps add them into out.
+    left margin and edge-replicated right margin. Each term's x taps, (dx,
+    weight) in order, read them from column left + dx, as strided slices of
+    rsum's rows, which are wider than the plane's. They write into the
+    term's cs rows, below its row 0, which carries the column sums of the
+    table row above the strip. One scan down the rows, one row-wise add for
+    every term, turns the rows into the column sums of the strip's table
+    rows, and the y taps add them into out.
 
     Returns False, before any y tap reads them, as soon as a strip's row
     totals (its last prefix sums) or its last column sums are not finite. A
@@ -321,7 +299,11 @@ def _forward_plane(x, low, c, out, rows) -> bool:
         if p0:
             cs[:, 0] = cs[:, rows]
         for t, (xs, _) in enumerate(terms):
-            _x_pass(xs, rsum, 0, cs[t], 1, m, left, w)
+            u = cs[t, 1 : m + 1]
+            (dx, wt), *rest = xs
+            np.multiply(r[:, left + dx : left + dx + w], wt, out=u)
+            for dx, wt in rest:
+                u += wt * r[:, left + dx : left + dx + w]
         for j in range(m):
             scan[j + 1] += scan[j]
         if not np.isfinite(cs[:, m]).all():
@@ -339,19 +321,31 @@ def _table_plane(table, low, c, rows, out):
     margins, with every row and column the taps read. A strip's x taps read
     table rows p0 + 1 .., which already hold the column sums forward runs
     down its strips, and in the last strip the rows of the bottom margin
-    too. out is (H, table width); output row i goes to its row i, columns
-    0..W.
+    too; each term's go into its xt rows below row 0. out is (H, table
+    width); output row i goes to its row i, columns 0..W.
+
+    table, xt and out are of one width, so an x tap, (dx, weight) in
+    order, is one flat run of entries from the strip's first row at column
+    left + dx to its last row's column W, which also covers the columns
+    past W of every row but the last: one contiguous pass. Its entries past
+    W reach only out's columns past W, which the caller drops.
     """
     hp, wp = table.shape
     left, right, top, bottom = low.margins
     h, w = hp - top - 1 - bottom, wp - left - 1 - right
     xt = np.zeros((len(low.terms[c]), 1 + rows + bottom, wp))
+    flat = table.reshape(-1)
     out[...] = 0.0
     for p0 in range(0, h, rows):
         m = min(rows, h - p0)
         last = p0 + m == h
+        size, start = (m + bottom * last - 1) * wp + w, (top + 1 + p0) * wp + left
         for t, (xs, _) in enumerate(low.terms[c]):
-            _x_pass(xs, table, top + 1 + p0, xt[t], 1, m + bottom * last, left, w)
+            u = xt[t].reshape(-1)[wp : wp + size]
+            (dx, wt), *rest = xs
+            np.multiply(flat[start + dx : start + dx + size], wt, out=u)
+            for dx, wt in rest:
+                u += wt * flat[start + dx : start + dx + size]
         _y_pass(low.y_taps[c], xt, out, p0, m, h, last, w)
 
 

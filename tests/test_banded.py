@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satconv.banded
 import satconv.layer
 from satconv.boxes import SPLIT_EDGES, BoxParams, BoxVariant, init_params
 from satconv.dense import conv2d
@@ -154,6 +155,40 @@ def test_banded_route_names_non_finite_channel(rng, monkeypatch):
         layer.forward(x)
     x[1] *= 1e-300
     assert np.isfinite(layer.forward(x)[0]).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int16])
+def test_maps_of_other_dtypes_run_as_float64(route, rng, dtype):
+    """A float32 or integer input and cotangent give float64 results equal
+    to those of the same values as float64, on both routes."""
+    layer = BoxConvLayer([_box(rng, 9, BoxVariant.SPLIT_4, kind) for kind in ("init", "wide")])
+    for shape in ((2, 7, 6), (2, 2, 7, 6)):
+        x = rng.integers(-9, 10, size=shape).astype(dtype)
+        g = rng.integers(-9, 10, size=shape).astype(dtype)
+        got = _run(layer, x, g)
+        want = _run(layer, x.astype(np.float64), g.astype(np.float64))
+        for a, b in zip(got, want):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def test_bands_are_built_in_one_step(monkeypatch):
+    """A forward on a new plan and plane size builds every banded matrix,
+    B_g and P_g along the width and Y_g along the height; the backward that
+    follows builds none, and another plane size one more set."""
+    sides = []  # the side of each Toeplitz matrix built
+    toeplitz = satconv.banded._toeplitz
+    monkeypatch.setattr(satconv.banded, "_toeplitz",
+                        lambda p, n: sides.append(n) or toeplitz(p, n))
+    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", ROUTES["banded"])
+    rng = np.random.default_rng(3)
+    layer = BoxConvLayer([_box(rng, 9, BoxVariant.SPLIT_4, "init")])
+    y, saved = layer.forward(rng.normal(size=(1, 7, 6)))
+    assert sorted(sides) == [6, 6, 7]
+    layer.backward(saved, y)
+    assert sorted(sides) == [6, 6, 7]
+    y, saved = layer.forward(rng.normal(size=(1, 5, 8)))
+    layer.backward(saved, y)
+    assert sorted(sides[3:]) == [5, 8, 8]
 
 
 @pytest.mark.parametrize("seed", [0, 33])

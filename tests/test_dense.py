@@ -48,6 +48,19 @@ def test_conv2d_dilated_grads(rng):
     assert abs(float(np.sum(gin * v)) - float(np.sum(g * conv2d(v, k, dilation=2)))) < 1e-9
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int16])
+def test_passes_of_other_dtypes_run_as_float64(rng, dtype):
+    """A float32 or integer plane, kernel and cotangent give float64 results
+    equal to those of the same values as float64, in all three passes."""
+    x, g = (rng.integers(-9, 10, size=(2, 3, 9, 7)).astype(dtype) for _ in range(2))
+    k = rng.integers(-3, 4, size=(3, 4, 4)).astype(dtype)
+    for f in (lambda x, k, g: conv2d(x, k, dilation=2),
+              lambda x, k, g: conv2d_input_grad(k, g, dilation=2),
+              lambda x, k, g: conv2d_kernel_grad(x, g, k.shape[-2:], dilation=2)):
+        got, want = f(x, k, g), f(*(a.astype(np.float64) for a in (x, k, g)))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 # What each case runs: "matmul" is dense.py's banded matrix products,
 # "strips" the same products one output row per strip, as on planes whose
 # rows matrix passes STRIP_BYTES, and "taps" the benchmark's O(k^2)

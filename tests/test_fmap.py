@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,12 +136,46 @@ def test_split_bounds(rng):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_feature_map_file_roundtrip(tmp_path, rng, dtype):
+    """A map is saved as float64 and reads back as float64, whichever dtype
+    it was given in."""
     x = rng.normal(size=(3, 5, 4)).astype(dtype)
     path = tmp_path / "x.fm"
     save_feature_map(path, x)
     back = load_feature_map(path)
-    assert back.dtype == dtype
+    assert back.dtype == np.float64
     assert np.array_equal(back, x)
+
+
+def test_float32_file_loads_as_float64(tmp_path):
+    """A file of tag 1, float32 scalars, written by hand."""
+    x = np.array([0.5, -1.25, 3.0, 1e-3, 7.0, -2.0], dtype="<f4").reshape(2, 1, 3)
+    path = tmp_path / "x32.fm"
+    path.write_bytes(b"SATFM1" + struct.pack("<IIIB", 2, 1, 3, 1) + x.tobytes())
+    back = load_feature_map(path)
+    assert back.dtype == np.float64 and back.shape == (2, 1, 3)
+    assert np.array_equal(back, x.astype(np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int32, np.uint8, np.bool_])
+def test_maps_of_other_dtypes_come_out_float64(rng, dtype):
+    """as_feature_map makes every map float64, so pointwise_conv and the
+    channel ops return float64 maps equal to those of the float64 input."""
+    x = rng.integers(0, 2 if dtype is np.bool_ else 100, size=(2, 4, 3, 5)).astype(dtype)
+    x64 = x.astype(np.float64)
+    m, b = rng.normal(size=(3, 4)), rng.normal(size=3)
+    assert as_feature_map(x).dtype == np.float64
+    for op in (lambda v: pointwise_conv(v, m, b), lambda v: channel_shuffle(v, 2),
+               lambda v: channel_split(v, 1), lambda v: channel_concat(v, v)):
+        got, want = op(x), op(x64)
+        for a, w in zip(got, want) if isinstance(got, tuple) else ((got, want),):
+            assert a.dtype == np.float64 and a.tobytes() == w.tobytes()
+
+
+def test_as_feature_map_rejects_complex_maps():
+    """Converting would drop the imaginary part; the dtype is named instead."""
+    for dtype in (np.complex64, np.complex128):
+        with pytest.raises(TypeError, match="complex"):
+            as_feature_map(np.ones((1, 2, 2), dtype=dtype))
 
 
 def test_feature_map_file_rejects_garbage(tmp_path):

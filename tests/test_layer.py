@@ -516,9 +516,7 @@ def _jacobian(layer, shape):
     return np.stack(cols, axis=1)
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3])
-@pytest.mark.parametrize("variant", list(BoxVariant))
-def test_grad_input_is_exact_transposed_jacobian(rng, variant, stride):
+def _check_transposed_jacobian(rng, variant, stride):
     """grad_input equals J^T g, with J assembled from forward on basis planes:
     boxes with every edge on the window border, a k=41 box wider than the
     plane whose reads all fall in the replicated margins, and boxes from
@@ -540,3 +538,18 @@ def test_grad_input_is_exact_transposed_jacobian(rng, variant, stride):
             got = layer.backward(saved, g).grad_input.ravel()
             want = jac.T @ g.ravel()
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (boxes, shape)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_grad_input_is_exact_transposed_jacobian(rng, variant, stride):
+    """On the banded route, which planes of 3-9 px take."""
+    _check_transposed_jacobian(rng, variant, stride)
+
+
+@pytest.mark.parametrize("variant", list(BoxVariant))
+def test_table_grad_input_is_exact_transposed_jacobian(rng, variant, monkeypatch):
+    """The same boxes and planes forced to the table engine: its input
+    gradient equals J^T g of its own forward, not only the banded route's."""
+    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)
+    _check_transposed_jacobian(rng, variant, 1)
