@@ -39,9 +39,17 @@ def as_feature_map(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
-def pointwise_conv(x, matrix, bias) -> np.ndarray:
+def pointwise_conv(x, matrix, bias):
     """Per-pixel linear map across channels: the (out_channels, in_channels)
-    matrix times each pixel's channel vector, plus the (out_channels,) bias."""
+    matrix times each pixel's channel vector, plus the (out_channels,) bias.
+
+    Returns the output map and its pixels, ([samples,] channels + 1,
+    height * width): x's channels and a row of ones, which carries the
+    bias. The output is one np.matmul per sample, [matrix | bias] times the
+    pixels. The ones row keeps the product's inner dimension at 2 or more,
+    where matmul calls BLAS; over one channel NumPy runs an outer-product
+    loop of its own, several times slower. The matrix and bias gradients
+    read nothing else (nets.Pointwise)."""
     x = as_feature_map(x)
     m = np.asarray(matrix, dtype=np.float64)
     b = np.asarray(bias, dtype=np.float64)
@@ -51,11 +59,20 @@ def pointwise_conv(x, matrix, bias) -> np.ndarray:
         raise DimensionError(f"bias shape {b.shape} does not match {m.shape[0]} output channels")
     if x.shape[-3] != m.shape[1]:
         raise DimensionError(f"input has {x.shape[-3]} channels, matrix expects {m.shape[1]}")
-    return np.einsum("oc,...chw->...ohw", m, x) + b[:, None, None]
+    *lead, c, h, w = x.shape
+    pixels = np.empty((*lead, c + 1, h * w))
+    pixels[..., :c, :] = x.reshape(*lead, c, h * w)
+    pixels[..., c, :] = 1.0
+    y = np.matmul(np.concatenate((m, b[:, None]), axis=1), pixels)
+    return y.reshape(*lead, m.shape[0], h, w), pixels
 
 
 def channel_shuffle(x, groups: int) -> np.ndarray:
-    """Interleave channel groups: position (g, i) moves to (i, g)."""
+    """Interleave channel groups: position (g, i) moves to (i, g).
+
+    The shuffle blocks in nets interleave their two halves directly; this,
+    channel_split and channel_concat are the reference they are tested
+    against."""
     x = as_feature_map(x)
     *lead, c, h, w = x.shape
     if groups < 1 or c % groups != 0:
@@ -110,5 +127,6 @@ def load_feature_map(path) -> np.ndarray:
     expected = c * h * w * dt.itemsize
     if len(raw) - start != expected:
         raise ValueError(f"{path}: payload is {len(raw) - start} bytes, expected {expected}")
-    data = np.frombuffer(raw, dtype=dt, offset=start).reshape(c, h, w)
-    return as_feature_map(data)
+    # astype copies: a view of the file's bytes would be read-only
+    data = np.frombuffer(raw, dtype=dt, offset=start).astype(np.float64)
+    return as_feature_map(data.reshape(c, h, w))

@@ -10,10 +10,15 @@ returns each parameter's per-sample gradients summed in sample order, so
 the sum equals that of N unbatched passes bit for bit. A ctx serves one
 backward pass: Sequential releases each child's ctx as soon as it is used,
 so activations are freed while the pass runs.
-Parameter arrays are updated in place by the optimizer; modules that cache
-derived state refresh it in post_step(): a box layer projects its box
-arrays into their feasible set and recompiles its tap plan, one call each
-for the whole layer.
+The shuffle blocks interleave their two halves with one strided write per
+direction (fmap's split, concat and shuffle are their tested reference),
+and Pointwise's forward and its matrix and bias gradients are one
+np.matmul each, on (N, C + 1, H*W) pixels with a row of ones.
+Parameter arrays are updated in place by the optimizer, Adam, which keeps
+its moments in one flat buffer each and updates every value in one pass;
+modules that cache derived state refresh it in post_step(): a box layer
+projects its box arrays into their feasible set and recompiles its tap
+plan, one call each for the whole layer.
 """
 
 from __future__ import annotations
@@ -22,8 +27,11 @@ import numpy as np
 
 from .boxes import TRAINED, BoxVariant, init_params, project_params
 from .dense import conv2d, conv2d_input_grad, conv2d_kernel_grad
+# The blocks no longer call channel_split, channel_concat or channel_shuffle;
+# they stay importable here, where the benchmark's tracer looks them up.
 from .fmap import (
     DimensionError,
+    as_feature_map,
     channel_concat,
     channel_shuffle,
     channel_split,
@@ -33,13 +41,14 @@ from .layer import BoxConvLayer
 
 
 def sum_samples(grad, batched: bool):
-    """Per-sample gradients (N, ...) summed left to right, or grad as it is."""
+    """Per-sample gradients (N, ...) summed left to right, or grad as it is.
+
+    Accumulation adds the rows strictly in order. grad.sum(axis=0) does too,
+    except on rows of one value (a one-channel bias): from 8 samples on,
+    NumPy sums those pairwise."""
     if not batched:
         return grad
-    total = grad[0].copy()
-    for g in grad[1:]:
-        total += g
-    return total
+    return np.add.accumulate(grad)[-1]
 
 
 def prefixed(name: str, grads: dict) -> dict:
@@ -78,19 +87,21 @@ class Pointwise(Module):
         return p
 
     def forward(self, x):
-        y = pointwise_conv(x, self.matrix, self.bias)
-        return y, x
+        return pointwise_conv(x, self.matrix, self.bias)  # ctx: the pixels, a ones row appended
 
-    def backward(self, ctx, g):
-        x = ctx
-        batched = x.ndim == 4
-        # same sums as einsum("oc,...ohw->...chw", matrix, g); the contiguous
-        # transpose lets einsum run them about 2.5x faster
-        gx = np.einsum("co,...ohw->...chw", np.ascontiguousarray(self.matrix.T), g)
-        grads = {"matrix": sum_samples(np.einsum("...ohw,...chw->...oc", g, x), batched)}
+    def backward(self, pixels, g):
+        c = self.matrix.shape[1]
+        g3 = g.reshape(*g.shape[:-2], -1)  # (..., O, H*W)
+        # The input gradient stays an einsum: over one output channel (the
+        # one-channel head) np.matmul runs NumPy's own outer-product loop,
+        # about 3x slower. The contiguous transpose speeds einsum up 2.5x.
+        gx = np.einsum("co,...op->...cp", np.ascontiguousarray(self.matrix.T), g3)
+        # one product gives [matrix | bias] gradients: the ones row sums g
+        affine = sum_samples(np.matmul(g3, np.swapaxes(pixels, -1, -2)), g.ndim == 4)
+        grads = {"matrix": affine[:, :c]}
         if self.use_bias:
-            grads["bias"] = sum_samples(g.sum(axis=(-2, -1)), batched)
-        return gx, grads
+            grads["bias"] = affine[:, c]
+        return gx.reshape(*g.shape[:-3], c, *g.shape[-2:]), grads
 
 
 class Relu(Module):
@@ -200,19 +211,26 @@ class ShuffleHalfBlock(Module):
         self.children = (("inner", inner),)
 
     def forward(self, x):
+        x = as_feature_map(x)
+        if x.shape[-3] != self.channels:
+            raise DimensionError(f"block expects {self.channels} channels, got {x.shape[-3]}")
         half = self.channels // 2
-        keep, work = channel_split(x, half)
+        work = np.ascontiguousarray(x[..., half:, :, :])
         y, ictx = self.inner.forward(work)
         if y.shape != work.shape:
             raise DimensionError("inner transform must preserve its half's shape")
-        out = channel_shuffle(channel_concat(keep, y), 2)
+        out = np.empty(x.shape)
+        out[..., 0::2, :, :] = x[..., :half, :, :]
+        out[..., 1::2, :, :] = y
         return out, ictx
 
     def backward(self, ictx, g):
         half = self.channels // 2
-        g_keep, g_work = channel_split(channel_shuffle(g, half), half)  # un-interleave
-        g_work, inner_grads = self.inner.backward(ictx, g_work)
-        return channel_concat(g_keep, g_work), prefixed("inner", inner_grads)
+        g_work, inner_grads = self.inner.backward(ictx, np.ascontiguousarray(g[..., 1::2, :, :]))
+        gx = np.empty(g.shape)
+        gx[..., :half, :, :] = g[..., 0::2, :, :]
+        gx[..., half:, :, :] = g_work
+        return gx, prefixed("inner", inner_grads)
 
 
 class ChannelChangeBlock(Module):
@@ -231,18 +249,29 @@ class ChannelChangeBlock(Module):
     def forward(self, x):
         a, actx = self.inner.forward(x)
         b, bctx = self.proj.forward(x)
-        return channel_shuffle(channel_concat(a, b), 2), (actx, bctx, a.shape[-3])
+        if a.shape != b.shape:
+            raise DimensionError(f"transform branch gave {a.shape}, projection {b.shape}")
+        out = np.empty((*a.shape[:-3], 2 * a.shape[-3], *a.shape[-2:]))
+        out[..., 0::2, :, :] = a
+        out[..., 1::2, :, :] = b
+        return out, (actx, bctx)
 
     def backward(self, ctx, g):
-        actx, bctx, half = ctx
-        ga, gb = channel_split(channel_shuffle(g, g.shape[-3] // 2), half)
-        ga, inner_grads = self.inner.backward(actx, ga)
-        gb, proj_grads = self.proj.backward(bctx, gb)
+        actx, bctx = ctx
+        ga, inner_grads = self.inner.backward(actx, np.ascontiguousarray(g[..., 0::2, :, :]))
+        gb, proj_grads = self.proj.backward(bctx, np.ascontiguousarray(g[..., 1::2, :, :]))
         return ga + gb, {**prefixed("inner", inner_grads), **prefixed("proj", proj_grads)}
 
 
 class Adam:
-    """Bias-corrected Adam updating parameter arrays in place."""
+    """Bias-corrected Adam updating parameter arrays in place.
+
+    The moments m and v are flat buffers, in which each parameter owns one
+    slice (self.slices, in the order of self.params). A step checks every
+    gradient and copies it into one flat buffer, updates all values at
+    once, then subtracts each parameter's slice of the update in place.
+    A step that raises has changed nothing.
+    """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -250,19 +279,27 @@ class Adam:
         self.params = dict(params)
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.slices = []
+        size = 0
+        for p in self.params.values():
+            self.slices.append(slice(size, size + p.size))
+            size += p.size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self, grads: dict) -> None:
+        g = np.empty(self.m.size)
+        for (key, p), part in zip(self.params.items(), self.slices):
+            grad = grads[key]
+            if grad.shape != p.shape:
+                raise DimensionError(f"gradient shape {grad.shape} != param {p.shape} for {key}")
+            g[part] = grad.reshape(-1)
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for key, p in self.params.items():
-            g = grads[key]
-            if g.shape != p.shape:
-                raise DimensionError(f"gradient shape {g.shape} != param {p.shape} for {key}")
-            m = self.m[key]
-            v = self.v[key]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v = self.m, self.v
+        m += (1.0 - self.beta1) * (g - m)
+        v += (1.0 - self.beta2) * (g * g - v)
+        update = self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        for p, part in zip(self.params.values(), self.slices):
+            p -= update[part].reshape(p.shape)

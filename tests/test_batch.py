@@ -111,6 +111,20 @@ def test_module_batch_equals_samples(rng, name):
         assert np.array_equal(value, _sample_sum([gs[key] for gs in per_sample])), key
 
 
+def test_one_value_gradients_sum_in_sample_order(rng):
+    """A one-channel head's bias gradient has one value per sample. From 8
+    samples on, NumPy's sum over the sample axis adds such rows pairwise;
+    the batch must still equal its samples summed in order."""
+    module = Pointwise(rng, 4, 1)
+    x = rng.normal(size=(9, 4, 6, 5))
+    y, ctx = module.forward(x)
+    g = rng.normal(size=y.shape) * 10.0 ** rng.integers(-3, 3, size=(9, 1, 1, 1))
+    _, grads = module.backward(ctx, g)
+    per_sample = [module.backward(module.forward(x[n])[1], g[n])[1] for n in range(9)]
+    for key, value in grads.items():
+        assert np.array_equal(value, _sample_sum([gs[key] for gs in per_sample])), key
+
+
 def test_keypoint_net_batched_step_equals_sample_loop():
     cfg = TrainConfig(task="keypoints", image_size=16, channels=4,
                       blocks=("dense3", "box5", "box7"), batch=3)

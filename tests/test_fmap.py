@@ -26,12 +26,12 @@ def test_as_feature_map_rejects_bad_shapes():
 
 def test_pointwise_identity(rng):
     x = rng.normal(size=(3, 5, 4))
-    assert np.array_equal(pointwise_conv(x, np.eye(3), np.zeros(3)), x)
+    assert np.array_equal(pointwise_conv(x, np.eye(3), np.zeros(3))[0], x)
 
 
 def test_pointwise_sums_constant_channels():
     x = np.stack([np.full((4, 4), 2.5), np.full((4, 4), -1.0)])
-    out = pointwise_conv(x, [[1.0, 1.0]], [0.0])
+    out, _ = pointwise_conv(x, [[1.0, 1.0]], [0.0])
     assert out.shape == (1, 4, 4)
     assert np.allclose(out, 1.5)
 
@@ -40,7 +40,7 @@ def test_pointwise_matches_per_pixel_matvec(rng):
     x = rng.normal(size=(3, 4, 4))
     m = rng.normal(size=(2, 3))
     b = rng.normal(size=2)
-    out = pointwise_conv(x, m, b)
+    out, _ = pointwise_conv(x, m, b)
     for o in range(2):
         for y in range(4):
             for xx in range(4):
@@ -71,8 +71,8 @@ def test_pointwise_linearity(rng):
     x = rng.normal(size=(4, 6, 5))
     y = rng.normal(size=(4, 6, 5))
     a, b = 0.7, -1.3
-    lhs = pointwise_conv(a * x + b * y, m, np.zeros(3))
-    rhs = a * pointwise_conv(x, m, np.zeros(3)) + b * pointwise_conv(y, m, np.zeros(3))
+    lhs, _ = pointwise_conv(a * x + b * y, m, np.zeros(3))
+    rhs = a * pointwise_conv(x, m, np.zeros(3))[0] + b * pointwise_conv(y, m, np.zeros(3))[0]
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -154,6 +154,18 @@ def test_float32_file_loads_as_float64(tmp_path):
     back = load_feature_map(path)
     assert back.dtype == np.float64 and back.shape == (2, 1, 3)
     assert np.array_equal(back, x.astype(np.float64))
+
+
+@pytest.mark.parametrize("tag,dtype", [(0, "<f8"), (1, "<f4")])
+def test_loaded_maps_are_writable(tmp_path, tag, dtype):
+    """Both tags load as an array of its own, not a read-only view of the file."""
+    path = tmp_path / "x.fm"
+    path.write_bytes(b"SATFM1" + struct.pack("<IIIB", 1, 2, 2, tag)
+                     + np.ones(4, dtype=dtype).tobytes())
+    back = load_feature_map(path)
+    assert back.flags.writeable
+    back[0, 1, 1] = 5.0
+    assert back.sum() == 8.0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int32, np.uint8, np.bool_])

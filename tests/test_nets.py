@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from satconv.boxes import BoxVariant, FeasibilityError
-from satconv.fmap import DimensionError, channel_shuffle
+from satconv.fmap import DimensionError, channel_concat, channel_shuffle, channel_split
 from satconv.nets import (
     Adam,
     BoxDepthwise,
@@ -67,6 +67,53 @@ def test_adam_shape_mismatch():
         opt.step({"p": np.zeros(2)})
 
 
+@pytest.mark.parametrize("bad_grads", [
+    {"a": np.ones(2), "b": np.ones(2)},  # b's gradient has a's shape
+    {"a": np.ones(2)},  # b's gradient is missing
+], ids=["wrong_shape", "missing_key"])
+def test_adam_failed_step_changes_nothing(bad_grads):
+    """Every gradient is checked before any value moves, so parameters that
+    come before the bad gradient are left as they were, and so are the
+    moments and the step count."""
+    a, b = np.ones(2), np.ones(3)
+    opt = Adam({"a": a, "b": b}, lr=0.1)
+    with pytest.raises((DimensionError, KeyError)):
+        opt.step(bad_grads)
+    assert np.array_equal(a, np.ones(2)) and np.array_equal(b, np.ones(3))
+    assert not opt.m.any() and not opt.v.any() and opt.t == 0
+    opt.step({"a": np.ones(2), "b": np.ones(3)})  # a good step still runs as a first step
+    assert opt.t == 1 and np.allclose(a, 0.9) and np.allclose(b, 0.9)
+
+
+def test_adam_flat_moments_match_per_array_recurrence(rng):
+    """The flat update is bit-equal to the same recurrence run array by array."""
+    shapes = {"w": (3, 4), "b": (4,), "s": (1,), "none": (4, 0), "k": (2, 3, 3)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+    ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = Adam(params, lr=0.01)
+    for t in range(1, 8):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-3, 3) for k, s in shapes.items()}
+        opt.step(grads)
+        b1t, b2t = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for k in shapes:
+            g, m, v = grads[k], ref_m[k], ref_v[k]
+            m += (1.0 - 0.9) * (g - m)
+            v += (1.0 - 0.999) * (g * g - v)
+            ref[k] -= 0.01 * (m / b1t) / (np.sqrt(v / b2t) + 1e-8)
+        for k in shapes:
+            assert params[k].tobytes() == ref[k].tobytes(), k
+    assert opt.m.tobytes() == np.concatenate([ref_m[k].ravel() for k in shapes]).tobytes()
+    assert opt.v.tobytes() == np.concatenate([ref_v[k].ravel() for k in shapes]).tobytes()
+
+
+def test_adam_without_parameters_steps_without_error():
+    opt = Adam({})
+    opt.step({})
+    assert opt.params == {} and opt.m.size == 0
+
+
 def layer_fd_check(rng, module, x, n_probes=4, h=1e-6):
     y, ctx = module.forward(x)
     g = rng.normal(size=y.shape)
@@ -100,6 +147,34 @@ def layer_fd_check(rng, module, x, n_probes=4, h=1e-6):
 
 def test_pointwise_backward(rng):
     layer_fd_check(rng, Pointwise(rng, 3, 2), rng.normal(size=(3, 5, 4)))
+
+
+@pytest.mark.parametrize("in_ch,out_ch", [(1, 4), (4, 4), (8, 1)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_pointwise_matches_einsum_reference(rng, in_ch, out_ch, bias):
+    """Forward, input gradient and parameter gradients against np.einsum, at
+    the keypoint net's shapes: within 1e-13 of the sum of the absolute
+    terms that each value adds up."""
+    layer = Pointwise(rng, in_ch, out_ch, bias=bias)
+    layer.bias[:] = rng.normal(size=out_ch) if bias else 0.0
+    x = rng.normal(size=(4, in_ch, 32, 32))
+    y, ctx = layer.forward(x)
+    g = rng.normal(size=y.shape)
+    gx, grads = layer.backward(ctx, g)
+    m, b = layer.matrix, layer.bias
+
+    def close(got, spec, lhs, rhs, extra=0.0):
+        want = np.einsum(spec, lhs, rhs) + extra
+        scale = np.einsum(spec, np.abs(lhs), np.abs(rhs)) + np.abs(extra)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), spec
+
+    close(y, "oc,nchw->nohw", m, x, b[:, None, None])
+    close(gx, "oc,nohw->nchw", m, g)
+    close(grads["matrix"], "nohw,nchw->oc", g, x)
+    assert list(grads) == (["matrix", "bias"] if bias else ["matrix"])
+    if bias:
+        close(grads["bias"], "nohw,nohw->o", g, np.ones_like(g))
 
 
 def test_dense_depthwise_backward(rng):
@@ -152,6 +227,66 @@ def test_half_block_with_identity_inner_is_permutation(rng):
     x = np.abs(rng.normal(size=(c, 4, 4)))
     y, _ = block.forward(x)
     assert np.max(np.abs(y - channel_shuffle(x, 2))) < 1e-12
+
+
+def _block_inner(rng, in_ch, out_ch):
+    box = BoxDepthwise(rng, in_ch, 9, BoxVariant.SPLIT_4)
+    box.weight[:] = rng.uniform(0.5, 1.5, size=box.weight.shape)
+    box.post_step()
+    return Sequential([("dw", box), ("pw", Pointwise(rng, in_ch, out_ch)), ("act", Relu())])
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_half_block_equals_split_concat_shuffle(rng, lead):
+    """The block's interleave is byte-equal to fmap's split, concat and
+    shuffle, forward and backward, batched or not, on odd H and W."""
+    inner = _block_inner(rng, 3, 3)
+    block = ShuffleHalfBlock(6, inner)
+    x = rng.normal(size=(*lead, 6, 7, 5))
+    out, ictx = block.forward(x)
+    keep, work = channel_split(x, 3)
+    y, ref_ctx = inner.forward(work)
+    assert out.tobytes() == channel_shuffle(channel_concat(keep, y), 2).tobytes()
+
+    g = rng.normal(size=out.shape)
+    gx, grads = block.backward(ictx, g)
+    g_keep, g_work = channel_split(channel_shuffle(g, 3), 3)
+    g_work, ref_grads = inner.backward(ref_ctx, g_work)
+    assert gx.tobytes() == channel_concat(g_keep, g_work).tobytes()
+    assert list(grads) == [f"inner.{k}" for k in ref_grads]
+    for key, value in ref_grads.items():
+        assert grads[f"inner.{key}"].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("in_ch", [1, 2])
+def test_channel_change_block_equals_concat_shuffle_split(rng, lead, in_ch):
+    block = ChannelChangeBlock(rng, in_ch, 6, _block_inner(rng, in_ch, 3))
+    x = rng.normal(size=(*lead, in_ch, 7, 5))
+    out, ctx = block.forward(x)
+    a, actx = block.inner.forward(x)
+    b, bctx = block.proj.forward(x)
+    assert out.tobytes() == channel_shuffle(channel_concat(a, b), 2).tobytes()
+
+    g = rng.normal(size=out.shape)
+    gx, grads = block.backward(ctx, g)
+    ga, gb = channel_split(channel_shuffle(g, 3), 3)
+    ga, inner_grads = block.inner.backward(actx, ga)
+    gb, proj_grads = block.proj.backward(bctx, gb)
+    assert gx.tobytes() == (ga + gb).tobytes()
+    ref_grads = {**{f"inner.{k}": v for k, v in inner_grads.items()},
+                 **{f"proj.{k}": v for k, v in proj_grads.items()}}
+    assert list(grads) == list(ref_grads)
+    for key, value in ref_grads.items():
+        assert grads[key].tobytes() == value.tobytes(), key
+
+
+def test_blocks_reject_a_wrong_channel_count(rng):
+    with pytest.raises(DimensionError, match="expects 6 channels"):
+        ShuffleHalfBlock(6, _block_inner(rng, 3, 3)).forward(rng.normal(size=(4, 5, 5)))
+    block = ChannelChangeBlock(rng, 2, 6, _block_inner(rng, 2, 2))
+    with pytest.raises(DimensionError, match="projection"):
+        block.forward(rng.normal(size=(2, 5, 5)))
 
 
 def test_broadcast(rng):
