@@ -204,7 +204,7 @@ class BoxConvLayer:
 
     def backward(self, saved: BoxConvSaved, grad_output) -> LayerGradients:
         x, plan = saved.x, saved.plan
-        g = np.asarray(grad_output, dtype=np.float64)
+        g = as_feature_map(grad_output)
         if g.shape != x.shape:
             raise DimensionError(f"grad_output shape {g.shape} != forward output {x.shape}")
         xb, gb = x.reshape((-1,) + x.shape[-3:]), g.reshape((-1,) + g.shape[-3:])

@@ -1,17 +1,18 @@
 """Toy training tasks: dense-kernel approximation and synthetic keypoints.
 
-Both tasks run the same loop: Adam on every parameter, box parameters
-re-projected into their feasible set after each step, a single 10x
-learning-rate drop at 75% of the step budget. Checkpoints are a plain-text
-box file plus one binary feature-map file per dense parameter; the log is
-CSV with columns step, loss, accuracy (for the kernel task the accuracy
-column carries the current relative kernel error).
+Both tasks run one loop, `_fit`: per step, forward, `mse_loss` and backward
+over a drawn batch, one Adam step on every parameter, and `post_step`,
+which re-projects the box parameters into their feasible set; the learning
+rate drops 10x once, at 75% of the steps. Checkpoints are a plain-text box
+file plus one binary feature-map file per dense parameter; the log is CSV
+with columns step, loss, accuracy (for the kernel task the accuracy column
+carries the current relative kernel error).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,10 +63,12 @@ class TrainConfig:
     log_sigma: float = 1.4
 
 
-_INT_KEYS = {"seed", "steps", "image_size", "channels", "batch", "eval_every",
-             "eval_samples", "final_eval_samples", "k", "n_boxes"}
-_FLOAT_KEYS = {"lr", "sigma", "noise", "log_sigma"}
-_STR_KEYS = {"task", "out", "target"}
+_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+# Every other key is read as the type of its default.
+_PARSERS = {
+    "blocks": lambda value: tuple(t.strip() for t in value.split(",") if t.strip()),
+    "target_box": lambda value: tuple(int(v) for v in value.split()),
+}
 
 
 def parse_config(path) -> TrainConfig:
@@ -79,21 +82,11 @@ def parse_config(path) -> TrainConfig:
             if len(parts) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected 'key value', got {raw.strip()!r}")
             key, value = parts
+            if key not in _DEFAULTS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            parse = _PARSERS.get(key, type(_DEFAULTS[key]))
             try:
-                if key in _INT_KEYS:
-                    setattr(cfg, key, int(value))
-                elif key in _FLOAT_KEYS:
-                    setattr(cfg, key, float(value))
-                elif key in _STR_KEYS:
-                    setattr(cfg, key, value.strip())
-                elif key == "blocks":
-                    cfg.blocks = tuple(t.strip() for t in value.split(",") if t.strip())
-                elif key == "target_box":
-                    cfg.target_box = tuple(int(v) for v in value.split())
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            except ConfigError:
-                raise
+                setattr(cfg, key, parse(value))
             except ValueError as e:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {e}") from e
     validate_config(cfg, path)
@@ -112,12 +105,11 @@ def _block_kind(token: str, path="config"):
 def validate_config(cfg: TrainConfig, path="config") -> None:
     if cfg.task not in ("keypoints", "kernel_approx"):
         raise ConfigError(f"{path}: task must be 'keypoints' or 'kernel_approx', got {cfg.task!r}")
-    if cfg.steps < 0:
-        raise ConfigError(f"{path}: steps must be >= 0")
-    if cfg.seed < 0:
-        raise ConfigError(f"{path}: seed must be >= 0, got {cfg.seed}")
-    for key in sorted(_FLOAT_KEYS):
-        if not np.isfinite(getattr(cfg, key)):
+    for key in ("steps", "seed"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{path}: {key} must be >= 0, got {getattr(cfg, key)}")
+    for key, default in _DEFAULTS.items():
+        if isinstance(default, float) and not np.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{path}: {key} must be finite, got {getattr(cfg, key)}")
     for key in ("lr", "sigma", "log_sigma"):
         if getattr(cfg, key) <= 0:
@@ -128,6 +120,9 @@ def validate_config(cfg: TrainConfig, path="config") -> None:
         for key in ("batch", "eval_every", "eval_samples", "final_eval_samples"):
             if getattr(cfg, key) < 1:
                 raise ConfigError(f"{path}: {key} must be >= 1, got {getattr(cfg, key)}")
+        if cfg.eval_samples > cfg.final_eval_samples:
+            raise ConfigError(f"{path}: eval_samples ({cfg.eval_samples}) must be <= "
+                              f"final_eval_samples ({cfg.final_eval_samples})")
         if cfg.image_size < 2 * BLOB_MARGIN + 1:
             raise ConfigError(f"{path}: image_size must be >= {2 * BLOB_MARGIN + 1} to hold a "
                               f"blob {BLOB_MARGIN} px from each edge, got {cfg.image_size}")
@@ -209,6 +204,28 @@ def kernel_rel_error(layer, mix_weights, target: np.ndarray) -> float:
     return float(np.linalg.norm(got - target) / max(np.linalg.norm(target), 1e-12))
 
 
+# ---------------------------------------------------------------------------
+# the training loop
+
+
+def _fit(model, steps: int, lr: float, draw):
+    """Take steps Adam steps on the (x, target) batches draw() returns and
+    yield (step, loss) after each post_step. The loss is the batch's mean
+    squared error, so its gradient carries the batch mean's 1/N."""
+    adam = Adam(model.params(), lr=lr)
+    drop_at = max(1, int(0.75 * steps))
+    for step in range(1, steps + 1):
+        x, target = draw()
+        pred, ctx = model.forward(x)
+        loss, gpred = mse_loss(pred, target)
+        _, grads = model.backward(ctx, gpred)
+        if step == drop_at:
+            adam.lr *= 0.1
+        adam.step(grads)
+        model.post_step()
+        yield step, loss
+
+
 @dataclass
 class KernelApproxResult:
     boxes: list
@@ -246,22 +263,14 @@ def train_kernel_approx(target: np.ndarray, n_boxes: int, steps: int, seed: int,
     def current_error():
         return kernel_rel_error(box_layer.conv, mix.matrix[0], target)
 
-    initial_error = current_error()
-    adam = Adam(model.params(), lr=lr)
     data_rng = np.random.default_rng(seed + 1)
-    rows = []
-    drop_at = max(1, int(0.75 * steps))
-    for step in range(1, steps + 1):
+
+    def draw():
         x = data_rng.normal(size=(1, image_size, image_size))
-        want = conv2d(x[0], target)[None]
-        pred, ctx = model.forward(x)
-        loss, gpred = mse_loss(pred, want)
-        _, grads = model.backward(ctx, gpred)
-        if step == drop_at:
-            adam.lr *= 0.1
-        adam.step(grads)
-        model.post_step()
-        rows.append((step, loss, current_error()))
+        return x, conv2d(x[0], target)[None]
+
+    initial_error = current_error()
+    rows = [(step, loss, current_error()) for step, loss in _fit(model, steps, lr, draw)]
     return KernelApproxResult(
         boxes=box_layer.conv.boxes,
         mix_weights=mix.matrix[0].copy(),
@@ -354,34 +363,23 @@ def train_toy_keypoints(cfg: TrainConfig, check_invariants: bool = False) -> Key
     eval_rng = np.random.default_rng(cfg.seed + 2)
     held_out = [synth_keypoint_sample(eval_rng, cfg.image_size, cfg.noise)
                 for _ in range(cfg.final_eval_samples)]
+    shape = (cfg.image_size, cfg.image_size)
 
-    adam = Adam(model.params(), lr=cfg.lr)
+    def draw():
+        samples = [synth_keypoint_sample(data_rng, cfg.image_size, cfg.noise)
+                   for _ in range(cfg.batch)]
+        return (np.stack([x for x, _ in samples]),
+                np.stack([gaussian_target(peak, shape, cfg.sigma)[None] for _, peak in samples]))
+
     violations = 0
     acc = evaluate_keypoints(model, held_out[: cfg.eval_samples], cfg.batch)
     rows = []
-    drop_at = max(1, int(0.75 * cfg.steps))
-    shape = (cfg.image_size, cfg.image_size)
-    for step in range(1, cfg.steps + 1):
-        samples = [synth_keypoint_sample(data_rng, cfg.image_size, cfg.noise)
-                   for _ in range(cfg.batch)]
-        pred, ctx = model.forward(np.stack([x for x, _ in samples]))
-        gpred = np.empty_like(pred)
-        loss_sum = 0.0
-        for i, (_, peak) in enumerate(samples):
-            loss, gpred[i] = mse_loss(pred[i], gaussian_target(peak, shape, cfg.sigma)[None])
-            loss_sum += loss
-        _, grads = model.backward(ctx, gpred)
-        for key in grads:
-            grads[key] = grads[key] / cfg.batch
-        if step == drop_at:
-            adam.lr *= 0.1
-        adam.step(grads)
-        model.post_step()
+    for step, loss in _fit(model, cfg.steps, cfg.lr, draw):
         if check_invariants and not box_invariants_ok(box_layers):
             violations += 1
         if step % cfg.eval_every == 0:
             acc = evaluate_keypoints(model, held_out[: cfg.eval_samples], cfg.batch)
-        rows.append((step, loss_sum / cfg.batch, acc))
+        rows.append((step, loss, acc))
     final_accuracy = evaluate_keypoints(model, held_out, cfg.batch)
     return KeypointResult(model, box_layers, final_accuracy, rows, violations)
 

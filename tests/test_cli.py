@@ -210,6 +210,7 @@ _KERNEL = "task kernel_approx\nsteps 2\n"
     (_KEYPOINTS + "batch 0\n", "batch"),
     (_KEYPOINTS + "eval_samples 0\n", "eval_samples"),
     (_KEYPOINTS + "final_eval_samples 0\n", "final_eval_samples"),
+    (_KEYPOINTS + "eval_samples 64\nfinal_eval_samples 8\n", "eval_samples"),
     (_KEYPOINTS + "image_size 8\n", "image_size"),  # a blob needs 4 px of margin
     (_KEYPOINTS + "channels 0\n", "channels"),
     (_KEYPOINTS + "blocks dense3,boxa\n", "blocks"),

@@ -161,6 +161,23 @@ def test_layer_validation(rng):
         layer.backward(saved, np.zeros((1, 3, 3)))
 
 
+@pytest.mark.parametrize("side", [satconv.layer.BANDED_MAX_SIDE, 0])  # banded, table engine
+def test_backward_reads_its_cotangent_as_a_feature_map(rng, monkeypatch, side):
+    """A complex cotangent is rejected, as a complex input is, not cut to its
+    real part; a float32 one gives the float64 result."""
+    monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", side)
+    layer = BoxConvLayer([init_params(9, BoxVariant.SPLIT_4, rng) for _ in range(2)])
+    y, saved = layer.forward(rng.normal(size=(2, 2, 7, 9)))
+    g = rng.normal(size=y.shape).astype(np.float32)
+    with pytest.raises(TypeError, match="real"):
+        layer.backward(saved, g + 1j)
+    got, want = layer.backward(saved, g), layer.backward(saved, g.astype(np.float64))
+    assert got.grad_input.dtype == np.float64
+    for a, b in zip((got.grad_input, *vars(got.boxes).values()),
+                    (want.grad_input, *vars(want.boxes).values())):
+        assert np.array_equal(a, b)
+
+
 def test_recompile_reads_the_arrays(rng):
     layer = BoxConvLayer([BoxParams(0, 0, 0, 0, 9), BoxParams(0, 0, 0, 0, 9)])
     x = rng.normal(size=(2, 6, 6))

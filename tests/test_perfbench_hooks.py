@@ -11,6 +11,7 @@ import pytest
 
 import satconv.layer
 import satconv.nets
+import satconv.train
 from satconv.boxes import BoxParams, BoxVariant, init_params
 
 
@@ -26,6 +27,48 @@ def test_tracer_finds_every_traced_name(monkeypatch):
     # dense.conv2d_calls_per_step counts calls through these three names
     for name in ("conv2d", "conv2d_input_grad", "conv2d_kernel_grad"):
         assert (satconv.nets, name) in hooked
+    for name in ("synth_keypoint_sample", "gaussian_target", "mse_loss", "evaluate_keypoints"):
+        assert (satconv.train, name) in hooked
+
+
+def test_keypoint_step_calls_the_traced_names(monkeypatch):
+    # heatmap.ms_per_step and train.data_ms_per_step time calls through these
+    # names of satconv.train, and the benchmark's step clock reads Adam.step:
+    # one step draws batch samples, builds batch heatmap targets, and makes
+    # one loss call and one Adam step. A blob drawn inside a sample counts as
+    # the sample's, not as a target.
+    train = satconv.train
+    counts = dict.fromkeys(("synth_keypoint_sample", "gaussian_target", "mse_loss", "step"), 0)
+    in_sample = [False]
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if in_sample[0]:
+                return fn(*args, **kwargs)
+            counts[name] += 1
+            in_sample[0] = name == "synth_keypoint_sample"
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                in_sample[0] = False
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("synth_keypoint_sample", "gaussian_target", "mse_loss"):
+        counted(train, name)
+    counted(satconv.nets.Adam, "step")
+    per_run = []
+    for steps in (1, 2):
+        cfg = train.TrainConfig(task="keypoints", steps=steps, channels=4, blocks=("box9",),
+                                batch=3, eval_every=100, eval_samples=2, final_eval_samples=2)
+        counts.update(dict.fromkeys(counts, 0))
+        train.train_toy_keypoints(cfg)
+        per_run.append(dict(counts))
+    one_step = {name: per_run[1][name] - per_run[0][name] for name in counts}
+    assert one_step == {"synth_keypoint_sample": 3, "gaussian_target": 3, "mse_loss": 1,
+                        "step": 1}
+    assert per_run[0]["mse_loss"] == per_run[0]["step"] == 1
 
 
 @pytest.mark.parametrize("variant", list(BoxVariant))

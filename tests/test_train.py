@@ -1,9 +1,12 @@
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from satconv import nets
 from satconv.boxes import BoxParams, load_boxes
+from satconv.heatmap import gaussian_target, mse_loss
 from satconv.train import (
     ConfigError,
     TrainConfig,
@@ -39,8 +42,39 @@ blocks dense3,box9
 
 
 def test_parse_rejects_unknown_key(tmp_path):
-    with pytest.raises(ConfigError, match="4: unknown key"):
-        parse_config(write_cfg(tmp_path, "\ntask keypoints\nsteps 10\nwat 5\n"))
+    for key in ("wat", "__class__"):  # an attribute of every config is no key
+        with pytest.raises(ConfigError, match="4: unknown key"):
+            parse_config(write_cfg(tmp_path, f"\ntask keypoints\nsteps 10\n{key} 5\n"))
+
+
+@pytest.mark.parametrize("task", ["keypoints", "kernel_approx"])
+def test_every_key_written_with_its_default_parses_back(tmp_path, task):
+    # task and out default to "", which a 'key value' line cannot hold
+    want = replace(TrainConfig(), task=task, out="runs/x")
+    lines = []
+    for key, value in vars(want).items():
+        if key == "blocks":
+            value = ",".join(value)
+        elif key == "target_box":
+            value = " ".join(str(v) for v in value)
+        lines.append(f"{key} {value}")
+    assert parse_config(write_cfg(tmp_path, "\n".join(lines))) == want
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig) if type(f.default) is int])
+def test_int_key_rejects_a_fraction(tmp_path, key):
+    with pytest.raises(ConfigError, match=f"2: bad value for '{key}'"):
+        parse_config(write_cfg(tmp_path, f"task keypoints\n{key} 1.5\n"))
+
+
+def test_eval_samples_must_fit_in_the_held_out_set(tmp_path):
+    # periodic evaluations score held_out[:eval_samples], which holds only
+    # final_eval_samples samples
+    with pytest.raises(ConfigError, match="eval_samples .64. must be <= final_eval_samples .8."):
+        parse_config(write_cfg(tmp_path, "task keypoints\neval_samples 64\n"
+                                         "final_eval_samples 8\n"))
+    assert parse_config(write_cfg(tmp_path, "task keypoints\neval_samples 8\n"
+                                            "final_eval_samples 8\n")).eval_samples == 8
 
 
 def test_parse_rejects_bad_value(tmp_path):
@@ -199,3 +233,87 @@ def test_kernel_task_builds_no_box_records_per_step(monkeypatch):
         train_kernel_approx(log_target_kernel(9), n_boxes=4, steps=steps, seed=0)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def _per_sample_reference(cfg):
+    """The keypoint loop in its per-sample form, the reference the batch
+    loss is held to: one mse_loss per sample, and every gradient divided by
+    the batch size after backward. Returns the final parameters and the
+    per-step mean of the per-sample losses."""
+    model, _ = build_keypoint_net(np.random.default_rng(cfg.seed), cfg)
+    data_rng = np.random.default_rng(cfg.seed + 1)
+    adam = nets.Adam(model.params(), lr=cfg.lr)
+    drop_at = max(1, int(0.75 * cfg.steps))
+    shape = (cfg.image_size, cfg.image_size)
+    losses = []
+    for step in range(1, cfg.steps + 1):
+        samples = [synth_keypoint_sample(data_rng, cfg.image_size, cfg.noise)
+                   for _ in range(cfg.batch)]
+        pred, ctx = model.forward(np.stack([x for x, _ in samples]))
+        gpred = np.empty_like(pred)
+        loss_sum = 0.0
+        for i, (_, peak) in enumerate(samples):
+            loss, gpred[i] = mse_loss(pred[i], gaussian_target(peak, shape, cfg.sigma)[None])
+            loss_sum += loss
+        _, grads = model.backward(ctx, gpred)
+        for key in grads:
+            grads[key] = grads[key] / cfg.batch
+        if step == drop_at:
+            adam.lr *= 0.1
+        adam.step(grads)
+        model.post_step()
+        losses.append(loss_sum / cfg.batch)
+    return model.params(), losses
+
+
+@pytest.mark.parametrize("batch", [4, 3])
+def test_batch_loss_matches_per_sample_reference(batch):
+    """At batch 4 the loss gradient's 2/(N·H·W) is a power of two, which
+    scales exactly through backward: the parameters are byte-equal to the
+    per-sample loop's. At batch 3 they agree to rounding."""
+    cfg = TrainConfig(task="keypoints", seed=2, steps=20, batch=batch, eval_every=100,
+                      eval_samples=4, final_eval_samples=4)
+    res = train_toy_keypoints(cfg)
+    want, want_losses = _per_sample_reference(cfg)
+    got = res.model.params()
+    assert list(got) == list(want)
+    for key in want:
+        if batch == 4:
+            assert np.array_equal(got[key], want[key]), key
+        else:
+            err = np.abs(got[key] - want[key]).max()
+            assert err <= 1e-12 * np.abs(want[key]).max(), key
+    losses = np.array([loss for _, loss, _ in res.log_rows])
+    assert np.abs(losses - want_losses).max() <= 1e-14 * np.abs(want_losses).max()
+
+
+def _keypoint_run(steps):
+    cfg = TrainConfig(task="keypoints", seed=1, steps=steps, image_size=16, channels=4,
+                      blocks=("box9",), batch=2, eval_every=100, eval_samples=2,
+                      final_eval_samples=2)
+    return train_toy_keypoints(cfg), cfg.lr
+
+
+def _kernel_run(steps):
+    lr = 0.02
+    return train_kernel_approx(log_target_kernel(9), n_boxes=2, steps=steps, seed=0, lr=lr), lr
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 5, 8])
+@pytest.mark.parametrize("run", [_keypoint_run, _kernel_run])
+def test_one_lr_drop_and_a_post_step_after_every_step(monkeypatch, run, steps):
+    """Both tasks drop the learning rate 10x once, at max(1, int(0.75 * steps)),
+    and re-project after every Adam step; steps 0 takes none."""
+    events = []
+    adam_step, post_step = nets.Adam.step, nets.Module.post_step
+    monkeypatch.setattr(nets.Adam, "step",
+                        lambda adam, grads: events.append(adam.lr) or adam_step(adam, grads))
+    monkeypatch.setattr(nets.Module, "post_step",
+                        lambda module: events.append(module) or post_step(module))
+    res, lr = run(steps)
+    drop_at = max(1, int(0.75 * steps))
+    want = []
+    for step in range(1, steps + 1):
+        want += [lr * 0.1 if step >= drop_at else lr, res.model]
+    # the model's own post_step, not those it calls on its children
+    assert [e for e in events if not isinstance(e, nets.Module) or e is res.model] == want
