@@ -93,8 +93,6 @@ def run_bench(k_list, height: int, width: int, channels: int = 1,
     results = []
 
     for k in k_list:
-        if k < 3 or k % 2 == 0:
-            raise ValueError(f"benchmark kernel sizes must be odd and >= 3, got {k}")
         box_rng = np.random.default_rng(seed + k)
         boxes = [init_params(k, rng=box_rng) for _ in range(channels)]
         layer = BoxConvLayer(boxes)

@@ -77,6 +77,11 @@ SITE_EDGES = {v: tuple(np.array([lo, *(4 + j for j, e in enumerate(edges) if e =
 FEASIBLE = "finite values, -1 <= lo <= hi <= 1 on each axis, each split line between its edges"
 
 
+def window_ok(k) -> bool:
+    """Whether k is a box window size: odd, so the window has a centre, and >= 3."""
+    return k >= 3 and k % 2 == 1
+
+
 @dataclass(frozen=True)
 class BoxParams:
     """Normalized box coordinates plus optional split lines and weights.
@@ -98,7 +103,7 @@ class BoxParams:
 
     def __post_init__(self):
         k = self.max_kernel
-        if k < 3 or k % 2 == 0:
+        if not window_ok(k):
             raise ValueError(f"max_kernel must be odd and >= 3, got {k}")
         v = BoxVariant(self.variant)
         object.__setattr__(self, "variant", v)

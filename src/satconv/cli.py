@@ -8,7 +8,7 @@ import os
 import sys
 
 from .bench import run_bench, to_csv
-from .boxes import SPLIT_EDGES, load_boxes
+from .boxes import SPLIT_EDGES, load_boxes, window_ok
 from .gradcheck import format_report, merge_reports, run_adjoint_check, run_gradcheck
 from .train import ConfigError, parse_config, run_task, write_checkpoint, write_log_csv
 
@@ -95,7 +95,7 @@ def _is_size(hw) -> bool:
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _tolerance = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-_kernel_sizes = _checked(_ints, lambda ks: all(k >= 3 and k % 2 for k in ks),
+_kernel_sizes = _checked(_ints, lambda ks: all(map(window_ok, ks)),
                          "comma-separated odd kernel sizes >= 3")
 _plane_sizes = _checked(_sizes, lambda ss: all(map(_is_size, ss)), "comma-separated HxW sizes")
 _plane_size = _checked(_sizes, lambda ss: len(ss) == 1 and _is_size(ss[0]), "one HxW size")

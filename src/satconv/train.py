@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .boxes import feasible, save_boxes
+from .boxes import feasible, save_boxes, window_ok
 from .dense import conv2d
 from .fmap import save_feature_map
 from .heatmap import decode_keypoint, gaussian_target, mse_loss
@@ -72,7 +72,7 @@ _PARSERS = {
 
 
 def parse_config(path) -> TrainConfig:
-    cfg = TrainConfig()
+    cfg, seen = TrainConfig(), {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -84,6 +84,8 @@ def parse_config(path) -> TrainConfig:
             key, value = parts
             if key not in _DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if seen.setdefault(key, lineno) != lineno:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
             parse = _PARSERS.get(key, type(_DEFAULTS[key]))
             try:
                 setattr(cfg, key, parse(value))
@@ -93,13 +95,17 @@ def parse_config(path) -> TrainConfig:
     return cfg
 
 
-def _block_kind(token: str, path="config"):
-    """("dense", size) for dense<size> (dense alone is dense3), ("box", k) for box<k>."""
+def _block(token: str, path="config"):
+    """The depth-wise module class and kernel size a blocks token names:
+    dense<k> for an odd k (dense alone is dense3), box<k> for a window_ok k."""
     kind = token.rstrip("0123456789")
-    size = token[len(kind):]
-    if kind == "dense" or (kind == "box" and size):
-        return kind, int(size or 3)
-    raise ConfigError(f"{path}: blocks: unknown block token {token!r}")
+    size = int(token[len(kind):] or (3 if kind == "dense" else 0))
+    if kind == "dense" and size % 2 == 1:
+        return DenseDepthwise, size
+    if kind == "box" and window_ok(size):
+        return BoxDepthwise, size
+    raise ConfigError(f"{path}: blocks: {token!r} is not dense<k> for an odd k "
+                      "or box<k> for an odd k >= 3")
 
 
 def validate_config(cfg: TrainConfig, path="config") -> None:
@@ -127,13 +133,9 @@ def validate_config(cfg: TrainConfig, path="config") -> None:
             raise ConfigError(f"{path}: image_size must be >= {2 * BLOB_MARGIN + 1} to hold a "
                               f"blob {BLOB_MARGIN} px from each edge, got {cfg.image_size}")
         for token in cfg.blocks:
-            kind, size = _block_kind(token, path)
-            if kind == "box" and (size % 2 == 0 or size < 3):
-                raise ConfigError(f"{path}: box kernel size must be odd and >= 3, got {size}")
-            if kind == "dense" and size % 2 == 0:
-                raise ConfigError(f"{path}: dense kernel size must be odd, got {size}")
+            _block(token, path)
     else:
-        if cfg.k % 2 == 0 or cfg.k < 3:
+        if not window_ok(cfg.k):
             raise ConfigError(f"{path}: k must be odd and >= 3, got {cfg.k}")
         if cfg.target not in ("log", "box"):
             raise ConfigError(f"{path}: target must be 'log' or 'box', got {cfg.target!r}")
@@ -311,40 +313,41 @@ def build_keypoint_net(rng, cfg: TrainConfig):
         ]
     )
     children = [("stem", ChannelChangeBlock(rng, 1, c, stem_inner))]
-    box_layers = []
     for i, token in enumerate(cfg.blocks):
-        kind, size = _block_kind(token)
-        if kind == "dense":
-            dw = DenseDepthwise(rng, half, size)
-        else:
-            dw = BoxDepthwise(rng, half, size)
-            box_layers.append(dw)
+        module, size = _block(token)
         inner = Sequential(
-            [("dw", dw), ("pw", Pointwise(rng, half, half)), ("act", Relu())]
+            [("dw", module(rng, half, size)), ("pw", Pointwise(rng, half, half)), ("act", Relu())]
         )
         children.append((f"blk{i}", ShuffleHalfBlock(c, inner)))
     children.append(("head", Pointwise(rng, c, 1)))
-    return Sequential(children), box_layers
+    return Sequential(children)
 
 
-def box_invariants_ok(box_layers) -> bool:
-    return all(feasible(m.theta, m.split, m.weight, m.variant).all() for m in box_layers)
+def box_layers(model) -> list:
+    """Every BoxDepthwise in the model's tree, in params() order."""
+    found = [model] if isinstance(model, BoxDepthwise) else []
+    for _, child in model.children:
+        found += box_layers(child)
+    return found
+
+
+def box_invariants_ok(layers) -> bool:
+    return all(feasible(m.theta, m.split, m.weight, m.variant).all() for m in layers)
 
 
 HIT_RADIUS = 2.0  # pixels: the @2px of the held-out accuracy
 
 
-def evaluate_keypoints(model, samples, batch: int) -> float:
-    """Fraction of samples decoded within HIT_RADIUS, forwarded batch at a time."""
-    hits = 0
+def evaluate_keypoints(model, samples, batch: int) -> np.ndarray:
+    """Per sample, whether it decodes within HIT_RADIUS; forwarded batch at a time."""
+    hits = []
     for start in range(0, len(samples), batch):
         chunk = samples[start : start + batch]
         pred, _ = model.forward(np.stack([x for x, _ in chunk]))
         for p, (_, (cx, cy)) in zip(pred, chunk):
             dx, dy = decode_keypoint(p[0])
-            if (dx - cx) ** 2 + (dy - cy) ** 2 <= HIT_RADIUS * HIT_RADIUS:
-                hits += 1
-    return hits / len(samples)
+            hits.append((dx - cx) ** 2 + (dy - cy) ** 2 <= HIT_RADIUS * HIT_RADIUS)
+    return np.array(hits)
 
 
 @dataclass
@@ -358,7 +361,8 @@ class KeypointResult:
 
 def train_toy_keypoints(cfg: TrainConfig, check_invariants: bool = False) -> KeypointResult:
     rng = np.random.default_rng(cfg.seed)
-    model, box_layers = build_keypoint_net(rng, cfg)
+    model = build_keypoint_net(rng, cfg)
+    layers = box_layers(model)
     data_rng = np.random.default_rng(cfg.seed + 1)
     eval_rng = np.random.default_rng(cfg.seed + 2)
     held_out = [synth_keypoint_sample(eval_rng, cfg.image_size, cfg.noise)
@@ -371,17 +375,21 @@ def train_toy_keypoints(cfg: TrainConfig, check_invariants: bool = False) -> Key
         return (np.stack([x for x, _ in samples]),
                 np.stack([gaussian_target(peak, shape, cfg.sigma)[None] for _, peak in samples]))
 
-    violations = 0
-    acc = evaluate_keypoints(model, held_out[: cfg.eval_samples], cfg.batch)
+    # a row's accuracy is that of the first eval_samples; the last step's
+    # evaluation is read from the final one, which forwards them too
+    n, violations = cfg.eval_samples, 0
+    acc = float(evaluate_keypoints(model, held_out[:n], cfg.batch).mean())
     rows = []
     for step, loss in _fit(model, cfg.steps, cfg.lr, draw):
-        if check_invariants and not box_invariants_ok(box_layers):
+        if check_invariants and not box_invariants_ok(layers):
             violations += 1
-        if step % cfg.eval_every == 0:
-            acc = evaluate_keypoints(model, held_out[: cfg.eval_samples], cfg.batch)
+        if step % cfg.eval_every == 0 and step < cfg.steps:
+            acc = float(evaluate_keypoints(model, held_out[:n], cfg.batch).mean())
         rows.append((step, loss, acc))
-    final_accuracy = evaluate_keypoints(model, held_out, cfg.batch)
-    return KeypointResult(model, box_layers, final_accuracy, rows, violations)
+    hits = evaluate_keypoints(model, held_out, cfg.batch)
+    if rows and cfg.steps % cfg.eval_every == 0:
+        rows[-1] = (cfg.steps, rows[-1][1], float(hits[:n].mean()))
+    return KeypointResult(model, layers, float(hits.mean()), rows, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +403,9 @@ def write_log_csv(path, rows) -> None:
             f.write(f"{step},{loss:.17g},{acc:.17g}\n")
 
 
-def collect_boxes(model) -> list:
-    """The boxes of every BoxDepthwise in the tree, in params() order."""
-    found = list(model.conv.boxes) if isinstance(model, BoxDepthwise) else []
-    for _, child in model.children:
-        found += collect_boxes(child)
-    return found
-
-
 def write_checkpoint(outdir, model) -> None:
     os.makedirs(outdir, exist_ok=True)
-    boxes = collect_boxes(model)
+    boxes = [box for layer in box_layers(model) for box in layer.conv.boxes]
     if boxes:
         save_boxes(os.path.join(outdir, "boxes.txt"), boxes)
     params = model.params()

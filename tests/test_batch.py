@@ -128,7 +128,7 @@ def test_one_value_gradients_sum_in_sample_order(rng):
 def test_keypoint_net_batched_step_equals_sample_loop():
     cfg = TrainConfig(task="keypoints", image_size=16, channels=4,
                       blocks=("dense3", "box5", "box7"), batch=3)
-    model, _ = build_keypoint_net(np.random.default_rng(3), cfg)
+    model = build_keypoint_net(np.random.default_rng(3), cfg)
     data = np.random.default_rng(4)
     samples = [synth_keypoint_sample(data, cfg.image_size, cfg.noise) for _ in range(cfg.batch)]
     targets = [gaussian_target(peak, (16, 16), cfg.sigma)[None] for _, peak in samples]

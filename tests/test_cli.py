@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from satconv.cli import main, render_boxes_svg
 from satconv.gradcheck import format_report, run_gradcheck
 from satconv.layer import BoxConvLayer
 from satconv.oracle import DenseKernel
-from satconv.train import ConfigError, parse_config
+from satconv.train import ConfigError, build_keypoint_net, parse_config
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +215,10 @@ _KERNEL = "task kernel_approx\nsteps 2\n"
     (_KEYPOINTS + "image_size 8\n", "image_size"),  # a blob needs 4 px of margin
     (_KEYPOINTS + "channels 0\n", "channels"),
     (_KEYPOINTS + "blocks dense3,boxa\n", "blocks"),
+    (_KEYPOINTS + "blocks dense2\n", "blocks"),
+    (_KEYPOINTS + "blocks box\n", "blocks"),
+    (_KEYPOINTS + "blocks box1\n", "blocks"),
+    (_KEYPOINTS + "blocks dense3,box8\n", "blocks"),
     (_KEYPOINTS + "sigma 0\n", "sigma"),  # an all-zero heatmap target
     (_KERNEL + "k 7\ntarget log\n", "k"),  # the LoG target's support is 9
     (_KERNEL + "k 5\ntarget box\ntarget_box -3 1 -1 2\n", "target_box"),
@@ -233,9 +238,13 @@ def test_train_rejects_config_that_would_crash(tmp_path, capsys, text, key):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("name", ["keypoints_32", "kernel_box", "kernel_log"])
-def test_canonical_configs_parse(name):
-    assert parse_config(f"scripts/configs/{name}.cfg").steps > 0
+@pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("scripts/configs/*.cfg")),
+                         ids=lambda path: path.stem)
+def test_canonical_configs_parse(path):
+    cfg = parse_config(path)
+    assert cfg.steps > 0
+    if cfg.task == "keypoints":
+        build_keypoint_net(np.random.default_rng(cfg.seed), cfg)
 
 
 def test_train_missing_config(capsys):

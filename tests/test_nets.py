@@ -18,7 +18,7 @@ from satconv.nets import (
     ShuffleHalfBlock,
 )
 from satconv.layer import BoxConvLayer
-from satconv.train import collect_boxes
+from satconv.train import box_layers
 
 
 def scalar_adam_reference(grad_fn, theta, lr, steps):
@@ -364,6 +364,4 @@ def test_composite_declares_children_only(rng):
         fresh, _ = BoxConvLayer(box.conv.boxes).forward(x)
         assert np.array_equal(box.forward(x)[0], fresh)
 
-    found = collect_boxes(net)
-    assert found == net.smooth.conv.boxes + wide_box.conv.boxes
-    assert len(found) == 5
+    assert box_layers(net) == [net.smooth, wide_box]  # in params() order

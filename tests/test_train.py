@@ -10,6 +10,7 @@ from satconv.heatmap import gaussian_target, mse_loss
 from satconv.train import (
     ConfigError,
     TrainConfig,
+    box_layers,
     box_target_kernel,
     build_keypoint_net,
     kernel_rel_error,
@@ -89,6 +90,27 @@ def test_parse_rejects_even_box_kernel(tmp_path):
         parse_config(write_cfg(tmp_path, "task kernel_approx\nk 8\n"))
 
 
+def test_parse_rejects_repeated_key(tmp_path):
+    with pytest.raises(ConfigError, match=r"run.cfg:4: key 'steps' already set on line 2"):
+        parse_config(write_cfg(tmp_path, "task keypoints\nsteps 5\nseed 1\nsteps 6\n"))
+
+
+@pytest.mark.parametrize("token", ["dense2", "box", "box1", "box8", "boxa", "conv3"])
+def test_validator_and_builder_reject_the_same_tokens(tmp_path, token):
+    cfg = TrainConfig(task="keypoints", blocks=("dense3", token))
+    with pytest.raises(ConfigError, match=f"config: blocks: '{token}'"):
+        build_keypoint_net(np.random.default_rng(0), cfg)
+    with pytest.raises(ConfigError, match="blocks"):
+        parse_config(write_cfg(tmp_path, f"task keypoints\nblocks dense3,{token}\n"))
+
+
+@pytest.mark.parametrize("token, size", [("dense", 3), ("dense1", 1), ("dense5", 5), ("box3", 3)])
+def test_validator_and_builder_accept_the_same_tokens(tmp_path, token, size):
+    cfg = parse_config(write_cfg(tmp_path, f"task keypoints\nblocks {token}\n"))
+    dw = build_keypoint_net(np.random.default_rng(0), cfg).children[1][1].inner.children[0][1]
+    assert (dw.ksize if token.startswith("dense") else dw.conv.max_kernel) == size
+
+
 def test_parse_rejects_bad_task(tmp_path):
     with pytest.raises(ConfigError, match="task"):
         parse_config(write_cfg(tmp_path, "task juggling\n"))
@@ -152,6 +174,24 @@ def test_no_box_size_collapse(log_fit):
     assert max(areas) > 2.0  # not everything shrank to the one-pixel minimum
 
 
+@pytest.mark.parametrize("steps, calls", [(20, 1 + 3 + 1), (23, 1 + 4 + 1)])
+def test_last_step_is_evaluated_once(monkeypatch, steps, calls):
+    """When the last step is an evaluation step, its row reads the final
+    evaluation's first eval_samples instead of forwarding them again."""
+    from satconv import train
+
+    seen = []
+    evaluate = train.evaluate_keypoints
+    monkeypatch.setattr(train, "evaluate_keypoints",
+                        lambda model, samples, batch: seen.append(len(samples))
+                        or evaluate(model, samples, batch))
+    cfg = TrainConfig(task="keypoints", seed=1, steps=steps, channels=4, blocks=("box5",),
+                      batch=2, eval_every=5, eval_samples=3, final_eval_samples=6)
+    res = train_toy_keypoints(cfg)
+    assert seen == [3] * (calls - 1) + [6]
+    assert len(res.log_rows) == steps and res.log_rows[-1][0] == steps
+
+
 def test_keypoints_zero_steps_is_chance():
     cfg = TrainConfig(task="keypoints", seed=0, steps=0, final_eval_samples=100)
     res = train_toy_keypoints(cfg)
@@ -179,15 +219,13 @@ def test_synth_sample_shapes(rng):
 
 
 def test_network_preserves_spatial_dims(rng):
-    from satconv.train import build_keypoint_net
-
     cfg = TrainConfig(task="keypoints", channels=8,
                       blocks=("dense3", "box9", "dense3", "box13"))
-    net, box_layers = build_keypoint_net(rng, cfg)
+    net = build_keypoint_net(rng, cfg)
     x = rng.normal(size=(1, 24, 17))
     y, _ = net.forward(x)
     assert y.shape == (1, 24, 17)
-    assert len(box_layers) == 2
+    assert [layer.conv.max_kernel for layer in box_layers(net)] == [9, 13]
 
 
 def test_artifact_writers(tmp_path):
@@ -208,7 +246,7 @@ def test_artifact_writers(tmp_path):
 def test_keypoint_net_param_order_is_pinned(rng):
     """Adam's state and the benchmark's box snapshots read params() in order."""
     cfg = parse_config(Path(__file__).parents[1] / "scripts" / "configs" / "keypoints_32.cfg")
-    net, _ = build_keypoint_net(rng, cfg)
+    net = build_keypoint_net(rng, cfg)
     blocks = []
     for i, dw in enumerate(("kernels", "theta", "kernels", "theta")):
         blocks += [f"blk{i}.inner.dw.{dw}", f"blk{i}.inner.pw.matrix", f"blk{i}.inner.pw.bias"]
@@ -240,7 +278,7 @@ def _per_sample_reference(cfg):
     loss is held to: one mse_loss per sample, and every gradient divided by
     the batch size after backward. Returns the final parameters and the
     per-step mean of the per-sample losses."""
-    model, _ = build_keypoint_net(np.random.default_rng(cfg.seed), cfg)
+    model = build_keypoint_net(np.random.default_rng(cfg.seed), cfg)
     data_rng = np.random.default_rng(cfg.seed + 1)
     adam = nets.Adam(model.params(), lr=cfg.lr)
     drop_at = max(1, int(0.75 * cfg.steps))
