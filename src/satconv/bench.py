@@ -131,8 +131,3 @@ def run_bench(k_list, height: int, width: int, channels: int = 1,
         ))
 
     return results
-
-
-def wall_ratio(results, method: str, k_hi: int, k_lo: int) -> float:
-    by_key = {(r.method, r.k): r for r in results}
-    return by_key[(method, k_hi)].wall_ms / by_key[(method, k_lo)].wall_ms

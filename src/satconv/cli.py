@@ -159,8 +159,7 @@ def cmd_train(args) -> int:
         return 2
     result, summary = run_task(cfg)
     write_log_csv(os.path.join(outdir, "log.csv"), result.log_rows)
-    if result.model is not None:
-        write_checkpoint(outdir, result.model)
+    write_checkpoint(outdir, result.model)
     sys.stdout.write(summary + "\n")
     sys.stdout.write(f"artifacts in {outdir}\n")
     return 0

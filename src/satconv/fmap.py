@@ -25,6 +25,11 @@ class DimensionError(ValueError):
     """Shape or channel-count mismatch between operands."""
 
 
+def non_finite_channel(c) -> ValueError:
+    """The error for channel c of a map the box layer cannot filter, on either route."""
+    return ValueError(f"channel {c}: input holds NaN or inf, or its sums overflow float64")
+
+
 def as_feature_map(x) -> np.ndarray:
     """Validate an array as a ([samples,] channels, height, width) map and
     return it C-contiguous float64, converted only where it is not already.

@@ -88,10 +88,10 @@ def _nudge_theta(t: float, k: int, shift: float = 0.0) -> float:
     return min(max(t, -1.0), 1.0)
 
 
-def _draw_config(rng, ks, sizes, variants):
+def _draw_config(rng, ks, sizes):
     k = int(rng.choice(ks))
     h, w = sizes[int(rng.integers(len(sizes)))]
-    variant = variants[int(rng.integers(len(variants)))]
+    variant = list(BoxVariant)[int(rng.integers(len(BoxVariant)))]
     while True:
         p = init_params(k, variant, rng)
         if p.theta_xh - p.theta_xl < 0.05 or p.theta_yh - p.theta_yl < 0.05:
@@ -110,6 +110,19 @@ def _draw_config(rng, ks, sizes, variants):
     return p, (h, w)
 
 
+def _configs(rng, n, ks, sizes):
+    """n drawn configurations, each one box p, its input x, its layer, the
+    cotangent g and the layer's gradients at x, drawn in one rng order:
+    the caller may draw from rng between them."""
+    for _ in range(n):
+        p, (hh, ww) = _draw_config(rng, ks, sizes)
+        x = rng.normal(size=(1, hh, ww))
+        layer = BoxConvLayer([p])
+        g = rng.normal(size=x.shape)
+        _, saved = layer.forward(x)
+        yield p, x, layer, g, layer.backward(saved, g)
+
+
 def _categories(name, variant):
     """The report category of each column of the layer array name."""
     split = tuple("split_x" if lo == 0 else "split_y" for lo in SPLIT_EDGES[variant])
@@ -126,16 +139,8 @@ def run_gradcheck(
 ) -> GradCheckReport:
     """FD-check box parameter and input gradients over random configurations."""
     rng = np.random.default_rng(seed)
-    variants = list(BoxVariant)
     report = GradCheckReport(tolerance=tolerance, n_configs=n_configs)
-
-    for ci in range(n_configs):
-        p, (hh, ww) = _draw_config(rng, ks, sizes, variants)
-        x = rng.normal(size=(1, hh, ww))
-        layer = BoxConvLayer([p])
-        g = rng.normal(size=x.shape)
-        _, saved = layer.forward(x)
-        grads = layer.backward(saved, g)
+    for ci, (p, x, layer, g, grads) in enumerate(_configs(rng, n_configs, ks, sizes)):
         where = f"config {ci} ({p.variant.value} k={p.max_kernel})"
 
         def loss(xin):
@@ -156,7 +161,7 @@ def run_gradcheck(
         layer.recompile()
 
         for _ in range(INPUT_PIXELS):
-            iy, ix = int(rng.integers(hh)), int(rng.integers(ww))
+            iy, ix = int(rng.integers(x.shape[1])), int(rng.integers(x.shape[2]))
             e = np.zeros_like(x)
             e[0, iy, ix] = h
             fd = (loss(x + e) - loss(x - e)) / (2 * h)
@@ -169,20 +174,14 @@ def run_adjoint_check(seed: int = 0, trials: int = 50, h: float = 1e-5,
                       tolerance: float = 1e-5) -> GradCheckReport:
     """Directional check: <backward grad_input, v> vs d/de loss(x + e v)."""
     rng = np.random.default_rng(seed)
-    variants = list(BoxVariant)
     report = GradCheckReport(tolerance=tolerance, n_configs=trials)
-    for ti in range(trials):
-        p, (hh, ww) = _draw_config(rng, (5, 9, 13), ((8, 8), (12, 10)), variants)
-        x = rng.normal(size=(1, hh, ww))
-        layer = BoxConvLayer([p])
-        g = rng.normal(size=x.shape)
-        _, saved = layer.forward(x)
-        gin = layer.backward(saved, g).grad_input
+    configs = _configs(rng, trials, (5, 9, 13), ((8, 8), (12, 10)))
+    for ti, (_, x, layer, g, grads) in enumerate(configs):
         v = rng.normal(size=x.shape)
         op, _ = layer.forward(x + h * v)
         om, _ = layer.forward(x - h * v)
         fd = float(np.sum((op - om) * g)) / (2 * h)
-        lhs = float(np.sum(gin * v))
+        lhs = float(np.sum(grads.grad_input * v))
         report.record("input_adjoint", lhs, fd, f"trial {ti}")
     return report
 

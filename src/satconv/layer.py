@@ -17,14 +17,14 @@ banded route against 1.2 ms on the table engine at 32^2, 6.5 against
 A channel whose input holds NaN or inf, or whose sums overflow float64,
 is rejected by name.
 
-The table engine's drivers loop over the planes here, channels outer, so
-a failing plane names the first bad channel; backward builds each
-plane's cotangent table (build_sat) for table.py's per-plane passes.
-Either route's backward gives the input gradient, each site's
-coefficient-weighted derivative and each sub-box weight's gradient. The
-chain rule to the box arrays is the layer's: a site moves exactly one
-normalized parameter (an edge, or a split line, the middle site on its
-axis), with the window half-width as chain factor.
+The table engine owns its loops over planes and its buffers; its backward
+builds each plane's cotangent table through this module's build_sat,
+the name perfbench's tracer counts. Either route's backward gives the
+input gradient, each site's coefficient-weighted derivative and each
+sub-box weight's gradient. The chain rule to the box arrays is the
+layer's: a site moves exactly one normalized parameter, the column of
+[theta | split] that boxes.SITE_EDGES names for it, with the window
+half-width as chain factor.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import banded, table
-from .boxes import BoxParams, CornerSamplePlan, box_arrays, compile_plan
-from .fmap import DimensionError, as_feature_map
+from .boxes import N_SPLITS, SITE_EDGES, BoxParams, CornerSamplePlan, box_arrays, compile_plan
+from .fmap import DimensionError, as_feature_map, non_finite_channel
 from .sat import build_sat, sat_backward  # sat_backward: only perfbench's tracer reads it here
 
 # Planes whose larger side is at most this many pixels take the banded
@@ -84,54 +84,6 @@ class BoxConvSaved:
     plan: CornerSamplePlan
 
 
-def _table_forward(xb, plan):
-    """The (n, c, h, w) planes xb box-filtered by the table engine, plane by
-    plane, channels outer: a failing plane names the first bad channel."""
-    n, c, h, w = xb.shape
-    out = np.empty(xb.shape)
-    low, rows = table.lowering(plan), table._strip_rows(h, w)
-    for k in range(c):
-        for i in range(n):
-            if not table._forward_plane(xb[i, k], low, k, out[i, k], rows):
-                raise _non_finite(k)
-    return out
-
-
-def _table_backward(xb, gb, plan):
-    """banded.backward's results by the table engine, of the input xb and
-    the cotangent gb of its output, plane by plane."""
-    n, c, h, w = xb.shape
-    # before the buffers below: allocated after them, it let the peak RSS
-    # of boxconv_train_256 grow by 8 MB in 5 of 10 runs (heap layout)
-    grad_input = np.empty(xb.shape)
-    low, rows = table.lowering(plan), table._strip_rows(h, w)
-    left, right, top, bottom = low.margins
-    padded = np.empty((top + h + 1 + bottom, left + w + 1 + right))
-    taps = np.empty((h, padded.shape[1]))
-    prods = np.empty((n, c, 2 * plan.y_floor.shape[1], 2 * plan.x_floor.shape[1]))
-    for k in range(c):
-        for i in range(n):
-            # the table of the flipped cotangent
-            build_sat(gb[i, k, ::-1, ::-1], out=padded[top : top + h + 1, left : left + w + 1])
-            table._edge_pad(padded, top, left, h, w)
-
-            # parameter path: <flip(x), table read at (dx, dy)> per corner
-            # of the channel's cells, summed over the rows
-            table._corner_products(xb[i, k], padded, low, k, prods[i, k])
-
-            # input path: the channel's terms on its table, flipped back
-            table._table_plane(padded, low, k, rows, taps)
-            grad_input[i, k, ::-1, ::-1] = taps[:, :w]
-
-    # every cell corner's product, per sample, in _site_terms' order
-    gx, gy, sw = table._site_terms(prods.reshape(n, -1)[:, low.corner_index], plan)
-    return grad_input, gx, gy, sw
-
-
-def _non_finite(c):
-    return ValueError(f"channel {c}: input holds NaN or inf, or its sums overflow float64")
-
-
 def _banded_forward(xb, plan):
     """banded.forward, rejecting a channel whose input is not finite or
     whose output overflows float64."""
@@ -140,7 +92,7 @@ def _banded_forward(xb, plan):
         out = banded.forward(xb, plan)
         ok = np.isfinite(out).all(axis=(0, 2, 3))
     if not ok.all():
-        raise _non_finite(int(np.argmin(ok)))
+        raise non_finite_channel(int(np.argmin(ok)))
     return out
 
 
@@ -199,7 +151,7 @@ class BoxConvLayer:
         plan = self.plan
         xb = x.reshape((-1,) + x.shape[-3:])  # a rank-3 input is one sample
         small = max(xb.shape[-2:]) <= BANDED_MAX_SIDE
-        out = (_banded_forward if small else _table_forward)(xb, plan)
+        out = (_banded_forward if small else table.forward)(xb, plan)
         return out.reshape(x.shape), BoxConvSaved(x=x, plan=plan)
 
     def backward(self, saved: BoxConvSaved, grad_output) -> LayerGradients:
@@ -209,12 +161,14 @@ class BoxConvLayer:
             raise DimensionError(f"grad_output shape {g.shape} != forward output {x.shape}")
         xb, gb = x.reshape((-1,) + x.shape[-3:]), g.reshape((-1,) + g.shape[-3:])
         small = max(xb.shape[-2:]) <= BANDED_MAX_SIDE
-        grad_input, gx, gy, sw = (banded.backward if small else _table_backward)(xb, gb, plan)
-        r = (plan.max_kernel - 1) / 2
-        theta = np.stack([gx[..., 0], gx[..., -1], gy[..., 0], gy[..., -1]], axis=-1) * r
-        # a split line is the middle site on its axis
-        split = [sites[..., 1] * r for sites in (gx, gy) if sites.shape[-1] == 3]
-        split = np.stack(split, axis=-1) if split else np.zeros(theta.shape[:-1] + (0,))
+        grad_input, gx, gy, sw = (banded.backward(xb, gb, plan) if small
+                                  else table.backward(xb, gb, plan, build_sat))
+        # each site moves the one column of [theta | split] that SITE_EDGES names
+        edges = np.empty(gx.shape[:-1] + (4 + N_SPLITS[plan.variant],))
+        for columns, sites in zip(SITE_EDGES[plan.variant], (gx, gy)):
+            edges[..., columns] = sites
+        edges *= (plan.max_kernel - 1) / 2
+        theta, split = edges[..., :4], edges[..., 4:]
         lead = x.shape[:-3]  # () for a rank-3 input: its one sample's gradients
         grads = BoxGrads(*(a.reshape(lead + a.shape[1:]) for a in (theta, split, sw)))
         return LayerGradients(grad_input.reshape(x.shape), grads)

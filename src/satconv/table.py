@@ -5,12 +5,15 @@ into a few terms of x taps times y taps (_terms), which the engine
 applies one axis at a time. lowering derives the terms, and what the
 passes below read with them, on the engine's first use of a plan.
 
-The engine works on one plane, one sample's channel, at a time, in strips
-of as many input rows as fit in STRIP_BYTES (a plane that fits is one
-strip; 256^2 and 1024^2 planes go in strips of 128 and 32 rows). Per
-plane go the prefix sums, the column-sum scan, the finiteness checks, the
-cotangent's table and its edge pad, the corner products, and the x and y
-tap passes of that channel's box. The loops over planes are layer.py's.
+forward and backward take a batch of planes, (N, C, H, W), and work on
+one plane, one sample's channel, at a time, channels outer, so a failing
+plane names the first bad channel. A plane goes in strips of as many
+input rows as fit in STRIP_BYTES (a plane that fits is one strip; 256^2
+and 1024^2 planes go in strips of 128 and 32 rows). Per plane go the
+prefix sums, the column-sum scan, the finiteness checks, the cotangent's
+table and its edge pad, the corner products, and the x and y tap passes
+of that channel's box. The buffers those passes share are allocated once
+per call, here.
 
 Forward applies the taps one axis at a time and never builds the table:
 it takes each input row's prefix sums along x, applies each term's x taps,
@@ -32,13 +35,13 @@ pixel would spoil every output below it whose box reaches its column.
 
 Backward is box forward run on the cotangent, read through flipped views.
 Flipped along both axes, each plane's cotangent gets its summed-area table
-T, built in one call into an edge-replicated buffer. The mirrored box
-filter of the cotangent, which is the input gradient, is then the terms
-applied to T: each term's x taps on T's rows, whose entries already are
-column sums, then the same y-tap pass as forward's, into a buffer of the
-plane's rows that is copied once into a flipped view of the input
-gradient. Forward keeps only its input for backward. Three gradient
-families come out:
+T, built in one call (the caller's build_sat) into an edge-replicated
+buffer. The mirrored box filter of the cotangent, which is the input
+gradient, is then the terms applied to T: each term's x taps on T's
+rows, whose entries already are column sums, then the same y-tap pass as
+forward's, into a buffer of the plane's rows that is copied once into a
+flipped view of the input gradient. Forward keeps only its input for
+backward. Three gradient families come out:
 
 * input: the x then y taps on T, as above;
 * box coordinates: every sample site's value and coordinate derivatives
@@ -62,6 +65,8 @@ from __future__ import annotations
 from itertools import islice
 
 import numpy as np
+
+from .fmap import non_finite_channel
 
 # Bytes of input rows per strip of a plane. With each term's buffer rows
 # and the output rows a strip's y taps reach (about one box height more),
@@ -205,12 +210,13 @@ def lowering(plan) -> _Lowering:
 
 
 def _edge_pad(padded, top, left, h, w):
-    """Edge-replicate the (h+1, w+1) table at (top, left) of padded into its margins."""
+    """Edge-replicate the (h+1, w+1) table at (top, left) of padded into its
+    right and bottom margins. Replicated, its left and top margins would
+    copy its zero column 0 and row 0, so they are left as they are: the
+    caller allocates padded zeroed."""
     rows = slice(top, top + h + 1)
     # np.pad(mode="edge") makes the same array at several times the cost
-    padded[rows, :left] = padded[rows, left : left + 1]
     padded[rows, left + w + 1 :] = padded[rows, left + w : left + w + 1]
-    padded[:top] = padded[top : top + 1]
     padded[top + h + 1 :] = padded[top + h : top + h + 1]
 
 
@@ -374,3 +380,48 @@ def _corner_products(x, table, low, c, prods):
                                  (top + y0) * sr + (left + x0) * sc, (sr, sc, sr, sc, sc))
             np.matmul(xf, corners, out=dots[ky : ky + ly, kx : kx + lx])
     np.sum(dots[..., 0, 0], axis=-1, out=prods)
+
+
+def forward(xb, plan):
+    """The (N, C, H, W) planes xb box-filtered by plan, plane by plane."""
+    n, c, h, w = xb.shape
+    out = np.empty(xb.shape)
+    low, rows = lowering(plan), _strip_rows(h, w)
+    for k in range(c):
+        for i in range(n):
+            if not _forward_plane(xb[i, k], low, k, out[i, k], rows):
+                raise non_finite_channel(k)
+    return out
+
+
+def backward(xb, gb, plan, build_sat):
+    """banded.backward's results, of the (N, C, H, W) input xb and the
+    cotangent gb of its output, plane by plane. build_sat builds each
+    plane's table of its flipped cotangent into a view of the padded buffer."""
+    n, c, h, w = xb.shape
+    # before the buffers below: allocated after them, it let the peak RSS
+    # of boxconv_train_256 grow by 8 MB in 5 of 10 runs (heap layout)
+    grad_input = np.empty(xb.shape)
+    low, rows = lowering(plan), _strip_rows(h, w)
+    left, right, top, bottom = low.margins
+    # zeroed once: no plane writes its left and top margins (_edge_pad)
+    padded = np.zeros((top + h + 1 + bottom, left + w + 1 + right))
+    table = padded[top : top + h + 1, left : left + w + 1]
+    taps = np.empty((h, padded.shape[1]))
+    prods = np.empty((n, c, 2 * plan.y_floor.shape[1], 2 * plan.x_floor.shape[1]))
+    for k in range(c):
+        for i in range(n):
+            build_sat(gb[i, k, ::-1, ::-1], out=table)
+            _edge_pad(padded, top, left, h, w)
+
+            # parameter path: <flip(x), table read at (dx, dy)> per corner
+            # of the channel's cells, summed over the rows
+            _corner_products(xb[i, k], padded, low, k, prods[i, k])
+
+            # input path: the channel's terms on its table, flipped back
+            _table_plane(padded, low, k, rows, taps)
+            grad_input[i, k, ::-1, ::-1] = taps[:, :w]
+
+    # every cell corner's product, per sample, in _site_terms' order
+    gx, gy, sw = _site_terms(prods.reshape(n, -1)[:, low.corner_index], plan)
+    return grad_input, gx, gy, sw

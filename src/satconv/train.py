@@ -12,7 +12,7 @@ carries the current relative kernel error).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,8 +139,8 @@ def validate_config(cfg: TrainConfig, path="config") -> None:
             raise ConfigError(f"{path}: k must be odd and >= 3, got {cfg.k}")
         if cfg.target not in ("log", "box"):
             raise ConfigError(f"{path}: target must be 'log' or 'box', got {cfg.target!r}")
-        if cfg.n_boxes < 0:
-            raise ConfigError(f"{path}: n_boxes must be >= 0")
+        if cfg.n_boxes < 1:
+            raise ConfigError(f"{path}: n_boxes must be >= 1, got {cfg.n_boxes}")
         if cfg.image_size < 1:
             raise ConfigError(f"{path}: image_size must be >= 1, got {cfg.image_size}")
         if cfg.target == "box" and len(cfg.target_box) != 4:
@@ -200,9 +200,8 @@ def composite_kernel(layer, mix_weights) -> np.ndarray:
 
 
 def kernel_rel_error(layer, mix_weights, target: np.ndarray) -> float:
-    """Relative L2 error of composite_kernel against target; a layer of None
-    stands for no boxes, a zero kernel."""
-    got = np.zeros_like(target) if layer is None else composite_kernel(layer, mix_weights)
+    """Relative L2 error of composite_kernel against target."""
+    got = composite_kernel(layer, mix_weights)
     return float(np.linalg.norm(got - target) / max(np.linalg.norm(target), 1e-12))
 
 
@@ -234,8 +233,8 @@ class KernelApproxResult:
     mix_weights: np.ndarray
     initial_error: float
     final_error: float
-    log_rows: list = field(default_factory=list)
-    model: Sequential | None = None
+    log_rows: list
+    model: Sequential
 
 
 def train_kernel_approx(target: np.ndarray, n_boxes: int, steps: int, seed: int,
@@ -247,10 +246,6 @@ def train_kernel_approx(target: np.ndarray, n_boxes: int, steps: int, seed: int,
     is the dense convolution of fresh random planes by the target kernel.
     """
     rng = np.random.default_rng(seed)
-    if n_boxes == 0:
-        err = kernel_rel_error(None, [], target)
-        return KernelApproxResult([], np.zeros(0), err, err, [])
-
     model = Sequential(
         [
             ("spread", Broadcast(n_boxes)),

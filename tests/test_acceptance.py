@@ -10,12 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from satconv.bench import run_bench, wall_ratio
+from satconv.bench import run_bench
 from satconv.boxes import BoxParams, BoxVariant, init_params
 from satconv.cli import render_boxes_svg
 from satconv.gradcheck import run_adjoint_check, run_gradcheck
 from satconv.layer import BoxConvLayer
-from satconv.oracle import DenseKernel, effective_kernel, naive_conv, region_sum
+from satconv.oracle import (DenseKernel, effective_kernel, effective_kernels, naive_conv,
+                            region_sum, tap_conv)
 from satconv.sat import build_sat
 from satconv.train import (
     TrainConfig,
@@ -117,20 +118,25 @@ def test_c05_cost_claims():
         layer = BoxConvLayer([init_params(k, rng=rng)])
         per_pixel = layer.multadd_count((1, 32, 32)) / (32 * 32)
         assert per_pixel == 16, k
-    results = run_bench([7, 21], 256, 256, channels=1, repeats=5, seed=55)
-    dense_ratio = wall_ratio(results, "naive_dense", 21, 7)
-    # run_bench's box_sat layers and input, timed with the two kernel sizes'
-    # calls alternating, so a slow spell of the host weighs on both
+    # run_bench's box_sat and naive_dense layers, kernels and input, timed
+    # with the two kernel sizes' calls alternating, so a slow spell of the
+    # host weighs on both
     x = np.random.default_rng(55).normal(size=(1, 256, 256))
     layers = {k: BoxConvLayer([init_params(k, rng=np.random.default_rng(55 + k))]) for k in (7, 21)}
-    wall = {k: [] for k in layers}
+    calls = {}
+    for k, layer in layers.items():
+        kernels = effective_kernels(layer.theta, layer.split, layer.weight, k, layer.variant)
+        calls["box", k] = lambda layer=layer: layer.forward(x)
+        calls["dense", k] = lambda kernels=kernels: tap_conv(x, kernels)
+    wall = {key: [] for key in calls}
     for rep in range(2 + 5):  # two warm-up rounds, then 5 timed
-        for k, layer in layers.items():
+        for key, call in calls.items():
             t0 = time.perf_counter()
-            layer.forward(x)
+            call()
             if rep >= 2:
-                wall[k].append(time.perf_counter() - t0)
-    box_ratio = float(np.median(wall[21]) / np.median(wall[7]))
+                wall[key].append(time.perf_counter() - t0)
+    box_ratio, dense_ratio = (float(np.median(wall[name, 21]) / np.median(wall[name, 7]))
+                              for name in ("box", "dense"))
     elapsed = time.monotonic() - start
     ok = box_ratio <= 1.5 and dense_ratio >= 4.0 and elapsed < 120.0
     report("criterion 5 (cost independence of k)",

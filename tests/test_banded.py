@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import satconv.banded
 import satconv.layer
+import satconv.table
 from satconv.boxes import SPLIT_EDGES, BoxParams, BoxVariant, init_params
 from satconv.dense import conv2d
 from satconv.gradcheck import CATEGORIES, run_gradcheck
@@ -119,16 +120,16 @@ def test_route_by_plane_size(monkeypatch):
     """Planes up to BANDED_MAX_SIDE a side take the banded route, larger ones,
     the benchmark's 256^2 and 1024^2 among them, the table engine."""
     taken = []
-    for name in ("_banded_forward", "_table_forward"):
-        fn = getattr(satconv.layer, name)
-        monkeypatch.setattr(satconv.layer, name,
+    for owner, name in ((satconv.layer, "_banded_forward"), (satconv.table, "forward")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda *a, _fn=fn, _name=name: taken.append(_name) or _fn(*a))
     side = satconv.layer.BANDED_MAX_SIDE
     layer = BoxConvLayer([init_params(13, rng=np.random.default_rng(0))])
     for (h, w), want in (((1, 1), "_banded_forward"), ((side, side), "_banded_forward"),
-                         ((3, side), "_banded_forward"), ((side + 1, 3), "_table_forward"),
-                         ((3, side + 1), "_table_forward"), ((256, 256), "_table_forward"),
-                         ((1024, 1024), "_table_forward")):
+                         ((3, side), "_banded_forward"), ((side + 1, 3), "forward"),
+                         ((3, side + 1), "forward"), ((256, 256), "forward"),
+                         ((1024, 1024), "forward")):
         taken.clear()
         layer.forward(np.zeros((1, h, w)))
         assert taken == [want], (h, w)

@@ -224,6 +224,7 @@ _KERNEL = "task kernel_approx\nsteps 2\n"
     (_KERNEL + "k 5\ntarget box\ntarget_box -3 1 -1 2\n", "target_box"),
     (_KERNEL + "target box\ntarget_box 1 2 3\n", "target_box"),
     (_KERNEL + "image_size 0\n", "image_size"),
+    (_KERNEL + "n_boxes 0\n", "n_boxes"),
     (_KERNEL + "log_sigma 0\n", "log_sigma"),
 ])
 def test_train_rejects_config_that_would_crash(tmp_path, capsys, text, key):

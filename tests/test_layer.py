@@ -454,7 +454,7 @@ def _table_taps(x, plan, c):
     left, right, top, bottom = low.margins
     out = np.empty(x.shape)
     for i in range(n):
-        table = np.empty((top + h + 1 + bottom, left + w + 1 + right))
+        table = np.zeros((top + h + 1 + bottom, left + w + 1 + right))
         build_sat(x[i], out=table[top : top + h + 1, left : left + w + 1])
         satconv.table._edge_pad(table, top, left, h, w)
         read = table.copy()

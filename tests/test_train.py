@@ -126,10 +126,12 @@ def test_target_kernels():
     assert abs(log).max() > 0
 
 
-def test_zero_boxes_scores_baseline():
-    target = box_target_kernel(9, -1, 1, -1, 1)
-    res = train_kernel_approx(target, n_boxes=0, steps=10, seed=0)
-    assert res.initial_error == res.final_error == 1.0
+def test_zero_boxes_are_rejected(tmp_path):
+    """A kernel task needs a box: the config is rejected, and so is the call."""
+    with pytest.raises(ConfigError, match="n_boxes must be >= 1, got 0"):
+        parse_config(write_cfg(tmp_path, "task kernel_approx\nn_boxes 0\n"))
+    with pytest.raises(ValueError, match="at least one box"):
+        train_kernel_approx(box_target_kernel(9, -1, 1, -1, 1), n_boxes=0, steps=10, seed=0)
 
 
 def test_recovers_exact_box():
