@@ -43,7 +43,11 @@ def build_sat(plane, out=None) -> np.ndarray:
         sat[..., 0, :] = 0.0
         sat[..., 1:, 0] = 0.0
     np.cumsum(plane, axis=-1, dtype=np.float64, out=sat[..., 1:, 1:])
-    np.cumsum(sat[..., 1:, 1:], axis=-2, out=sat[..., 1:, 1:])
+    # the column pass: np.cumsum(axis=-2)'s additions in its order, one add per
+    # row view over contiguous rows, where cumsum walks down each column
+    rows = list(np.moveaxis(sat[..., 1:, 1:], -2, 0))
+    for i in range(1, h):
+        np.add(rows[i], rows[i - 1], out=rows[i])
     return sat
 
 

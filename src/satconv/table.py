@@ -40,8 +40,12 @@ buffer. The mirrored box filter of the cotangent, which is the input
 gradient, is then the terms applied to T: each term's x taps on T's
 rows, whose entries already are column sums, then the same y-tap pass as
 forward's, into a buffer of the plane's rows that is copied once into a
-flipped view of the input gradient. Forward keeps only its input for
-backward. Three gradient families come out:
+flipped view of the input gradient. Both passes run one x-tap routine
+(_x_taps): each tap is a (rows, W) slice of wider rows, forward's prefix
+sums or T's, and every buffer after it is W wide, so a wider margin adds
+no work to the taps; it still lengthens _edge_pad's fill and the rows the
+corner dots stride over. Forward keeps only its input for backward. Three
+gradient families come out:
 
 * input: the x then y taps on T, as above;
 * box coordinates: every sample site's value and coordinate derivatives
@@ -245,28 +249,39 @@ def _site_terms(q, plan):
     return sum(dx[..., j] for j in range(ny)), sum(dy[..., i, :] for i in range(nx)), sw
 
 
-def _y_pass(taps, src, dst, p0, m, h, last, w):
+def _x_taps(src, xs, left, w, out):
+    """One term's x taps, (dx, weight) in order, of the rows src into out:
+    the sum of weight times src's columns left + dx .. left + dx + W, each a
+    (rows, W) slice of src's wider rows, summed in tap order."""
+    (dx, wt), *rest = xs
+    np.multiply(src[:, left + dx : left + dx + w], wt, out=out)
+    for dx, wt in rest:
+        out += wt * src[:, left + dx : left + dx + w]
+
+
+def _y_pass(taps, src, dst, p0, m, h, last):
     """Add one channel's y taps of the table rows new in a strip into its output.
 
     The table has h + 1 rows, row 0 all zero; the strip's new rows are
     p0 + 1 .. p0 + m. src[t] holds term t's x-tapped table row p0 + j at its
-    row j, and in the last strip the final row repeated below, as far as
-    the taps reach. Output row i is row i of dst and gets each tap (dy, t,
-    weight) of table row i + dy once, from the strip that holds that row;
-    rows above the table are zero and are skipped. The taps run in
-    (offset, term) order in every strip, so each pixel gets the same sums
-    in the same order at any strip height. src[t] and dst are of one
-    width: a tap is one flat run, as are _table_plane's x taps. A box of no
-    terms (all its sub-box weights zero) has no taps, and src no rows.
+    row j. In the last strip the final row is first repeated into the rows
+    below it, as the table's edge-replicated bottom margin would be. Output
+    row i is row i of dst and gets each tap (dy, t, weight) of table row
+    i + dy once, from the strip that holds that row; rows above the table
+    are zero and are skipped. The taps run in (offset, term) order in every
+    strip, so each pixel gets the same sums in the same order at any strip
+    height. src[t] and dst are W wide, so a tap is one contiguous run of
+    rows. A box of no terms (all its sub-box weights zero) has no taps, and
+    src no rows.
     """
-    width = dst.shape[-1]
-    out, flat = dst.reshape(-1), src.reshape(len(src), src.shape[1] * width)
+    if last:
+        src[:, m + 1 :] = src[:, m : m + 1]
     for dy, t, wt in taps:
         i0 = max(0, p0 + 1 - dy)
         i1 = h if last else min(h, p0 + m + 1 - dy)
         if i0 < i1:
-            size, j = (i1 - i0 - 1) * width + w, i0 + dy - p0
-            out[i0 * width : i0 * width + size] += wt * flat[t, j * width : j * width + size]
+            j = i0 + dy - p0
+            dst[i0:i1] += wt * src[t, j : j + i1 - i0]
 
 
 def _forward_plane(x, low, c, out, rows) -> bool:
@@ -274,13 +289,12 @@ def _forward_plane(x, low, c, out, rows) -> bool:
     given input rows, with the plan's lowering low.
 
     Each strip's prefix sums along x go into rsum, with a table row's zero
-    left margin and edge-replicated right margin. Each term's x taps, (dx,
-    weight) in order, read them from column left + dx, as strided slices of
-    rsum's rows, which are wider than the plane's. They write into the
-    term's cs rows, below its row 0, which carries the column sums of the
-    table row above the strip. One scan down the rows, one row-wise add for
-    every term, turns the rows into the column sums of the strip's table
-    rows, and the y taps add them into out.
+    left margin and edge-replicated right margin. Each term's x taps
+    (_x_taps) read them into the term's cs rows, below its row 0, which
+    carries the column sums of the table row above the strip. One scan down
+    the rows, one add per row over every term's row at once, turns the rows
+    into the column sums of the strip's table rows, and the y taps add them
+    into out.
 
     Returns False, before any y tap reads them, as soon as a strip's row
     totals (its last prefix sums) or its last column sums are not finite. A
@@ -291,7 +305,7 @@ def _forward_plane(x, low, c, out, rows) -> bool:
     left, right, _, bottom = low.margins
     terms = low.terms[c]
     cs = np.zeros((len(terms), 1 + rows + bottom, w))
-    scan = cs.transpose(1, 0, 2)  # the column sums run down rows of every term
+    scan = list(cs.transpose(1, 0, 2))  # row j of every term: the column sums run down them
     rsum = np.zeros((rows, left + w + 1 + right))
     out[...] = 0.0
     for p0 in range(0, h, rows):
@@ -305,54 +319,35 @@ def _forward_plane(x, low, c, out, rows) -> bool:
         if p0:
             cs[:, 0] = cs[:, rows]
         for t, (xs, _) in enumerate(terms):
-            u = cs[t, 1 : m + 1]
-            (dx, wt), *rest = xs
-            np.multiply(r[:, left + dx : left + dx + w], wt, out=u)
-            for dx, wt in rest:
-                u += wt * r[:, left + dx : left + dx + w]
+            _x_taps(r, xs, left, w, cs[t, 1 : m + 1])
         for j in range(m):
-            scan[j + 1] += scan[j]
+            np.add(scan[j + 1], scan[j], out=scan[j + 1])
         if not np.isfinite(cs[:, m]).all():
             return False
-        if last:
-            cs[:, m + 1 : m + 1 + bottom] = cs[:, m : m + 1]
-        _y_pass(low.y_taps[c], cs, out, p0, m, h, last, w)
+        _y_pass(low.y_taps[c], cs, out, p0, m, h, last)
     return True
 
 
 def _table_plane(table, low, c, rows, out):
-    """Channel c's terms on its table, into out.
+    """Channel c's terms on its table, into the (H, W) out.
 
     table is edge-replicated, entry (0, 0) at (top, left) of the lowering's
-    margins, with every row and column the taps read. A strip's x taps read
-    table rows p0 + 1 .., which already hold the column sums forward runs
-    down its strips, and in the last strip the rows of the bottom margin
-    too; each term's go into its xt rows below row 0. out is (H, table
-    width); output row i goes to its row i, columns 0..W.
-
-    table, xt and out are of one width, so an x tap, (dx, weight) in
-    order, is one flat run of entries from the strip's first row at column
-    left + dx to its last row's column W, which also covers the columns
-    past W of every row but the last: one contiguous pass. Its entries past
-    W reach only out's columns past W, which the caller drops.
+    margins, with every column the x taps read. A strip's x taps (_x_taps)
+    read table rows p0 + 1 .. p0 + m, which already hold the column sums
+    forward runs down its strips; each term's go into its xt rows below row
+    0. xt and out are W wide, and the bottom margin's rows are the final
+    row's, repeated by the y pass, so the margins cost the taps nothing.
     """
-    hp, wp = table.shape
-    left, right, top, bottom = low.margins
-    h, w = hp - top - 1 - bottom, wp - left - 1 - right
-    xt = np.zeros((len(low.terms[c]), 1 + rows + bottom, wp))
-    flat = table.reshape(-1)
+    left, _, top, bottom = low.margins
+    h, w = out.shape
+    xt = np.empty((len(low.terms[c]), 1 + rows + bottom, w))  # the y pass reads no row 0
     out[...] = 0.0
     for p0 in range(0, h, rows):
         m = min(rows, h - p0)
         last = p0 + m == h
-        size, start = (m + bottom * last - 1) * wp + w, (top + 1 + p0) * wp + left
         for t, (xs, _) in enumerate(low.terms[c]):
-            u = xt[t].reshape(-1)[wp : wp + size]
-            (dx, wt), *rest = xs
-            np.multiply(flat[start + dx : start + dx + size], wt, out=u)
-            for dx, wt in rest:
-                u += wt * flat[start + dx : start + dx + size]
-        _y_pass(low.y_taps[c], xt, out, p0, m, h, last, w)
+            _x_taps(table[top + 1 + p0 : top + 1 + p0 + m], xs, left, w, xt[t, 1 : 1 + m])
+        _y_pass(low.y_taps[c], xt, out, p0, m, h, last)
 
 
 def _corner_products(x, table, low, c, prods):
@@ -407,7 +402,7 @@ def backward(xb, gb, plan, build_sat):
     # zeroed once: no plane writes its left and top margins (_edge_pad)
     padded = np.zeros((top + h + 1 + bottom, left + w + 1 + right))
     table = padded[top : top + h + 1, left : left + w + 1]
-    taps = np.empty((h, padded.shape[1]))
+    taps = np.empty((h, w))
     prods = np.empty((n, c, 2 * plan.y_floor.shape[1], 2 * plan.x_floor.shape[1]))
     for k in range(c):
         for i in range(n):
@@ -420,7 +415,7 @@ def backward(xb, gb, plan, build_sat):
 
             # input path: the channel's terms on its table, flipped back
             _table_plane(padded, low, k, rows, taps)
-            grad_input[i, k, ::-1, ::-1] = taps[:, :w]
+            grad_input[i, k, ::-1, ::-1] = taps
 
     # every cell corner's product, per sample, in _site_terms' order
     gx, gy, sw = _site_terms(prods.reshape(n, -1)[:, low.corner_index], plan)

@@ -458,7 +458,7 @@ def _table_taps(x, plan, c):
         build_sat(x[i], out=table[top : top + h + 1, left : left + w + 1])
         satconv.table._edge_pad(table, top, left, h, w)
         read = table.copy()
-        taps = np.empty((h, table.shape[1]))
+        taps = np.empty((h, w))
         satconv.table._table_plane(table, low, c, satconv.table._strip_rows(h, w), taps)
         assert np.array_equal(table, read)  # the table is read, never written
         out[i] = taps[:, :w]
@@ -466,10 +466,12 @@ def _table_taps(x, plan, c):
 
 
 # Planes of several strips, a batch among them, a k=129 window whose
-# margin is wider than its 20x20 plane, and a batch of 120x130 planes, each
-# one strip under the module's budget.
+# margin is wider than its 20x20 plane, a batch of 120x130 planes, each
+# one strip under the module's budget, and a k=257 window whose reads span
+# the whole margin of a 40x50 plane.
 @pytest.mark.parametrize("shape, k", [((1, 2, 300, 300), 13), ((3, 2, 200, 301), 13),
-                                      ((1, 2, 20, 20), 129), ((2, 2, 120, 130), 13)])
+                                      ((1, 2, 20, 20), 129), ((2, 2, 120, 130), 13),
+                                      ((1, 2, 40, 50), 257)])
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("variant", list(BoxVariant))
 def test_strips_match_whole_plane_taps(rng, monkeypatch, shape, k, stride, variant):

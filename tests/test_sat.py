@@ -44,6 +44,28 @@ def test_build_into_view_of_a_larger_array(rng):
     assert np.isnan(big[:, 0]).all() and np.isnan(big[:, :, :2]).all()
 
 
+def _nested_cumsum(planes):
+    h, w = planes.shape[-2:]
+    sat = np.zeros(planes.shape[:-2] + (h + 1, w + 1))
+    sat[..., 1:, 1:] = np.cumsum(np.cumsum(planes, axis=-1), axis=-2)
+    return sat
+
+
+def test_sums_are_nested_cumsum_byte_for_byte(rng):
+    """The table is the row sums, then the column sums, of np.cumsum, in
+    their order of additions: on a plane, on a stack of planes, and built
+    into a view of a larger zeroed buffer, as the table engine's backward
+    builds it."""
+    plane = rng.normal(size=(37, 23))
+    stack = rng.normal(size=(2, 3, 19, 29))
+    for p in (plane, stack):
+        assert build_sat(p).tobytes() == _nested_cumsum(p).tobytes()
+    big = np.zeros((41, 32))
+    view = big[2:40, 3:27]
+    build_sat(plane[::-1, ::-1], out=view)
+    assert view.tobytes() == _nested_cumsum(plane[::-1, ::-1]).tobytes()
+
+
 def test_monotone_for_nonnegative(rng):
     sat = build_sat(rng.uniform(size=(6, 6)))
     assert np.all(np.diff(sat, axis=0) >= 0)
