@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fmap import non_finite_channel
+
 
 def _toeplitz(profiles, n):
     """(C, T, n, n) matrices M[c, t, i, j] = P_ct(j - i), a view of the
@@ -136,12 +138,20 @@ def _diagonal_sums(a, b, band):
 
 
 def forward(x, plan):
-    """The (n, c, h, w) planes x box-filtered, sum_g Y_g X B_g^T. Sums that
-    overflow float64 come out as inf or NaN, without a warning."""
-    c, h = x.shape[1:3]
-    b = bands(plan, h, x.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.matmul(_side_by_side(np.matmul(b.y.reshape(c, -1, h), x), b.y.shape[1]), b.bt)
+    """The (n, c, h, w) planes x box-filtered, sum_g Y_g X B_g^T. The first
+    channel whose input is not finite, or whose output overflows float64,
+    is rejected by name."""
+    ok = np.isfinite(x).all(axis=(0, 2, 3))
+    if ok.all():
+        c, h = x.shape[1:3]
+        b = bands(plan, h, x.shape[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            yx = _side_by_side(np.matmul(b.y.reshape(c, -1, h), x), b.y.shape[1])
+            out = np.matmul(yx, b.bt)
+        ok = np.isfinite(out).all(axis=(0, 2, 3))
+    if not ok.all():
+        raise non_finite_channel(int(np.argmin(ok)))
+    return out
 
 
 def backward(x, gs, plan):

@@ -5,26 +5,27 @@ its boxes as (C, ...) arrays and compiles them in one boxes.compile_plan
 call into one plan. Inputs are (C, H, W) or a batch (N, C, H, W); every
 sample is computed exactly as it would be on its own.
 
-Two routes compute the same filter, chosen by plane size: planes whose
-larger side is at most BANDED_MAX_SIDE pixels take banded matrix
-products (banded.py), larger ones the table engine (table.py), each
-reading what it derives from the plan on first use. The banded products
-cost O(h + w) multiply-adds per output pixel, against the table engine's
-fixed count, but far fewer NumPy calls. Measured with one BLAS thread on
-4 samples of 4 k=9 channels, forward plus backward took 0.34 ms on the
-banded route against 1.2 ms on the table engine at 32^2, 6.5 against
-9.2 ms at 96^2, and 11.4 against 9.9 ms at 112^2; hence BANDED_MAX_SIDE.
-A channel whose input holds NaN or inf, or whose sums overflow float64,
-is rejected by name.
+Two interchangeable modules compute the same filter, chosen by plane
+size: planes whose larger side is at most BANDED_MAX_SIDE pixels take
+banded matrix products (banded.py), larger ones the table engine
+(table.py). Each groups a box's sub-boxes into one term per y interval,
+derives what it reads from the plan on first use, and rejects by name the
+first channel whose input holds NaN or inf or whose sums overflow
+float64. The banded products cost O(h + w) multiply-adds per output
+pixel, against the table engine's fixed count, but far fewer NumPy calls.
+Measured with one BLAS thread on 4 samples of 4 k=9 channels, forward
+plus backward took 0.34 ms on the banded route against 1.2 ms on the
+table engine at 32^2, 6.5 against 9.2 ms at 96^2, and 11.4 against
+9.9 ms at 112^2; hence BANDED_MAX_SIDE.
 
-The table engine owns its loops over planes and its buffers; its backward
-builds each plane's cotangent table through this module's build_sat,
-the name perfbench's tracer counts. Either route's backward gives the
-input gradient, each site's coefficient-weighted derivative and each
-sub-box weight's gradient. The chain rule to the box arrays is the
-layer's: a site moves exactly one normalized parameter, the column of
-[theta | split] that boxes.SITE_EDGES names for it, with the window
-half-width as chain factor.
+The table engine's backward builds each plane's cotangent table through
+this module's build_sat, the name perfbench's tracer counts. Either
+route's backward gives the input gradient, each site's
+coefficient-weighted derivative and each sub-box weight's gradient. The
+layer keeps the route choice and the chain rule to the box arrays: a site
+moves exactly one normalized parameter, the column of [theta | split]
+that boxes.SITE_EDGES names for it, with the window half-width as chain
+factor.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import banded, table
 from .boxes import N_SPLITS, SITE_EDGES, BoxParams, CornerSamplePlan, box_arrays, compile_plan
-from .fmap import DimensionError, as_feature_map, non_finite_channel
+from .fmap import DimensionError, as_feature_map
 from .sat import build_sat, sat_backward  # sat_backward: only perfbench's tracer reads it here
 
 # Planes whose larger side is at most this many pixels take the banded
@@ -82,18 +83,6 @@ class BoxConvSaved:
 
     x: np.ndarray  # the input, (C, H, W) or (N, C, H, W)
     plan: CornerSamplePlan
-
-
-def _banded_forward(xb, plan):
-    """banded.forward, rejecting a channel whose input is not finite or
-    whose output overflows float64."""
-    ok = np.isfinite(xb).all(axis=(0, 2, 3))
-    if ok.all():
-        out = banded.forward(xb, plan)
-        ok = np.isfinite(out).all(axis=(0, 2, 3))
-    if not ok.all():
-        raise non_finite_channel(int(np.argmin(ok)))
-    return out
 
 
 class BoxConvLayer:
@@ -151,7 +140,7 @@ class BoxConvLayer:
         plan = self.plan
         xb = x.reshape((-1,) + x.shape[-3:])  # a rank-3 input is one sample
         small = max(xb.shape[-2:]) <= BANDED_MAX_SIDE
-        out = (_banded_forward if small else table.forward)(xb, plan)
+        out = (banded if small else table).forward(xb, plan)
         return out.reshape(x.shape), BoxConvSaved(x=x, plan=plan)
 
     def backward(self, saved: BoxConvSaved, grad_output) -> LayerGradients:

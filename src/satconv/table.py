@@ -119,25 +119,16 @@ def _terms(plan):
     over one y interval make one term: the interval's x-site coefficients
     (plan.cx) as x taps, times the unit difference across it as y taps.
     That is banded.py's grouping: one term for a single or split_v box,
-    two for a split_h or split_4 box. A box whose intervals all have equal
-    x coefficients (its rows fold, as with equal weights) gets one term
-    across all of them instead, whose inner y sites cancel exactly, as in
-    the folded taps. A term that folds to no taps is left out.
+    two for a split_h or split_4 box, whatever the weights. A term that
+    folds to no taps is left out.
     """
     (c, _, g), k = plan.cx.shape, plan.max_kernel
     units = np.eye(g, g + 1, 1) - np.eye(g, g + 1)  # row g: -1 at site g, +1 at site g + 1
-    if g > 1:
-        units = np.concatenate((units, units.sum(axis=0, keepdims=True)))
     taps = _lattice_taps(plan.x_floor, plan.x_frac, plan.cx.transpose(2, 0, 1), k)
     unit = _lattice_taps(plan.y_floor, plan.y_frac,
-                         np.broadcast_to(units[:, None], (len(units), c, g + 1)), k)
-    whole = (len(units) - 1) * c
-    terms = []
-    for i, same in enumerate((plan.cx == plan.cx[:, :, :1]).all(axis=(1, 2)).tolist()):
-        pairs = ([(taps[i], unit[whole + i])] if same
-                 else [(taps[j * c + i], unit[j * c + i]) for j in range(g)])
-        terms.append(tuple((a, b) for a, b in pairs if a and b))
-    return terms
+                         np.broadcast_to(units[:, None], (g, c, g + 1)), k)
+    pairs = list(zip(taps, unit))  # pair j * c + i: box i's interval j
+    return [tuple((a, b) for a, b in pairs[i::c] if a and b) for i in range(c)]
 
 
 def _corner_runs(floors):

@@ -34,10 +34,9 @@ def _splits(rng, variant, lo, hi):
 
 def _box(rng, k, variant, kind):
     """A box of one of the kinds the routes must agree on: drawn by
-    init_params, with its equal sub-box weights ("equal", which the table
-    engine folds into one term for split_4) or unequal ones ("init"), wide
-    with random edges (some at +-1), on the lattice, or wholly past the
-    right and bottom of a small plane."""
+    init_params, with its equal sub-box weights ("equal") or unequal ones
+    ("init"), wide with random edges (some at +-1), on the lattice, or
+    wholly past the right and bottom of a small plane."""
     r = (k - 1) / 2
     if kind in ("init", "equal"):
         p = init_params(k, variant, rng)
@@ -120,16 +119,15 @@ def test_route_by_plane_size(monkeypatch):
     """Planes up to BANDED_MAX_SIDE a side take the banded route, larger ones,
     the benchmark's 256^2 and 1024^2 among them, the table engine."""
     taken = []
-    for owner, name in ((satconv.layer, "_banded_forward"), (satconv.table, "forward")):
-        fn = getattr(owner, name)
-        monkeypatch.setattr(owner, name,
-                            lambda *a, _fn=fn, _name=name: taken.append(_name) or _fn(*a))
+    banded, table = satconv.banded, satconv.table
+    for module in (banded, table):
+        monkeypatch.setattr(module, "forward",
+                            lambda *a, _fn=module.forward, _m=module: taken.append(_m) or _fn(*a))
     side = satconv.layer.BANDED_MAX_SIDE
     layer = BoxConvLayer([init_params(13, rng=np.random.default_rng(0))])
-    for (h, w), want in (((1, 1), "_banded_forward"), ((side, side), "_banded_forward"),
-                         ((3, side), "_banded_forward"), ((side + 1, 3), "forward"),
-                         ((3, side + 1), "forward"), ((256, 256), "forward"),
-                         ((1024, 1024), "forward")):
+    for (h, w), want in (((1, 1), banded), ((side, side), banded), ((3, side), banded),
+                         ((side + 1, 3), table), ((3, side + 1), table), ((256, 256), table),
+                         ((1024, 1024), table)):
         taken.clear()
         layer.forward(np.zeros((1, h, w)))
         assert taken == [want], (h, w)

@@ -195,14 +195,14 @@ def test_plan_integer_corners_collapse():
 def test_plan_terms_multiply_out_to_taps(rng, variant):
     """The factored terms are the folded taps: their outer products add up
     to the same weight at every lattice offset, with one term per y
-    interval of the box (two for a split_h or split_4 box with unequal
-    weights), or one where its rows fold (equal weights)."""
+    interval of the box (two for a split_h or split_4 box, whatever the
+    weights)."""
     for _ in range(20):
         p = init_params(int(rng.choice([5, 9, 13, 129])), variant, rng)
         unequal = BoxParams(*p.thetas, p.max_kernel, variant, p.split_theta,
                             tuple(rng.uniform(0.5, 1.5, size=len(p.split_weights))))
-        two_rows = variant in (BoxVariant.SPLIT_H, BoxVariant.SPLIT_4)
-        for q, n_terms in ((p, 1), (unequal, 2 if two_rows else 1)):
+        n_terms = 2 if variant in (BoxVariant.SPLIT_H, BoxVariant.SPLIT_4) else 1
+        for q in (p, unequal):
             plan = plan_of(q)
             terms = lowering(plan).terms[0]
             assert len(terms) == n_terms
@@ -244,11 +244,10 @@ def loop_terms(p):
         pairs = [((-w[0], w[0]), (-1.0, 1.0))]
     elif p.variant == BoxVariant.SPLIT_V:
         pairs = [((-w[0], w[0] - w[1], w[1]), (-1.0, 1.0))]
-    else:  # a term per y interval, or one across both where the rows fold
+    else:  # a term per y interval
         top, bottom = ((-w[0], w[0]), (-w[1], w[1])) if p.variant == BoxVariant.SPLIT_H else (
             (-w[0], w[0] - w[1], w[1]), (-w[2], w[2] - w[3], w[3]))
-        pairs = ([(top, (-1.0, 0.0, 1.0))] if top == bottom
-                 else [(top, (-1.0, 1.0, 0.0)), (bottom, (0.0, -1.0, 1.0))])
+        pairs = [(top, (-1.0, 1.0, 0.0)), (bottom, (0.0, -1.0, 1.0))]
     terms = ((_loop_axis_taps(xs, xc), _loop_axis_taps(ys, yc)) for xc, yc in pairs)
     return tuple((a, b) for a, b in terms if a and b)
 
@@ -322,8 +321,10 @@ def test_cancelling_split_costs_the_taps_of_the_box_it_folds_to():
     weights (a, b, a, b) that of split_v (a, b) on the same edges and x
     split, (a, a, b, b) that of split_h (a, b), and any split box with all
     weights equal and nonzero that of the single box. The folded site
-    coefficients on the cancelled line are exactly 0, as in the table
-    engine's terms, not a rounding residue of the four sub-box weights."""
+    coefficients on the cancelled line are exactly 0, not a rounding
+    residue of the four sub-box weights. The table engine's terms still
+    read a cancelled y line: its middle y site enters one of the box's
+    two terms with +1 and the other with -1."""
     rng = np.random.default_rng(5)
     n = 2000
     for k in (3, 5, 9, 13, 129):

@@ -289,6 +289,26 @@ def test_zero_weight_box_on_both_routes(rng, monkeypatch, variant):
         assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(a).max(initial=1.0)
 
 
+@pytest.mark.parametrize("rank4", [False, True])
+@pytest.mark.parametrize("k", [3, 9, 13, 129])
+@pytest.mark.parametrize("variant", [BoxVariant.SPLIT_H, BoxVariant.SPLIT_V, BoxVariant.SPLIT_4])
+def test_cancelled_split_line_gets_exactly_zero_gradient(rng, monkeypatch, variant, k, rank4):
+    """With all sub-box weights equal, a split line separates nothing: its
+    gradient is exactly 0.0 on both routes. A rounding residue there would
+    become an lr-sized step of the line under Adam."""
+    boxes = [replace(init_params(k, variant, rng),
+                     split_weights=(float(w),) * N_WEIGHTS[variant])
+             for w in rng.uniform(0.5, 2.0, size=3)]
+    layer = BoxConvLayer(boxes)
+    shape = (2, 3, 40, 37) if rank4 else (3, 40, 37)
+    x, g = rng.normal(size=shape), rng.normal(size=shape)
+    for side in (96, 0):  # the banded route, then the table engine
+        monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", side)
+        _, _, theta, split, _ = _layer_arrays(layer, x, g)
+        assert theta.any(), side
+        assert not split.any(), side
+
+
 def test_non_finite_channel_in_a_block_is_named(rng, monkeypatch):
     monkeypatch.setattr(satconv.layer, "BANDED_MAX_SIDE", 0)  # the table engine
     layer = BoxConvLayer([init_params(9, rng=rng) for _ in range(4)])
